@@ -19,10 +19,10 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,54 +88,62 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _number(text: str | None, kind: type, flag: str):
+    """``kind(text)`` for the value of ``--flag``; None stays None.
+
+    A value that does not convert is a usage error, not a traceback.
+    """
+    if text is None:
+        return None
+    try:
+        return kind(text)
+    except ValueError as exc:
+        what = "an integer" if kind is int else "a number"
+        raise _UsageError(
+            f"--{flag.replace('_', '-')} expects {what}, got {text!r}"
+        ) from exc
+
+
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError as exc:
-            raise _UsageError(f"bad seed range {text!r}") from exc
-        if hi_i <= lo_i:
+        lo, hi = (_number(t, int, "seeds") for t in text.split(":", 1))
+        if hi <= lo:
             raise _UsageError(f"empty seed range {text!r}")
-        return list(range(lo_i, hi_i))
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad seed list {text!r}") from exc
+        return list(range(lo, hi))
+    return [_number(s, int, "seeds") for s in text.split(",") if s.strip()]
 
 
 def _parse_dist(text: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(int(c) for c in text.replace(" ", "").split(",") if c)
-    except ValueError as exc:
-        raise _UsageError(f"bad distribution {text!r}") from exc
+    counts = tuple(_number(c, int, "dist") for c in text.replace(" ", "").split(",") if c)
     if not counts:
         raise _UsageError(f"bad distribution {text!r}")
     return counts
 
 
-def _parse_q(text: str) -> float | None:
-    if text == "auto":
-        return None
-    try:
-        q = float(text)
-    except ValueError as exc:
-        raise _UsageError(f"q must be 'auto' or a number, got {text!r}") from exc
-    return q
-
-
-def _parse_ell(text: str) -> tuple[str, float]:
+def _parse_stop(text: str) -> dict:
+    """``--ell`` as subspace stopping-rule keywords: ell=<int> or theta=<float>."""
     if text.startswith("ratio:"):
-        try:
-            theta = float(text[len("ratio:") :])
-        except ValueError as exc:
-            raise _UsageError(f"bad ratio in {text!r}") from exc
-        return ("theta", theta)
-    try:
-        return ("ell", int(text))
-    except ValueError as exc:
-        raise _UsageError(f"ell must be an int or ratio:<float>, got {text!r}") from exc
+        return {"theta": _number(text[len("ratio:") :], float, "ell")}
+    return {"ell": _number(text, int, "ell")}
+
+
+# synth flag -> (SynthSpec field, type)
+_SYNTH_FLAGS = {
+    "noise": ("noise_rate", float),
+    "vocab_per_topic": ("vocab_per_topic", int),
+    "shared_vocab": ("shared_vocab", int),
+    "doc_length": ("doc_length", int),
+}
+
+
+def _synth_kwargs(opts: dict) -> dict:
+    """SynthSpec keywords from the synth flags that are set."""
+    return {
+        field: _number(opts[key], kind, key)
+        for key, (field, kind) in _SYNTH_FLAGS.items()
+        if opts.get(key) is not None
+    }
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -245,16 +253,11 @@ def cmd_synth(opts: dict) -> int:
         raise _UsageError("synth requires --dist")
     if not opts.get("out"):
         raise _UsageError("synth requires --out")
-    mapping = {"distribution": opts["dist"], "rng_seed": opts["seed"]}
-    for src, dst in (
-        ("noise", "noise_rate"),
-        ("vocab_per_topic", "vocab_per_topic"),
-        ("shared_vocab", "shared_vocab"),
-        ("doc_length", "doc_length"),
-    ):
-        if opts.get(src) is not None:
-            mapping[dst] = opts[src]
-    spec = corpus.synth_spec_from_mapping(mapping)
+    spec = corpus.SynthSpec(
+        distribution=_parse_dist(opts["dist"]),
+        rng_seed=_number(opts["seed"], int, "seed"),
+        **_synth_kwargs(opts),
+    )
     docs, _ = corpus.synthesize_collection(spec)
     manifest = {
         "distribution": list(spec.distribution),
@@ -309,12 +312,7 @@ def _matrix_cell_builder(path):
 
 
 def _collect_cells(opts: dict) -> list[_Cell]:
-    spec_kwargs = {}
-    if opts.get("noise") is not None:
-        spec_kwargs["noise_rate"] = float(opts["noise"])
-    for key in ("vocab_per_topic", "shared_vocab", "doc_length"):
-        if opts.get(key) is not None:
-            spec_kwargs[key] = int(opts[key])
+    spec_kwargs = _synth_kwargs(opts)
     seeds = _parse_seeds(opts["seeds"])
     cells = []
     for dist_text in opts["dist"]:
@@ -334,65 +332,51 @@ def _collect_cells(opts: dict) -> list[_Cell]:
     return cells
 
 
-def _resolve_ell(z, ell_mode, topics, q_for_theta):
-    if ell_mode is not None:
-        kind, value = ell_mode
-        if kind == "ell":
-            return int(value)
-        return subspace.dimensionality_by_residual_ratio(z, value, q=q_for_theta)
-    if topics is not None:
-        return topics
-    raise ParameterError("no dimensionality: give --ell or --topics")
+@dataclass(frozen=True)
+class _RunPlan:
+    """The ``run`` options, parsed and validated once before any cell is built.
+
+    ``stop`` is the subspace stopping rule from --ell ({"ell": n} or
+    {"theta": t}); without it, ell is --topics or the cell's topic count.
+    """
+
+    methods: tuple[str, ...]
+    metrics: frozenset[str]
+    q: float | None
+    alpha: float
+    beta: float
+    topics: int | None
+    clusters: int | None
+    stop: dict | None
 
 
-def _run_cell(cell: _Cell, opts: dict) -> tuple[list[dict], dict]:
+def _run_cell(cell: _Cell, plan: _RunPlan) -> tuple[list[dict], dict]:
     z, tm = cell.build()
-    methods = [m.strip() for m in opts["methods"].split(",") if m.strip()]
-    metrics = [m.strip() for m in opts["metrics"].split(",") if m.strip()]
-    if metrics == ["none"]:
-        metrics = []
-    bad = set(metrics) - {"kappa", "cluster"}
-    if bad:
-        raise _UsageError(f"unknown metrics: {sorted(bad)}")
-    if not methods:
-        raise _UsageError("at least one method is required")
-    topics = int(opts["topics"]) if opts.get("topics") else (tm.n_topics if tm else None)
-    ell_mode = _parse_ell(opts["ell"]) if opts.get("ell") else None
-    q = _parse_q(opts["q"])
-    alpha, beta = float(opts["alpha"]), float(opts["beta"])
+    if plan.metrics and tm is None:
+        raise DataError(f"{cell.dataset}: kappa and clustering need topic labels")
+    topics = plan.topics if plan.topics is not None else (tm.n_topics if tm else None)
+    stop = plan.stop or ({"ell": topics} if topics is not None else None)
     intra = corpus.intra_topic_pairs(tm) if tm is not None else None
 
     stats = theory.topic_stats(tm) if tm is not None else None
     seed_text = str(cell.seed) if cell.seed is not None else "-"
     rows = []
     bases = {}
-    for method in methods:
-        if method not in subspace.METHODS:
-            raise ParameterError(f"unknown method {method!r}")
+    for method in plan.methods:
         t0 = time.perf_counter()
-        q_out: float | None = None
-        ell_out: int | None = None
         if method == "vsm":
-            x = z
             basis = None
+        elif stop is None:
+            raise ParameterError("no dimensionality: give --ell or --topics")
         elif method == "lsi":
-            ell_out = _resolve_ell(z, ell_mode, topics, q_for_theta=0.0)
-            basis = subspace.lsi(z, ell_out)
-            x = subspace.represent(basis, z)
-            q_out = 0.0
+            basis = subspace.lsi(z, **stop)
         else:
-            if ell_mode is not None and ell_mode[0] == "theta":
-                config = subspace.IrrConfig(q=q, theta=ell_mode[1], alpha=alpha, beta=beta)
-            else:
-                ell_req = ell_mode[1] if ell_mode is not None else topics
-                if ell_req is None:
-                    raise ParameterError("no dimensionality: give --ell or --topics")
-                config = subspace.IrrConfig(q=q, ell=int(ell_req), alpha=alpha, beta=beta)
+            config = subspace.IrrConfig(q=plan.q, alpha=plan.alpha, beta=plan.beta, **stop)
             basis = subspace.irr(z, config)
-            x = subspace.represent(basis, z)
-            q_out = basis.q
-            ell_out = basis.ell
-        if basis is not None:
+        if basis is None:
+            x, q_out, ell_out = z, None, None
+        else:
+            x, q_out, ell_out = subspace.represent(basis, z), basis.q, basis.ell
             bases[method] = basis
 
         row = dict.fromkeys(CSV_COLUMNS, "")
@@ -411,26 +395,11 @@ def _run_cell(cell: _Cell, opts: dict) -> tuple[list[dict], dict]:
                 mingling=_fmt(stats.mingling),
                 f_estimate=_fmt(stats.f_estimate),
             )
-        if "kappa" in metrics:
-            if tm is None:
-                raise DataError(
-                    f"{cell.dataset}: kappa needs topic labels (topics.tsv)"
-                )
+        if "kappa" in plan.metrics:
             ranked = evalmetrics.rank_pairs(x)
             row["kappa"] = _fmt(evalmetrics.kappa_average_precision(ranked, intra))
-        if "cluster" in metrics:
-            if tm is None:
-                raise DataError(
-                    f"{cell.dataset}: clustering metrics need topic labels"
-                )
-            if opts.get("clusters"):
-                n_clusters = int(opts["clusters"])
-            elif topics is not None:
-                n_clusters = topics
-            elif ell_out is not None:
-                n_clusters = ell_out
-            else:
-                raise ParameterError("no cluster count: give --clusters or --topics")
+        if "cluster" in plan.metrics:
+            n_clusters = plan.clusters if plan.clusters is not None else topics
             outcome = evalmetrics.floor_ceiling(x, tm, n_clusters)
             row["clusters"] = _fmt(n_clusters)
             for name in evalmetrics.ALGORITHMS:
@@ -442,38 +411,54 @@ def _run_cell(cell: _Cell, opts: dict) -> tuple[list[dict], dict]:
     return rows, bases
 
 
-def cmd_run(opts: dict) -> int:
-    cells = _collect_cells(opts)
-    methods = [m.strip() for m in opts["methods"].split(",") if m.strip()]
+def _plan_run(opts: dict, n_cells: int) -> _RunPlan:
+    methods = tuple(m.strip() for m in opts["methods"].split(",") if m.strip())
+    if not methods:
+        raise _UsageError("at least one method is required")
     unknown_methods = [m for m in methods if m not in subspace.METHODS]
     if unknown_methods:
         raise _UsageError(f"unknown methods: {unknown_methods}")
     metrics = [m.strip() for m in opts["metrics"].split(",") if m.strip()]
-    if metrics == ["none"] and not opts.get("save_basis"):
-        raise _UsageError("--metrics none is only valid with --save-basis")
-    _parse_q(opts["q"])
-    if opts.get("ell"):
-        _parse_ell(opts["ell"])
-    jobs = int(opts["jobs"])
+    if metrics == ["none"]:
+        if not opts.get("save_basis"):
+            raise _UsageError("--metrics none is only valid with --save-basis")
+        metrics = []
+    bad = set(metrics) - {"kappa", "cluster"}
+    if bad:
+        raise _UsageError(f"unknown metrics: {sorted(bad)}")
+    if opts.get("save_basis") and (n_cells != 1 or len(set(methods) - {"vsm"}) != 1):
+        raise _UsageError("--save-basis needs exactly one dataset and one subspace method")
+    return _RunPlan(
+        methods=methods,
+        metrics=frozenset(metrics),
+        q=None if opts["q"] == "auto" else _number(opts["q"], float, "q"),
+        alpha=_number(opts["alpha"], float, "alpha"),
+        beta=_number(opts["beta"], float, "beta"),
+        topics=_number(opts.get("topics"), int, "topics"),
+        clusters=_number(opts.get("clusters"), int, "clusters"),
+        stop=_parse_stop(opts["ell"]) if opts.get("ell") else None,
+    )
+
+
+def cmd_run(opts: dict) -> int:
+    cells = _collect_cells(opts)
+    plan = _plan_run(opts, len(cells))
+    jobs = _number(opts["jobs"], int, "jobs")
     if jobs < 1:
         raise _UsageError("--jobs must be >= 1")
 
     all_rows: list[dict] = []
     all_bases: dict[str, object] = {}
     if jobs == 1:
-        results = [_run_cell(cell, opts) for cell in cells]
+        results = [_run_cell(cell, plan) for cell in cells]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: _run_cell(c, opts), cells))
+            results = list(pool.map(lambda c: _run_cell(c, plan), cells))
     for rows, bases in results:
         all_rows.extend(rows)
         all_bases.update(bases)
 
     if opts.get("save_basis"):
-        if len(cells) != 1 or len(all_bases) != 1:
-            raise _UsageError(
-                "--save-basis needs exactly one dataset and one subspace method"
-            )
         matrixio.save_basis(opts["save_basis"], next(iter(all_bases.values())))
 
     all_rows.sort(key=lambda r: r["run_id"])
@@ -489,9 +474,9 @@ def cmd_run(opts: dict) -> int:
 
 
 def cmd_verify(opts: dict) -> int:
-    trials = int(opts["trials"])
-    seed = int(opts["seed"])
-    noise = float(opts["noise"]) if opts.get("noise") is not None else None
+    trials = _number(opts["trials"], int, "trials")
+    seed = _number(opts["seed"], int, "seed")
+    noise = _number(opts.get("noise"), float, "noise")
     records: list[theory.TheoremRecord] = []
 
     rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@
 All functions accept anything ``np.asarray`` can turn into a 2-D float64 array
 and validate it first.  Results are deterministic for a fixed input: the SVD
 sign ambiguity is resolved by making the largest-magnitude coordinate of each
-left singular vector positive, and iterative routines use fixed start vectors.
+left singular vector positive.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ RANK_CUTOFF = 1e-10
 
 # Orthonormality is validated to this tolerance wherever a basis is consumed.
 ORTHO_TOL = 1e-8
-
-# Power iteration: relative stagnation tolerance on the Rayleigh quotient.
-POWER_TOL = 1e-14
-POWER_MAX_ITER = 10000
 
 
 def as_matrix(z, name: str = "matrix") -> np.ndarray:
@@ -111,41 +107,9 @@ def frobenius_norm(z) -> float:
     return float(np.linalg.norm(as_matrix(z)))
 
 
-def _power_iterate(a: np.ndarray, v0: np.ndarray) -> float:
-    """Largest eigenvalue of a.T @ a by power iteration from ``v0``."""
-    v = v0
-    rayleigh = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = a.T @ (a @ v)
-        r = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return max(r, 0.0)  # v fell in the null space
-        v = w / norm_w
-        if abs(r - rayleigh) <= POWER_TOL * max(abs(r), 1e-300):
-            return max(r, 0.0)
-        rayleigh = r
-    return max(rayleigh, 0.0)
-
-
 def spectral_norm(z) -> float:
-    """Largest singular value, by power iteration on the Gram operator.
-
-    Runs from the normalized all-ones vector and from e1; the second start
-    covers the stagnation case where the first is orthogonal to the dominant
-    singular direction.  Returns 0.0 for the zero matrix.
-    """
-    a = as_matrix(z)
-    if not a.any():
-        return 0.0
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    n = a.shape[1]
-    ones = np.full(n, 1.0 / math.sqrt(n))
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    lam = max(_power_iterate(a, ones), _power_iterate(a, e1))
-    return math.sqrt(lam)
+    """Largest singular value; 0.0 for the zero matrix."""
+    return float(np.linalg.norm(as_matrix(z), 2))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ truncated SVD (the q = 0 special case) sacrifices on skewed collections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,15 @@ METHODS = ("vsm", "lsi", "irr")
 # Residuals whose Frobenius norm falls below this fraction of the input's are
 # treated as exhausted; further directions would be numerical noise.
 _EXHAUSTED_RTOL = 1e-12
+
+
+def _check_stopping_rule(ell: int | None, theta: float | None) -> None:
+    if (ell is None) == (theta is None):
+        raise ParameterError("set exactly one of ell and theta")
+    if ell is not None and ell < 1:
+        raise ParameterError(f"ell must be >= 1, got {ell}")
+    if theta is not None and not theta > 0.0:
+        raise ParameterError(f"theta must be positive, got {theta}")
 
 
 @dataclass(frozen=True)
@@ -41,12 +50,7 @@ class IrrConfig:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if (self.ell is None) == (self.theta is None):
-            raise ParameterError("set exactly one of ell and theta")
-        if self.ell is not None and self.ell < 1:
-            raise ParameterError(f"ell must be >= 1, got {self.ell}")
-        if self.theta is not None and not self.theta > 0.0:
-            raise ParameterError(f"theta must be positive, got {self.theta}")
+        _check_stopping_rule(self.ell, self.theta)
         if self.q is not None and not (math.isfinite(self.q) and self.q >= 0.0):
             raise ParameterError(f"q must be a finite value >= 0, got {self.q}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
@@ -59,8 +63,8 @@ class SubspaceBasis:
 
     ``residual_ratios`` holds ||R||_F^2 / n before each extraction and after
     the last one (length ell + 1, nonincreasing).  ``exhausted`` is set when
-    the residuals vanished before a requested fixed ell was reached, in which
-    case the basis is simply shorter.
+    the residuals vanished before the stopping rule was met, in which case
+    the basis is simply shorter.
     """
 
     basis: np.ndarray
@@ -114,9 +118,10 @@ def rescale(z, q: float) -> np.ndarray:
 def _leading_left_vector(r: np.ndarray) -> np.ndarray:
     """First left singular vector of r, solved on the smaller Gram side.
 
-    A dense symmetric eigen-solve gives the direction to machine precision
-    regardless of how clustered the spectrum is, which the q = 0 equivalence
-    guarantee needs.
+    A dense symmetric eigen-solve is backward stable, but the direction it
+    returns is accurate only to about machine precision times
+    lambda_1 / (lambda_1 - lambda_2): when the top two eigenvalues nearly
+    coincide, the direction is not determined.
     """
     m, n = r.shape
     if m <= n:
@@ -138,12 +143,9 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
     n = a.shape[1]
     q = config.q if config.q is not None else auto_scale(a, config.alpha, config.beta)
 
-    if config.theta is not None:
-        limit = linalg.svd(a).rank
-        if limit == 0:
-            raise ParameterError("cannot select a dimensionality for a zero matrix")
-    else:
-        limit = config.ell
+    # In theta mode on rank-deficient input, the exhaustion check below ends
+    # the loop before this bound.
+    limit = config.ell if config.theta is None else min(a.shape)
 
     resid = a.copy()
     initial_fro = float(np.linalg.norm(a))
@@ -155,11 +157,16 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
         if float(np.linalg.norm(resid)) <= vanish:
             exhausted = True
             break
-        scaled = rescale(resid, q)
-        # Guard against under/overflow from the exponent: the solve only needs
-        # the direction, so normalize by the largest column norm first.
-        top = float(np.max(np.linalg.norm(scaled, axis=0)))
-        b = _leading_left_vector(scaled / top)
+        # The solve only needs the direction, so rescale relative to the
+        # longest column: no column overflows and the longest keeps unit norm.
+        top = float(np.max(np.linalg.norm(resid, axis=0)))
+        b = _leading_left_vector(rescale(resid / top, q))
+        if cols:
+            # Deflation leaves roundoff along earlier directions, which
+            # dominates b once the residual is tiny; project it out again.
+            prev = np.column_stack(cols)
+            b -= prev @ (prev.T @ b)
+            b /= np.linalg.norm(b)
         resid -= np.outer(b, b @ resid)
         cols.append(b)
         ratios.append(float(np.linalg.norm(resid)) ** 2 / n)
@@ -178,22 +185,38 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
     )
 
 
-def lsi(z, ell: int) -> SubspaceBasis:
-    """Rank-ell truncated SVD basis (identical to IRR at q = 0)."""
+def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
+    """Rank-ell truncated SVD basis (identical to IRR at q = 0).
+
+    Exactly one of ``ell`` and ``theta`` must be set, as in IrrConfig.  With
+    ``theta`` the dimensionality is the smallest ell in [1, rank] whose
+    residual ratio, read off the singular values, is <= theta, or the rank
+    if none is.
+    """
+    _check_stopping_rule(ell, theta)
     a = linalg.as_matrix(z)
     res = linalg.svd(a)
-    basis = linalg.truncate_svd(res, ell)
     n = a.shape[1]
     total = float(np.sum(res.s**2))
-    removed = np.concatenate(([0.0], np.cumsum(res.s[:ell] ** 2)))
-    ratios = tuple(max(total - r, 0.0) / n for r in removed)
+    removed = np.concatenate(([0.0], np.cumsum(res.s**2)))
+    ratios = np.maximum(total - removed, 0.0) / n
+    if theta is not None:
+        rank = res.rank
+        if rank == 0:
+            raise ParameterError("cannot select a dimensionality for a zero matrix")
+        below = np.flatnonzero(ratios[1 : rank + 1] <= theta)
+        ell = int(below[0]) + 1 if below.size else rank
+    basis = linalg.truncate_svd(res, ell)
     return SubspaceBasis(
-        basis=basis, method="lsi", q=0.0, residual_ratios=ratios
+        basis=basis, method="lsi", q=0.0, residual_ratios=tuple(ratios[: ell + 1])
     )
 
 
 def dimensionality_by_residual_ratio(z, theta: float, q: float | None = None) -> int:
-    """Smallest ell whose residual ratio is <= theta (>= 1, capped at rank)."""
+    """Smallest ell whose IRR residual ratio is <= theta.
+
+    At least 1 and at most min(m, n); fewer when the residuals vanish first.
+    """
     return irr(z, IrrConfig(q=q, theta=theta)).ell
 
 

@@ -162,6 +162,47 @@ def test_run_usage_errors(tmp_path):
                      "--topics", "2"]) == 1
 
 
+_RUN = ["run", "--dist", "4,4", "--methods", "lsi", "--topics", "2", "--metrics", "kappa"]
+_SYNTH = ["synth", "--dist", "4,4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _RUN + ["--jobs", "x"],
+        _RUN + ["--noise", "abc"],
+        _RUN + ["--clusters", "two"],
+        _RUN + ["--alpha", "q"],
+        _RUN + ["--beta", "b"],
+        _RUN + ["--topics", "x"],
+        _RUN + ["--vocab-per-topic", "x"],
+        _RUN + ["--ell", "ratio:half"],
+        _RUN + ["--seeds", "a:b"],
+        _SYNTH + ["--seed", "x"],
+        _SYNTH + ["--noise", "abc"],
+        _SYNTH + ["--doc-length", "long"],
+        ["synth", "--dist", "four,4"],
+        ["verify", "--seed", "x"],
+        ["verify", "--trials", "many"],
+        ["verify", "--noise", "low"],
+    ],
+)
+def test_non_numeric_flag_is_usage_error(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_save_basis_shape_checked_before_any_cell_is_built(monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(cli.corpus, "synthesize_collection", fail)
+    rc = cli.main(["run", "--dist", "4,4", "--methods", "lsi,irr", "--topics", "2",
+                   "--metrics", "none", "--save-basis", str(tmp_path / "b.ssm1")])
+    assert rc == 1
+
+
 def test_run_unlabeled_matrix_without_ell_is_data_error(tmp_path):
     rng = np.random.default_rng(2)
     z = rng.standard_normal((8, 4))

@@ -114,6 +114,21 @@ def test_irr_stops_when_rank_is_exhausted():
     assert basis.ell == 1
 
 
+@pytest.mark.parametrize("tail", [1e-9, 1e-11])
+@pytest.mark.parametrize("stop", [{"ell": 3}, {"theta": 1e-40}])
+def test_irr_keeps_orthonormal_basis_on_tiny_trailing_direction(tail, stop):
+    # the third direction is extracted from a residual about `tail` in size,
+    # where deflation roundoff along the first two directions is relatively large
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((40, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((30, 3)))
+    z = u @ np.diag([1.0, 0.5, tail]) @ v.T
+    for q in (0.0, 2.0):
+        b = subspace.irr(z, subspace.IrrConfig(q=q, **stop)).basis
+        assert b.shape[1] == 3
+        assert np.max(np.abs(b.T @ b - np.eye(3))) < 1e-10
+
+
 def test_theta_mode_selects_topic_count_on_exact_instance():
     rho = np.zeros((2, 8))
     rho[0, :5] = 1.0
@@ -147,6 +162,54 @@ def test_lsi_ratios_match_irr_q0_ratios():
     b2 = subspace.irr(z, subspace.IrrConfig(q=0.0, ell=4))
     assert np.allclose(b1.residual_ratios, b2.residual_ratios, atol=1e-9)
     assert b1.method == "lsi" and b2.method == "irr"
+    # theta mode: the ratios read off the singular values pick the same ell
+    for theta in (3.0, 1.5, 0.8, 0.3, 0.05, 1e-3):
+        b1 = subspace.lsi(z, theta=theta)
+        b2 = subspace.irr(z, subspace.IrrConfig(q=0.0, theta=theta))
+        assert b1.ell == b2.ell
+        assert b1.residual_ratios[-1] <= theta
+        assert np.allclose(b1.residual_ratios, b2.residual_ratios, atol=1e-9)
+
+
+def test_theta_at_or_above_initial_ratio_gives_one_dimension():
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((8, 6))
+    initial = np.linalg.norm(z) ** 2 / 6
+    for theta in (initial, 2.0 * initial):
+        assert subspace.lsi(z, theta=theta).ell == 1
+        assert subspace.irr(z, subspace.IrrConfig(q=0.0, theta=theta)).ell == 1
+
+
+def test_theta_below_reach_stops_at_rank_one():
+    z = np.outer(np.arange(1.0, 6.0), [1.0, -2.0, 0.5, 3.0])
+    assert subspace.lsi(z, theta=1e-30).ell == 1
+    assert subspace.irr(z, subspace.IrrConfig(q=0.0, theta=1e-30)).ell == 1
+
+
+def test_lsi_requires_exactly_one_stopping_rule():
+    z = np.eye(3)
+    with pytest.raises(ParameterError):
+        subspace.lsi(z)
+    with pytest.raises(ParameterError):
+        subspace.lsi(z, ell=2, theta=0.5)
+    with pytest.raises(ParameterError):
+        subspace.lsi(z, theta=0.0)
+
+
+def test_lsi_zero_matrix_rejected_in_theta_mode():
+    with pytest.raises(ParameterError):
+        subspace.lsi(np.zeros((3, 3)), theta=0.5)
+
+
+@pytest.mark.parametrize("q", [1000.0, 2000.0])
+def test_irr_large_q_does_not_underflow(q):
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((30, 20))
+    z /= np.linalg.norm(z, axis=0)
+    b = subspace.irr(z, subspace.IrrConfig(q=q, ell=15)).basis
+    assert b.shape == (30, 15)
+    assert np.isfinite(b).all()
+    assert np.max(np.abs(b.T @ b - np.eye(15))) < 1e-10
 
 
 def test_lsi_rejects_ell_beyond_rank():
