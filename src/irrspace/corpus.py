@@ -191,25 +191,35 @@ class SynthSpec:
             raise ParameterError("noise_rate must be in [0, 1]")
 
 
+def _int_tuple(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        value = [c for c in value.replace(" ", "").split(",") if c]
+    return tuple(int(c) for c in value)
+
+
+_SYNTH_KEYS = {
+    "distribution": _int_tuple,
+    "vocab_per_topic": int,
+    "shared_vocab": int,
+    "doc_length": int,
+    "noise_rate": float,
+    "rng_seed": int,
+}
+
+
 def synth_spec_from_mapping(kv: dict) -> SynthSpec:
     """Build a SynthSpec from string-keyed config values (CLI / manifest)."""
-    known = {
-        "distribution", "vocab_per_topic", "shared_vocab",
-        "doc_length", "noise_rate", "rng_seed",
-    }
-    unknown = set(kv) - known
+    unknown = set(kv) - set(_SYNTH_KEYS)
     if unknown:
         raise ParameterError(f"unknown synth keys: {sorted(unknown)}")
-    out = dict(kv)
-    if "distribution" in out and isinstance(out["distribution"], str):
-        out["distribution"] = tuple(
-            int(c) for c in out["distribution"].replace(" ", "").split(",") if c
-        )
-    for key in ("vocab_per_topic", "shared_vocab", "doc_length", "rng_seed"):
-        if key in out:
-            out[key] = int(out[key])
-    if "noise_rate" in out:
-        out["noise_rate"] = float(out["noise_rate"])
+    if "distribution" not in kv:
+        raise ParameterError("synth keys must include 'distribution'")
+    out = {}
+    for key, value in kv.items():
+        try:
+            out[key] = _SYNTH_KEYS[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"synth key {key!r}: bad value {value!r}") from exc
     return SynthSpec(**out)
 
 

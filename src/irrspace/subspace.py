@@ -98,11 +98,13 @@ def auto_scale(z, alpha: float = 3.5, beta: float = 0.0) -> float:
     """Data-driven rescaling exponent max(0, alpha * f + beta).
 
     f = (||A^T A||_F / n)^2 estimates topic-dominance non-uniformity from the
-    matrix alone; it is invariant under column permutation.
+    matrix alone; it is invariant under column permutation.  The norm is
+    taken on the smaller Gram matrix, since ||A^T A||_F = ||A A^T||_F.
     """
     a = linalg.as_matrix(z)
-    n = a.shape[1]
-    f = (float(np.linalg.norm(a.T @ a)) / n) ** 2
+    m, n = a.shape
+    gram = a @ a.T if m < n else a.T @ a
+    f = (float(np.linalg.norm(gram)) / n) ** 2
     return max(0.0, alpha * f + beta)
 
 

@@ -18,6 +18,14 @@ verifiers check the dominance/singular-value interval, the tangent bound on
 the angle between the truncation subspace and the optimum, the
 singular-value perturbation inequality, and the projected-cosine envelope.
 
+The search scores each candidate through a low-rank identity rather than the
+n x n deviation: S is factored once as S ~= F.T J_S F (F = sqrt|lambda| V.T
+over the eigenvalues above n * eps * ||S||_2, J_S = sign lambda), and for a
+candidate's coordinates M (h x n), S - M.T M = X.T J X with X = [F; M],
+J = diag(J_S, -I_h).  Its nonzero spectrum is that of a matrix of size at
+most k + h, k = rank S (see _eps_of_coords); dropping the small eigenvalues
+moves a deviation norm by at most n * eps * ||S||_2 (Weyl).
+
 Spectral norms inside the verifiers are computed by dense symmetric
 eigen-decomposition: the checks certify theorems at tight slacks and must
 not inherit iterative-solver residue.
@@ -115,18 +123,47 @@ class OptimumSubspaceResult:
     is_exact: bool
 
 
-def _eps_of_coords(smat: np.ndarray, m_stack: np.ndarray) -> np.ndarray:
-    """Deviation norms for a stack of (h x n) projected-coordinate blocks."""
+def _similarity_factor(smat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, W): the k eigenvalues of S with |lambda| > n * eps * max|lambda|
+    and all n eigenvectors, those k first.
+
+    The other eigenvalues are taken as zero; by Weyl that moves no deviation
+    norm by more than n * eps * ||S||_2.
+    """
+    lam, vec = np.linalg.eigh(smat)
+    keep = np.abs(lam) > smat.shape[0] * np.finfo(float).eps * np.max(np.abs(lam))
+    return lam[keep], np.concatenate([vec[:, keep], vec[:, ~keep]], axis=1)
+
+
+def _eps_of_coords(
+    factor: tuple[np.ndarray, np.ndarray], m_stack: np.ndarray
+) -> np.ndarray:
+    """Deviation norms ||S - M.T M||_2 for a stack of (h x n) coordinate blocks.
+
+    ``factor`` is _similarity_factor(S).  With X = [F; M] and J as in the
+    module docstring, S - M.T M = X.T J X; if X.T = Q R, its nonzero
+    spectrum is that of R J R.T.  The QR is taken blockwise in the
+    eigenbasis W of S, where F's columns are already orthogonal:
+    W.T X.T = [[sqrt|lambda|, P], [0, P2]] with [P; P2] = W.T M.T, so
+    P2 = Q2 R2 gives R = [[sqrt|lambda|, P], [0, R2]] and
+    R J R.T = diag(lambda, 0) - Z Z.T with Z = [P; R2].  Each norm is the
+    largest |eigenvalue| of that matrix, of size k + min(h, n - k) <= n.
+    """
+    lam, basis = factor
+    k = len(lam)
     out = np.empty(m_stack.shape[0])
     for lo in range(0, m_stack.shape[0], _EVAL_CHUNK):
-        part = m_stack[lo : lo + _EVAL_CHUNK]
-        gram = np.einsum("khn,khm->knm", part, part)
-        eigs = np.linalg.eigvalsh(smat[None, :, :] - gram)
-        out[lo : lo + _EVAL_CHUNK] = np.max(np.abs(eigs), axis=1)
+        g = basis.T @ m_stack[lo : lo + _EVAL_CHUNK].transpose(0, 2, 1)
+        z = np.concatenate([g[:, :k], np.linalg.qr(g[:, k:], mode="r")], axis=1)
+        core = -(z @ z.transpose(0, 2, 1))
+        core[:, range(k), range(k)] += lam
+        out[lo : lo + _EVAL_CHUNK] = np.max(np.abs(np.linalg.eigvalsh(core)), axis=1)
     return out
 
 
-def _best_subset(smat: np.ndarray, c: np.ndarray, r: int, h: int) -> tuple[float, np.ndarray]:
+def _best_subset(
+    factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, r: int, h: int
+) -> tuple[float, np.ndarray]:
     best_eps = math.inf
     best_combo: tuple[int, ...] | None = None
     combos = itertools.combinations(range(r), h)
@@ -134,7 +171,7 @@ def _best_subset(smat: np.ndarray, c: np.ndarray, r: int, h: int) -> tuple[float
         chunk = list(itertools.islice(combos, _EVAL_CHUNK))
         if not chunk:
             break
-        eps = _eps_of_coords(smat, c[np.array(chunk)])
+        eps = _eps_of_coords(factor, c[np.array(chunk)])
         k = int(np.argmin(eps))
         if eps[k] < best_eps:
             best_eps = float(eps[k])
@@ -145,7 +182,7 @@ def _best_subset(smat: np.ndarray, c: np.ndarray, r: int, h: int) -> tuple[float
 
 
 def _refine(
-    smat: np.ndarray,
+    factor: tuple[np.ndarray, np.ndarray],
     c: np.ndarray,
     w: np.ndarray,
     eps: float,
@@ -162,13 +199,18 @@ def _refine(
     pj = np.repeat([p[1] for p in pairs], len(angles))
     ct = np.cos(np.tile(angles, len(pairs)))[:, None]
     st = np.sin(np.tile(angles, len(pairs)))[:, None]
-    n_cand = len(pi)
     for _ in range(max_rounds):
+        # a plane between two zero rows of w leaves w unchanged, so it cannot
+        # improve; dropping it keeps the order (and argmin) of the others
+        live = np.any(w != 0.0, axis=1)
+        keep = live[pi] | live[pj]
+        ki, kj, kc, ks = pi[keep], pj[keep], ct[keep], st[keep]
+        n_cand = len(ki)
         stack = np.broadcast_to(w, (n_cand, r, h)).copy()
-        rows_i, rows_j = w[pi], w[pj]
-        stack[np.arange(n_cand), pi] = ct * rows_i - st * rows_j
-        stack[np.arange(n_cand), pj] = st * rows_i + ct * rows_j
-        eps_all = _eps_of_coords(smat, np.einsum("krh,rn->khn", stack, c))
+        rows_i, rows_j = w[ki], w[kj]
+        stack[np.arange(n_cand), ki] = kc * rows_i - ks * rows_j
+        stack[np.arange(n_cand), kj] = ks * rows_i + kc * rows_j
+        eps_all = _eps_of_coords(factor, np.einsum("krh,rn->khn", stack, c))
         k = int(np.argmin(eps_all))
         if eps_all[k] >= eps - improve_tol:
             break
@@ -204,11 +246,12 @@ def optimum_subspace(
         raise ParameterError("zero matrix has no subspaces to search")
     u = res.u[:, :r]
     c = u.T @ a
+    factor = _similarity_factor(smat)
     best: tuple[float, int, np.ndarray] | None = None
     for h in range(1, min(h_max, r) + 1):
-        eps_h, w_h = _best_subset(smat, c, r, h)
+        eps_h, w_h = _best_subset(factor, c, r, h)
         if refine:
-            eps_h, w_h = _refine(smat, c, w_h, eps_h, angle_grid, improve_tol, max_rounds)
+            eps_h, w_h = _refine(factor, c, w_h, eps_h, angle_grid, improve_tol, max_rounds)
         if best is None or eps_h < best[0]:
             best = (eps_h, h, w_h)
     eps, h, w = best

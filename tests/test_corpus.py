@@ -134,6 +134,21 @@ def test_synth_spec_from_mapping_coerces_strings():
     assert spec.rng_seed == 7
     with pytest.raises(ParameterError):
         corpus.synth_spec_from_mapping({"distribution": "2,2", "bogus": "1"})
+    with pytest.raises(ParameterError, match="distribution"):
+        corpus.synth_spec_from_mapping({"noise_rate": "0.3"})
+
+
+@pytest.mark.parametrize(
+    "kv, key",
+    [
+        ({"distribution": "a,b"}, "distribution"),
+        ({"distribution": "2,2", "noise_rate": "x"}, "noise_rate"),
+        ({"distribution": "2,2", "doc_length": "1.5"}, "doc_length"),
+    ],
+)
+def test_synth_spec_from_mapping_bad_value_is_parameter_error(kv, key):
+    with pytest.raises(ParameterError, match=f"{key}.*{kv[key]}"):
+        corpus.synth_spec_from_mapping(kv)
 
 
 def test_synthesize_collection_counts_and_labels():

@@ -54,6 +54,14 @@ def test_auto_scale_invariant_under_column_permutation():
     )
 
 
+def test_auto_scale_wide_matrix_matches_doc_gram_formula():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((7, 40))
+    n = z.shape[1]
+    expected = 3.5 * (np.linalg.norm(z.T @ z) / n) ** 2
+    assert subspace.auto_scale(z) == pytest.approx(expected, rel=1e-12)
+
+
 def test_rescale_power_weighting():
     z = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 0.0]])
     out = subspace.rescale(z, 1.0)

@@ -100,6 +100,30 @@ def brute_force_best_subset(s, a, h_max):
     return best
 
 
+def _kernel_cases():
+    rng = np.random.default_rng(5)
+    n = 9
+    for k in (1, 3):
+        rho = rng.standard_normal((k, n))
+        for h in sorted({1, k}):
+            yield f"psd rank {k}, h={h}", rho.T @ rho, h
+    sym = rng.standard_normal((n, n))
+    yield "indefinite", sym + sym.T, 2
+    full = rng.standard_normal((n, n))
+    yield "full rank, k + h > n", full @ full.T + np.eye(n), 3
+    yield "zero", np.zeros((n, n)), 2
+
+
+@pytest.mark.parametrize("name, smat, h", list(_kernel_cases()))
+def test_low_rank_kernel_matches_dense_deviation_norm(name, smat, h):
+    rng = np.random.default_rng(6)
+    m_stack = rng.standard_normal((50, h, smat.shape[0]))
+    got = theory._eps_of_coords(theory._similarity_factor(smat), m_stack)
+    dense = [theory._sym_spectral_norm(smat - m.T @ m) for m in m_stack]
+    tol = 1e-12 * max(1.0, np.linalg.norm(smat, 2))
+    assert np.max(np.abs(got - dense)) <= tol, name
+
+
 def test_optimum_subspace_never_worse_than_subset_oracle():
     for seed in range(6):
         s, a = _random_instance(seed)
