@@ -21,7 +21,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,7 +60,6 @@ _RUN_DEFAULTS = {
     "alpha": "3.5",
     "beta": "0.0",
     "seeds": "0",
-    "jobs": "1",
 }
 
 _SYNTH_DEFAULTS = {"seed": "0"}
@@ -224,7 +222,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--vocab-per-topic", dest="vocab_per_topic")
     p_run.add_argument("--shared-vocab", dest="shared_vocab")
     p_run.add_argument("--doc-length", dest="doc_length")
-    p_run.add_argument("--jobs", help="worker threads (default 1)")
     p_run.add_argument("--save-basis", dest="save_basis",
                        help="write the basis of a single-method single-dataset run")
     p_run.add_argument("--out", help="output CSV path (default stdout)")
@@ -443,18 +440,10 @@ def _plan_run(opts: dict, n_cells: int) -> _RunPlan:
 def cmd_run(opts: dict) -> int:
     cells = _collect_cells(opts)
     plan = _plan_run(opts, len(cells))
-    jobs = _number(opts["jobs"], int, "jobs")
-    if jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
-
     all_rows: list[dict] = []
     all_bases: dict[str, object] = {}
-    if jobs == 1:
-        results = [_run_cell(cell, plan) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: _run_cell(c, plan), cells))
-    for rows, bases in results:
+    for cell in cells:
+        rows, bases = _run_cell(cell, plan)
         all_rows.extend(rows)
         all_bases.update(bases)
 

@@ -8,6 +8,8 @@ columns (with a warning) so that column indices keep lining up with doc ids.
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -96,15 +98,9 @@ def similarity_matrix(tm: TopicModel) -> SimilarityMatrix:
 
 def intra_topic_pairs(tm: TopicModel) -> set[tuple[int, int]]:
     """Unordered document index pairs sharing at least one positive topic."""
-    rho = tm.relevance
-    shared = (rho > 0.0).T.astype(np.float64) @ (rho > 0.0).astype(np.float64)
-    n = tm.n_docs
-    return {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if shared[i, j] > 0.0
-    }
+    positive = (tm.relevance > 0.0).astype(np.float64)
+    i, j = np.nonzero(np.triu(positive.T @ positive > 0.0, 1))
+    return set(zip(i.tolist(), j.tolist()))
 
 
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
@@ -156,6 +152,17 @@ def topic_model_from_docs(docs: list[Document]) -> TopicModel:
     return TopicModel(relevance=rho, topic_ids=topic_ids)
 
 
+_SYNTH_MINIMA = {"vocab_per_topic": 1, "shared_vocab": 1, "doc_length": 1, "rng_seed": 0}
+
+
+def _integer(name: str, value) -> int:
+    """A Python or numpy integer as int; anything else is a ParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of a synthetic single-topic collection.
@@ -178,17 +185,17 @@ class SynthSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "distribution", tuple(int(c) for c in self.distribution))
-        if not self.distribution or any(c < 1 for c in self.distribution):
+        counts = tuple(_integer("distribution", c) for c in self.distribution)
+        if not counts or any(c < 1 for c in counts):
             raise ParameterError("distribution needs at least one doc per topic")
-        if self.vocab_per_topic < 1:
-            raise ParameterError("vocab_per_topic must be >= 1")
-        if self.shared_vocab < 1:
-            raise ParameterError("shared_vocab must be >= 1")
-        if self.doc_length < 1:
-            raise ParameterError("doc_length must be >= 1")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ParameterError("noise_rate must be in [0, 1]")
+        object.__setattr__(self, "distribution", counts)
+        for name, low in _SYNTH_MINIMA.items():
+            value = _integer(name, getattr(self, name))
+            if value < low:
+                raise ParameterError(f"{name} must be >= {low}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.noise_rate, numbers.Real) or not 0.0 <= self.noise_rate <= 1.0:
+            raise ParameterError(f"noise_rate must be in [0, 1], got {self.noise_rate!r}")
 
 
 def _int_tuple(value) -> tuple[int, ...]:

@@ -55,9 +55,11 @@ def cosine_matrix(z) -> np.ndarray:
 
 @dataclass
 class RankedPairs:
-    """All unordered document pairs, ordered by nonincreasing cosine."""
+    """All unordered document pairs (i[r], j[r]), i < j, by nonincreasing cosine."""
 
-    pairs: list[tuple[tuple[int, int], float]]
+    i: np.ndarray
+    j: np.ndarray
+    cosine: np.ndarray
     n_docs: int
 
 
@@ -66,43 +68,36 @@ def rank_pairs(z) -> RankedPairs:
     n = a.shape[1]
     if n < 2:
         raise ParameterError("need at least two documents to rank pairs")
-    c = cosine_matrix(a)
-    entries = [
-        ((i, j), float(c[i, j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    return RankedPairs(pairs=entries, n_docs=n)
+    i, j = np.triu_indices(n, 1)
+    cos = cosine_matrix(a)[i, j]
+    # triu order is (i, j) order, so the stable sort breaks ties by pair
+    order = np.argsort(-cos, kind="stable")
+    return RankedPairs(i=i[order], j=j[order], cosine=cos[order], n_docs=n)
 
 
-def _check_intra(ranked: RankedPairs, intra: set[tuple[int, int]]) -> set[tuple[int, int]]:
+def _intra_hits(ranked: RankedPairs, intra: set[tuple[int, int]]) -> np.ndarray:
+    """Per ranked pair, whether it is one of the ``intra`` (i, j) tuples."""
     if not intra:
         raise UndefinedMetricError("no intra-topic pairs; precision is undefined")
     n = ranked.n_docs
     for i, j in intra:
         if not (0 <= i < j < n):
             raise ParameterError(f"pair ({i}, {j}) is not a canonical pair of {n} docs")
-    return intra
+    hits = np.isin(ranked.i * n + ranked.j, [i * n + j for i, j in intra])
+    if int(hits.sum()) != len(intra):
+        raise ParameterError("intra pairs missing from the ranking")
+    return hits
 
 
 def pairwise_average_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
     """Mean over intra pairs p of (#intra ranked at or above p) / rank(p)."""
-    intra = _check_intra(ranked, intra)
-    precisions = []
-    seen_intra = 0
-    for rank, (pair, _) in enumerate(ranked.pairs, start=1):
-        if pair in intra:
-            seen_intra += 1
-            precisions.append(seen_intra / rank)
-    if len(precisions) != len(intra):
-        raise ParameterError("intra pairs missing from the ranking")
-    return math.fsum(precisions) / len(precisions)
+    ranks = np.flatnonzero(_intra_hits(ranked, intra)) + 1
+    return math.fsum(np.arange(1, ranks.size + 1) / ranks) / ranks.size
 
 
 def chance_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
-    intra = _check_intra(ranked, intra)
-    return len(intra) / len(ranked.pairs)
+    hits = _intra_hits(ranked, intra)
+    return int(hits.sum()) / hits.size
 
 
 def kappa_average_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
@@ -168,6 +163,16 @@ def cluster(z, k: int, algorithm: str) -> np.ndarray:
     return _spherical_kmeans(x, _hierarchical(x, k, base), k)
 
 
+def _index_array(values: np.ndarray, size: int, what: str) -> np.ndarray:
+    """``values`` as intp indices; each must be an integer in [0, size)."""
+    if values.dtype.kind not in "biuf":
+        raise ParameterError(f"{what}s must be integers, got dtype {values.dtype}")
+    bad = values[(values < 0) | (values >= size) | (values != np.floor(values))]
+    if bad.size:
+        raise ParameterError(f"{what} {bad[0]} is not an integer in [0, {size})")
+    return values.astype(np.intp)
+
+
 def contingency_table(
     labels: np.ndarray, topic_index: np.ndarray, n_clusters: int, n_topics: int
 ) -> np.ndarray:
@@ -176,8 +181,9 @@ def contingency_table(
     if labels.shape != topic_index.shape:
         raise DimensionError("labels and topic assignments differ in length")
     table = np.zeros((n_clusters, n_topics), dtype=np.int64)
-    for c, t in zip(labels, topic_index):
-        table[int(c), int(t)] += 1
+    rows = _index_array(labels, n_clusters, "cluster label")
+    cols = _index_array(topic_index, n_topics, "topic index")
+    np.add.at(table, (rows, cols), 1)
     return table
 
 
@@ -190,17 +196,10 @@ def contingency_score(table) -> float:
     n = int(t.sum())
     if n == 0:
         raise UndefinedMetricError("empty contingency table")
-    total = 0
-    for i in range(t.shape[0]):
-        for j in range(t.shape[1]):
-            v = t[i, j]
-            if v == 0:
-                continue
-            row = np.delete(t[i, :], j)
-            col = np.delete(t[:, j], i)
-            if (row < v).all() and (col < v).all():
-                total += int(v)
-    return total / n
+    row_max = t == t.max(axis=1, keepdims=True)
+    col_max = t == t.max(axis=0, keepdims=True)
+    unique = (row_max.sum(axis=1, keepdims=True) == 1) & (col_max.sum(axis=0) == 1)
+    return int(t[row_max & col_max & unique & (t != 0)].sum()) / n
 
 
 @dataclass

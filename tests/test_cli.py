@@ -84,18 +84,6 @@ def test_run_is_deterministic_modulo_timing(tmp_path):
     assert _strip_timing(_read_rows(out1)) == _strip_timing(_read_rows(out2))
 
 
-def test_run_parallel_jobs_match_serial(tmp_path):
-    args = [
-        "run", "--dist", "7,5", "--dist", "9,3", "--seeds", "0:3",
-        "--methods", "lsi,irr", "--topics", "2", "--noise", "0.25",
-        "--metrics", "kappa",
-    ]
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    assert cli.main(args + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert cli.main(args + ["--jobs", "4", "--out", str(parallel)]) == 0
-    assert _strip_timing(_read_rows(serial)) == _strip_timing(_read_rows(parallel))
-
-
 def test_run_on_corpus_directory(tmp_path):
     corpus_dir = tmp_path / "corp"
     assert cli.main(["synth", "--dist", "6,4", "--seed", "2", "--noise", "0.2",
@@ -252,6 +240,26 @@ def test_config_file_errors(tmp_path):
                      "--config", str(unknown)]) == 2
     assert cli.main(["run", "--dist", "4,4", "--topics", "2",
                      "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_config_jobs_key_is_data_error(tmp_path):
+    cfg = tmp_path / "jobs.cfg"
+    cfg.write_text("jobs = 2\n")
+    assert cli.main(_RUN + ["--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--dist", "4,4", "--seeds", "-1", "--methods", "lsi", "--topics", "2",
+         "--metrics", "kappa"],
+        ["synth", "--dist", "4,4", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_data_error(argv, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rng_seed") and "Traceback" not in err
 
 
 def test_verify_emits_parseable_records(tmp_path):

@@ -125,6 +125,20 @@ def test_synth_spec_validation():
         corpus.SynthSpec(distribution=(5,), doc_length=0)
 
 
+def test_synth_spec_bad_values_are_parameter_errors_naming_the_field():
+    for kwargs, field in [
+        ({"distribution": ("a",)}, "distribution"),
+        ({"distribution": (2.7, 3)}, "distribution"),
+        ({"distribution": (5,), "noise_rate": "x"}, "noise_rate"),
+        ({"distribution": (5,), "doc_length": 2.5}, "doc_length"),
+    ]:
+        with pytest.raises(ParameterError, match=field):
+            corpus.SynthSpec(**kwargs)
+    spec = corpus.SynthSpec(distribution=(np.int64(5), 3), doc_length=np.int32(20))
+    assert spec.distribution == (5, 3) and spec.doc_length == 20
+    assert all(type(c) is int for c in spec.distribution)
+
+
 def test_synth_spec_from_mapping_coerces_strings():
     spec = corpus.synth_spec_from_mapping(
         {"distribution": "46,4", "noise_rate": "0.3", "rng_seed": "7"}

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irrspace import evalmetrics
 from irrspace.corpus import TopicModel
@@ -30,18 +32,19 @@ def test_rank_pairs_orders_by_cosine_then_pair():
     )
     z = z / np.linalg.norm(z, axis=0)
     ranked = evalmetrics.rank_pairs(z)
-    order = [p for p, _ in ranked.pairs]
+    order = list(zip(ranked.i.tolist(), ranked.j.tolist()))
     assert order[0] == (0, 1)  # cosine 1
     # cos(0,3) = cos(1,3) = cos(2,3) = 1/sqrt(2); ties resolve by index pair
     assert order[1:4] == [(0, 3), (1, 3), (2, 3)]
     assert order[4:] == [(0, 2), (1, 2)]
-    assert ranked.pairs[0][1] == pytest.approx(1.0, abs=1e-15)
+    assert ranked.cosine[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def _ranking(order, n_docs):
     # descending placeholder cosines; only the order matters to the metrics
+    i, j = np.array(order).T
     return evalmetrics.RankedPairs(
-        pairs=[(p, 1.0 - 0.01 * r) for r, p in enumerate(order)], n_docs=n_docs
+        i=i, j=j, cosine=1.0 - 0.01 * np.arange(len(order)), n_docs=n_docs
     )
 
 
@@ -70,7 +73,7 @@ def test_kappa_matches_affine_identity_on_random_rankings():
         n = int(rng.integers(4, 12))
         z = rng.standard_normal((6, n))
         ranked = evalmetrics.rank_pairs(z)
-        all_pairs = [p for p, _ in ranked.pairs]
+        all_pairs = list(zip(ranked.i.tolist(), ranked.j.tolist()))
         k = int(rng.integers(1, len(all_pairs)))
         picks = rng.permutation(len(all_pairs))[:k]
         intra = {all_pairs[i] for i in picks}
@@ -104,6 +107,92 @@ def test_metrics_undefined_cases():
         evalmetrics.kappa_average_precision(ranked, {(0, 1)})  # chance = 1
     with pytest.raises(ParameterError):
         evalmetrics.pairwise_average_precision(ranked, {(5, 6)})
+
+
+def _oracle_rank_pairs(z):
+    """The pair-tuple ranking: sort ((i, j), cosine) by (-cosine, (i, j))."""
+    c = evalmetrics.cosine_matrix(z)
+    n = c.shape[0]
+    entries = [((i, j), float(c[i, j])) for i in range(n) for j in range(i + 1, n)]
+    entries.sort(key=lambda e: (-e[1], e[0]))
+    return entries
+
+
+def _oracle_kappa(entries, intra):
+    precisions = []
+    seen_intra = 0
+    for rank, (pair, _) in enumerate(entries, start=1):
+        if pair in intra:
+            seen_intra += 1
+            precisions.append(seen_intra / rank)
+    pap = math.fsum(precisions) / len(precisions)
+    chance = len(intra) / len(entries)
+    return (pap - chance) / (1.0 - chance)
+
+
+def _same_label_pairs(labels):
+    return {
+        (i, j)
+        for i, j in itertools.combinations(range(len(labels)), 2)
+        if labels[i] == labels[j]
+    }
+
+
+@st.composite
+def _tied_docs(draw):
+    """Small-integer columns, so exact cosine ties are common, with columns
+    drawn from a pool that holds a zero column, so duplicates are common too;
+    plus a random topic label per document."""
+    m = draw(st.integers(1, 4))
+    pool = np.array(
+        draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                      min_size=1, max_size=5)) + [[0] * m],
+        dtype=np.float64,
+    ).T
+    cols = draw(st.lists(st.integers(0, pool.shape[1] - 1), min_size=2, max_size=12))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(cols), max_size=len(cols)))
+    return pool[:, cols], labels
+
+
+@settings(deadline=None)
+@given(_tied_docs())
+def test_array_ranking_and_kappa_match_tuple_oracle(docs):
+    z, labels = docs
+    ranked = evalmetrics.rank_pairs(z)
+    oracle = _oracle_rank_pairs(z)
+    assert list(zip(ranked.i.tolist(), ranked.j.tolist())) == [p for p, _ in oracle]
+    assert ranked.cosine.tolist() == [c for _, c in oracle]
+    intra = _same_label_pairs(labels)
+    assume(0 < len(intra) < len(oracle))
+    assert evalmetrics.kappa_average_precision(ranked, intra) == _oracle_kappa(oracle, intra)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 6),
+    sources=st.lists(st.integers(0, 4), min_size=3, max_size=12),
+    source_labels=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    data=st.data(),
+)
+def test_kappa_invariant_under_permutation_with_duplicate_and_zero_columns(
+    seed, m, sources, source_labels, data
+):
+    # Source 4 is the zero column.  Duplicates of a source share its label and
+    # every zero-column document has a label of its own, so each exact cosine
+    # tie joins pairs that are all intra or all not: the tie-break by index,
+    # which a permutation changes, cannot move kappa.
+    pool = np.hstack([np.random.default_rng(seed).standard_normal((m, 4)), np.zeros((m, 1))])
+    z = pool[:, sources]
+    labels = [source_labels[s] if s < 4 else 3 + d for d, s in enumerate(sources)]
+    intra = _same_label_pairs(labels)
+    assume(0 < len(intra) < len(sources) * (len(sources) - 1) // 2)
+    perm = data.draw(st.permutations(range(len(sources))))
+    base = evalmetrics.kappa_average_precision(evalmetrics.rank_pairs(z), intra)
+    permuted = evalmetrics.kappa_average_precision(
+        evalmetrics.rank_pairs(z[:, perm]), _same_label_pairs([labels[p] for p in perm])
+    )
+    assert permuted == base
 
 
 def contingency_score_oracle(table):
@@ -143,11 +232,38 @@ def test_contingency_score_matches_oracle_on_random_tables():
         )
 
 
+@settings(deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.integers(0, 4), min_size=rows, max_size=rows), min_size=1, max_size=5
+        )
+    )
+)
+def test_contingency_score_matches_oracle_on_generated_tables(columns):
+    table = np.array(columns).T
+    assume(table.sum() > 0)
+    assert evalmetrics.contingency_score(table) == contingency_score_oracle(table)
+
+
 def test_contingency_table_counts():
     labels = np.array([0, 0, 1, 1, 1])
     truth = np.array([0, 1, 1, 1, 0])
     table = evalmetrics.contingency_table(labels, truth, 2, 2)
     assert np.array_equal(table, [[1, 1], [1, 2]])
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0, -1, 1], [0, 2, 1], [0, 0.5, 1]],
+    ids=["negative", "out_of_range", "non_integer"],
+)
+def test_contingency_table_rejects_bad_labels(labels):
+    truth = np.array([0, 1, 1])
+    with pytest.raises(ParameterError, match="cluster label"):
+        evalmetrics.contingency_table(np.array(labels), truth, 2, 2)
+    with pytest.raises(ParameterError, match="topic index"):
+        evalmetrics.contingency_table(truth, np.array(labels), 2, 2)
 
 
 def _two_blob_matrix(seed=0):
