@@ -466,6 +466,8 @@ def cmd_verify(opts: dict) -> int:
     trials = _number(opts["trials"], int, "trials")
     seed = _number(opts["seed"], int, "seed")
     noise = _number(opts.get("noise"), float, "noise")
+    # built first: the suite rejects a bad seed or noise before rng sees it
+    suite = theory.standard_instance_suite(trials, seed=seed, noise=noise)
     records: list[theory.TheoremRecord] = []
 
     rng = np.random.default_rng(seed)
@@ -475,7 +477,7 @@ def cmd_verify(opts: dict) -> int:
         x2 = x1 + rng.standard_normal(shape) * rng.uniform(0.0, 0.5)
         records.append(theory.verify_sv_perturbation(x1, x2))
 
-    for inst in theory.standard_instance_suite(trials, seed=seed, noise=noise):
+    for inst in suite:
         records.append(theory.verify_dominance_interval(inst))
         records.append(theory.verify_truncation_angle(inst))
         records.append(theory.verify_cosine_bound(inst))
@@ -543,7 +545,11 @@ def cmd_plotdata(opts: dict) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        # before Python 3.12, argparse turns the value of --flag=-- into []
+        if any(a.startswith("--") and a.endswith("=--") for a in argv):
+            raise _UsageError("'--' is not a flag value")
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

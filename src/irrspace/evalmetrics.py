@@ -75,8 +75,9 @@ def rank_pairs(z) -> RankedPairs:
     return RankedPairs(i=i[order], j=j[order], cosine=cos[order], n_docs=n)
 
 
-def _intra_hits(ranked: RankedPairs, intra: set[tuple[int, int]]) -> np.ndarray:
-    """Per ranked pair, whether it is one of the ``intra`` (i, j) tuples."""
+def _precisions(ranked: RankedPairs, intra: set[tuple[int, int]]) -> tuple[float, float]:
+    """(chance precision, pairwise average precision) of the ``intra`` (i, j)
+    tuples, both from one hit vector over the ranking."""
     if not intra:
         raise UndefinedMetricError("no intra-topic pairs; precision is undefined")
     n = ranked.n_docs
@@ -84,28 +85,26 @@ def _intra_hits(ranked: RankedPairs, intra: set[tuple[int, int]]) -> np.ndarray:
         if not (0 <= i < j < n):
             raise ParameterError(f"pair ({i}, {j}) is not a canonical pair of {n} docs")
     hits = np.isin(ranked.i * n + ranked.j, [i * n + j for i, j in intra])
-    if int(hits.sum()) != len(intra):
+    ranks = np.flatnonzero(hits) + 1
+    if ranks.size != len(intra):
         raise ParameterError("intra pairs missing from the ranking")
-    return hits
+    return ranks.size / hits.size, math.fsum(np.arange(1, ranks.size + 1) / ranks) / ranks.size
 
 
 def pairwise_average_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
     """Mean over intra pairs p of (#intra ranked at or above p) / rank(p)."""
-    ranks = np.flatnonzero(_intra_hits(ranked, intra)) + 1
-    return math.fsum(np.arange(1, ranks.size + 1) / ranks) / ranks.size
+    return _precisions(ranked, intra)[1]
 
 
 def chance_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
-    hits = _intra_hits(ranked, intra)
-    return int(hits.sum()) / hits.size
+    return _precisions(ranked, intra)[0]
 
 
 def kappa_average_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
     """Chance-corrected average precision: (pap - chance) / (1 - chance)."""
-    chance = chance_precision(ranked, intra)
+    chance, pap = _precisions(ranked, intra)
     if chance == 1.0:
         raise UndefinedMetricError("every pair is intra-topic; kappa is undefined")
-    pap = pairwise_average_precision(ranked, intra)
     return (pap - chance) / (1.0 - chance)
 
 

@@ -151,7 +151,7 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
 
     resid = a.copy()
     initial_fro = float(np.linalg.norm(a))
-    vanish = _EXHAUSTED_RTOL * max(initial_fro, 1.0)
+    vanish = _EXHAUSTED_RTOL * initial_fro
     ratios = [initial_fro**2 / n]
     cols: list[np.ndarray] = []
     exhausted = False
@@ -159,10 +159,11 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
         if float(np.linalg.norm(resid)) <= vanish:
             exhausted = True
             break
-        # The solve only needs the direction, so rescale relative to the
-        # longest column: no column overflows and the longest keeps unit norm.
-        top = float(np.max(np.linalg.norm(resid, axis=0)))
-        b = _leading_left_vector(rescale(resid / top, q))
+        # The solve only needs the direction, so weight by (|r_i| / top)^q:
+        # the longest column's weight is exactly 1, so no q under- or overflows.
+        norms = np.linalg.norm(resid, axis=0)
+        top = float(np.max(norms))
+        b = _leading_left_vector(resid / top * np.power(norms / top, q))
         if cols:
             # Deflation leaves roundoff along earlier directions, which
             # dominates b once the residual is tiny; project it out again.

@@ -12,8 +12,12 @@ S = rho.T @ rho:
 
 optimum_subspace searches for the deviation-minimizing subspace: it
 enumerates subsets of left singular vectors of A up to a size cap, then
-refines the best subset of each size by plane rotations, accepting any
-rotation that lowers the deviation norm until the improvement stalls.  The
+refines the best subset of each size by plane rotations: each round tries
+every coordinate plane at angles +-(0.3, 0.1, 0.03, 0.01) and keeps the best
+rotation if it lowers the norm by more than 1e-8, for at most 80 rounds.  A
+rotation in plane (i, j) changes only rows i and j of the frame w, so with
+C = U.T A and M = w.T C, a candidate's coordinates are
+M + (w'_i - w_i).T C_i + (w'_j - w_j).T C_j.  The
 verifiers check the dominance/singular-value interval, the tangent bound on
 the angle between the truncation subspace and the optimum, the
 singular-value perturbation inequality, and the projected-cosine envelope.
@@ -44,7 +48,12 @@ from . import linalg
 from .corpus import SimilarityMatrix, TermDocumentMatrix, TopicModel
 from .errors import DimensionError, ParameterError
 
-_EVAL_CHUNK = 4096
+_EVAL_CHUNK = 4096  # subset candidates scored per batch
+
+# the fixed refinement schedule of the module docstring
+_ANGLE_GRID = (0.3, 0.1, 0.03, 0.01)
+_IMPROVE_TOL = 1e-8
+_MAX_ROUNDS = 80
 
 
 @dataclass
@@ -151,90 +160,67 @@ def _eps_of_coords(
     """
     lam, basis = factor
     k = len(lam)
-    out = np.empty(m_stack.shape[0])
-    for lo in range(0, m_stack.shape[0], _EVAL_CHUNK):
-        g = basis.T @ m_stack[lo : lo + _EVAL_CHUNK].transpose(0, 2, 1)
-        z = np.concatenate([g[:, :k], np.linalg.qr(g[:, k:], mode="r")], axis=1)
-        core = -(z @ z.transpose(0, 2, 1))
-        core[:, range(k), range(k)] += lam
-        out[lo : lo + _EVAL_CHUNK] = np.max(np.abs(np.linalg.eigvalsh(core)), axis=1)
-    return out
+    g = basis.T @ m_stack.transpose(0, 2, 1)
+    z = np.concatenate([g[:, :k], np.linalg.qr(g[:, k:], mode="r")], axis=1)
+    core = -(z @ z.transpose(0, 2, 1))
+    core[:, range(k), range(k)] += lam
+    return np.max(np.abs(np.linalg.eigvalsh(core)), axis=1)
 
 
 def _best_subset(
     factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, r: int, h: int
 ) -> tuple[float, np.ndarray]:
-    best_eps = math.inf
-    best_combo: tuple[int, ...] | None = None
+    best_eps, best_combo = math.inf, ()
     combos = itertools.combinations(range(r), h)
-    while True:
-        chunk = list(itertools.islice(combos, _EVAL_CHUNK))
-        if not chunk:
-            break
+    while chunk := list(itertools.islice(combos, _EVAL_CHUNK)):
         eps = _eps_of_coords(factor, c[np.array(chunk)])
         k = int(np.argmin(eps))
         if eps[k] < best_eps:
-            best_eps = float(eps[k])
-            best_combo = chunk[k]
+            best_eps, best_combo = float(eps[k]), chunk[k]
     w = np.zeros((r, h))
     w[list(best_combo), np.arange(h)] = 1.0
     return best_eps, w
 
 
 def _refine(
-    factor: tuple[np.ndarray, np.ndarray],
-    c: np.ndarray,
-    w: np.ndarray,
-    eps: float,
-    angle_grid: tuple[float, ...],
-    improve_tol: float,
-    max_rounds: int,
+    factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, w: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray]:
     r, h = w.shape
     if r == h:
         return eps, w  # the subspace is the whole range; nothing to rotate into
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    angles = [s * t for t in angle_grid for s in (1.0, -1.0)]
-    pi = np.repeat([p[0] for p in pairs], len(angles))
-    pj = np.repeat([p[1] for p in pairs], len(angles))
-    ct = np.cos(np.tile(angles, len(pairs)))[:, None]
-    st = np.sin(np.tile(angles, len(pairs)))[:, None]
-    for _ in range(max_rounds):
+    iu, ju = np.triu_indices(r, 1)  # planes (i, j), i < j, in row-major order
+    angles = [s * t for t in _ANGLE_GRID for s in (1.0, -1.0)]
+    pi, pj = np.repeat(iu, len(angles)), np.repeat(ju, len(angles))
+    ct = np.cos(np.tile(angles, len(iu)))[:, None]
+    st = np.sin(np.tile(angles, len(iu)))[:, None]
+    w = w.copy()
+    for _ in range(_MAX_ROUNDS):
         # a plane between two zero rows of w leaves w unchanged, so it cannot
         # improve; dropping it keeps the order (and argmin) of the others
         live = np.any(w != 0.0, axis=1)
         keep = live[pi] | live[pj]
         ki, kj, kc, ks = pi[keep], pj[keep], ct[keep], st[keep]
-        n_cand = len(ki)
-        stack = np.broadcast_to(w, (n_cand, r, h)).copy()
-        rows_i, rows_j = w[ki], w[kj]
-        stack[np.arange(n_cand), ki] = kc * rows_i - ks * rows_j
-        stack[np.arange(n_cand), kj] = ks * rows_i + kc * rows_j
-        eps_all = _eps_of_coords(factor, np.einsum("krh,rn->khn", stack, c))
+        wi, wj = w[ki], w[kj]
+        new_i, new_j = kc * wi - ks * wj, ks * wi + kc * wj
+        m_stack = w.T @ c + (new_i - wi)[:, :, None] * c[ki][:, None, :]
+        m_stack += (new_j - wj)[:, :, None] * c[kj][:, None, :]
+        eps_all = _eps_of_coords(factor, m_stack)
         k = int(np.argmin(eps_all))
-        if eps_all[k] >= eps - improve_tol:
+        if eps_all[k] >= eps - _IMPROVE_TOL:
             break
         eps = float(eps_all[k])
-        w = stack[k].copy()
+        w[ki[k]], w[kj[k]] = new_i[k], new_j[k]
     return eps, w
 
 
-def optimum_subspace(
-    s,
-    a,
-    h_max: int,
-    *,
-    refine: bool = True,
-    angle_grid: tuple[float, ...] = (0.3, 0.1, 0.03, 0.01),
-    improve_tol: float = 1e-8,
-    max_rounds: int = 80,
-) -> OptimumSubspaceResult:
+def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     """Search for the subspace minimizing ||E(X)||_2, up to h_max dimensions.
 
     Exhaustive over subsets of left singular vectors (cost grows
     combinatorially in rank and h_max; intended for verification-scale
-    inputs), then locally refined.  Ties prefer the smallest dimensionality.
-    The result never worsens as h_max grows.
+    inputs), then refined by the fixed rotation schedule of the module
+    docstring.  Ties prefer the smallest dimensionality.  The result never
+    worsens as h_max grows.
     """
     a = linalg.as_matrix(a)
     smat = _check_similarity(s, a.shape[1])
@@ -250,8 +236,7 @@ def optimum_subspace(
     best: tuple[float, int, np.ndarray] | None = None
     for h in range(1, min(h_max, r) + 1):
         eps_h, w_h = _best_subset(factor, c, r, h)
-        if refine:
-            eps_h, w_h = _refine(factor, c, w_h, eps_h, angle_grid, improve_tol, max_rounds)
+        eps_h, w_h = _refine(factor, c, w_h, eps_h)
         if best is None or eps_h < best[0]:
             best = (eps_h, h, w_h)
     eps, h, w = best
@@ -295,9 +280,10 @@ def construct_ideal_instance(
         nv = rng.standard_normal((m, tm.n_docs))
         nv *= noise / np.linalg.norm(nv, axis=0)
         cols = cols + nv
-        norms = np.linalg.norm(cols, axis=0)
-        if np.any(norms < 1e-12):
-            raise ParameterError("noise cancelled a document column")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(cols, axis=0)
+        if not np.all((norms >= 1e-12) & (norms < np.inf)):
+            raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
         cols = cols / norms
     smat = rho.T @ rho
     tdm = TermDocumentMatrix(
@@ -513,8 +499,8 @@ _M_FOR_NOISE = {0.05: 34000, 0.1: 8600, 0.2: 2200}
 def _m_for_noise(noise: float) -> int:
     if noise in _M_FOR_NOISE:
         return _M_FOR_NOISE[noise]
-    if noise <= 0.0:
-        return 200
+    if noise <= 0.0 or noise >= 1.0:
+        return 200  # the formula below gives <= 200 from noise 1 on
     return int(max(200, min(34000, round(84.0 / noise**2))))
 
 
@@ -529,6 +515,10 @@ def standard_instance_suite(
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if noise is not None and not (math.isfinite(noise) and noise >= 0.0):
+        raise ParameterError(f"noise must be a finite value >= 0, got {noise}")
     out = []
     for t in range(count):
         inst_seed = seed * 1_000_003 + t

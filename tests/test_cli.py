@@ -1,10 +1,15 @@
 """Command line driver: subcommands, exit codes, determinism, config files."""
 
+import contextlib
 import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrspace import cli, matrixio
 
@@ -321,3 +326,108 @@ def test_help_and_version_exit_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["--version"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-1"],
+        ["--noise", "nan"],
+        ["--noise", "1e300"],
+        ["--noise", "inf"],
+    ],
+)
+def test_verify_bad_seed_or_noise_is_data_error(argv, capsys):
+    assert cli.main(["verify", "--trials", "1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--dist", "3,3", "--noise=--"],
+        ["run", "--dist=--"],
+        ["verify", "--trials", "1", "--seed=--"],
+    ],
+)
+def test_double_dash_flag_value_is_usage_error(argv, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+_JUNK = st.sampled_from(["", "x", "1,2", "--", "1e", "0x10", "ratio:", "ratio:x", "auto", "1:"])
+_INTS = st.one_of(
+    st.integers(-5, 12),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([2**31, 2**63, 10**30]),
+).map(str)
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 0.5, 1e300, -1e300]),
+).map(repr)
+
+# A valid --seeds range or --doc-length costs time in proportion to its size,
+# so those two stay small; every other value may be huge.
+_RUN_FLAGS = {
+    "--seeds": st.one_of(
+        _INTS, st.tuples(st.integers(-3, 10**30), st.integers(-1, 3)).map(
+            lambda lw: f"{lw[0]}:{lw[0] + lw[1]}")
+    ),
+    "--ell": st.one_of(_INTS, _FLOATS.map(lambda f: f"ratio:{f}")),
+    "--q": st.one_of(_FLOATS, st.just("auto")),
+    "--alpha": _FLOATS,
+    "--beta": _FLOATS,
+    "--topics": _INTS,
+    "--clusters": _INTS,
+    "--noise": _FLOATS,
+    "--doc-length": st.integers(-(10**30), 300).map(str),
+}
+
+
+def _argv(command, flags, junk):
+    """``command`` plus the set flags; ``junk``, if set, overrides one flag
+    with a non-numeric value, so that most draws get past the parser."""
+    flags = dict(flags)
+    if junk is not None:
+        flags[junk[0]] = junk[1]
+    return command + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+
+
+def _main_quietly(argv):
+    """cli.main with its output swallowed and every warning an error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cli.main(argv)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    flags=st.fixed_dictionaries({f: st.one_of(st.none(), v) for f, v in _RUN_FLAGS.items()}),
+    junk=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(_RUN_FLAGS)), _JUNK)),
+)
+def test_run_flag_fuzz_ends_in_an_exit_code(flags, junk):
+    assert _main_quietly(_argv(["run", "--dist", "3,3"], flags, junk)) in (0, 1, 2, 3)
+
+
+# Valid noise is drawn from 0.2 up: noise 0.05 builds a 34,000-row instance.
+_VERIFY_FLAGS = {
+    "--seed": _INTS,
+    "--noise": st.one_of(
+        st.just("0"),
+        st.floats(0.2, 1e308).map(repr),
+        st.floats(max_value=-1e-300).map(repr),
+        st.sampled_from(["nan", "inf", "-inf"]),
+    ),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    flags=st.fixed_dictionaries({f: st.one_of(st.none(), v) for f, v in _VERIFY_FLAGS.items()}),
+    junk=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(_VERIFY_FLAGS)), _JUNK)),
+)
+def test_verify_flag_fuzz_ends_in_an_exit_code(flags, junk):
+    assert _main_quietly(_argv(["verify", "--trials", "1"], flags, junk)) in (0, 1, 2, 3)

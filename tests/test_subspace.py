@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irrspace import linalg, subspace, theory
 from irrspace.corpus import TopicModel
@@ -247,3 +249,74 @@ def test_subspace_basis_validates_orthonormality():
 def test_zero_matrix_rejected_in_theta_mode():
     with pytest.raises(ParameterError):
         subspace.irr(np.zeros((3, 3)), subspace.IrrConfig(q=0.0, theta=0.5))
+
+
+def _sin_largest_angle(b1, b2):
+    """Sine of the largest canonical angle between two spans of equal
+    dimension; unlike the arccos of the cosines it is accurate near zero."""
+    return float(np.linalg.norm(b2 - b1 @ (b1.T @ b2), 2))
+
+
+def _least_rescaled_gap(z, basis, q):
+    """Least relative gap between the top two eigenvalues of the rescaled
+    residual Gram over IRR's steps.  Without a gap a step's direction is not
+    determined, so roundoff alone may turn it."""
+    gaps = []
+    for i in range(basis.shape[1]):
+        prev = basis[:, :i]
+        resid = z - prev @ (prev.T @ z)
+        top = np.max(np.linalg.norm(resid, axis=0))
+        s = np.linalg.svd(subspace.rescale(resid / top, q), compute_uv=False)
+        lam = np.append(s**2, 0.0)
+        gaps.append((lam[0] - lam[1]) / lam[0])
+    return min(gaps)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 7),
+    n=st.integers(2, 7),
+    q=st.one_of(st.just(0.0), st.floats(0.0, 1e4), st.floats(1000.0, 1e4)),
+    data=st.data(),
+)
+def test_irr_properties_over_q(seed, m, n, q, data):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, n)) * rng.uniform(0.1, 2.0, n)
+    ell = data.draw(st.integers(1, min(m, n)), label="ell")
+    got = subspace.irr(z, subspace.IrrConfig(q=q, ell=ell))
+    b = got.basis
+    assert got.ell == ell
+    assert np.all(np.isfinite(b))
+    assert np.max(np.abs(b.T @ b - np.eye(ell))) <= 1e-10
+    ratios = got.residual_ratios
+    assert all(y <= x for x, y in zip(ratios, ratios[1:]))
+
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    assert subspace.auto_scale(z[:, perm]) == pytest.approx(subspace.auto_scale(z), rel=1e-12)
+    assume(_least_rescaled_gap(z, b, q) >= 1e-2)
+    permuted = subspace.irr(z[:, perm], subspace.IrrConfig(q=q, ell=ell))
+    assert _sin_largest_angle(b, permuted.basis) <= 1e-8
+    if q == 0.0:
+        assert _sin_largest_angle(b, subspace.lsi(z, ell=ell).basis) <= 1e-8
+    for c in (1e-20, 1e-6, 1e6):
+        scaled = subspace.irr(c * z, subspace.IrrConfig(q=q, ell=ell))
+        assert scaled.ell == ell
+        assert _sin_largest_angle(b, scaled.basis) <= 1e-8
+
+
+@pytest.mark.parametrize("q", [1e18, 1e300])
+def test_irr_huge_q_takes_the_longest_column_first(q):
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((30, 20))
+    b = subspace.irr(z, subspace.IrrConfig(q=q, ell=3)).basis
+    assert np.max(np.abs(b.T @ b - np.eye(3))) < 1e-12
+    longest = z[:, np.argmax(np.linalg.norm(z, axis=0))]
+    assert abs(b[:, 0] @ longest) == pytest.approx(np.linalg.norm(longest), rel=1e-12)
+
+
+def test_irr_tiny_input_is_not_zero():
+    z = np.random.default_rng(0).standard_normal((30, 20)) * 1e-20
+    assert subspace.irr(z, subspace.IrrConfig(q=1.0, ell=3)).ell == 3
+    with pytest.raises(ParameterError, match="zero"):
+        subspace.irr(np.zeros((30, 20)), subspace.IrrConfig(q=1.0, ell=3))
