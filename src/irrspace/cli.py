@@ -21,7 +21,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -256,15 +256,7 @@ def cmd_synth(opts: dict) -> int:
         **_synth_kwargs(opts),
     )
     docs, _ = corpus.synthesize_collection(spec)
-    manifest = {
-        "distribution": list(spec.distribution),
-        "vocab_per_topic": spec.vocab_per_topic,
-        "shared_vocab": spec.shared_vocab,
-        "doc_length": spec.doc_length,
-        "noise_rate": spec.noise_rate,
-        "rng_seed": spec.rng_seed,
-    }
-    corpus.write_corpus_dir(opts["out"], docs, manifest)
+    corpus.write_corpus_dir(opts["out"], docs, asdict(spec))
     print(f"wrote {len(docs)} documents to {opts['out']}")
     return EXIT_OK
 
@@ -353,7 +345,7 @@ def _run_cell(cell: _Cell, plan: _RunPlan) -> tuple[list[dict], dict]:
         raise DataError(f"{cell.dataset}: kappa and clustering need topic labels")
     topics = plan.topics if plan.topics is not None else (tm.n_topics if tm else None)
     stop = plan.stop or ({"ell": topics} if topics is not None else None)
-    intra = corpus.intra_topic_pairs(tm) if tm is not None else None
+    intra = corpus.intra_topic_pairs(tm) if "kappa" in plan.metrics else None
 
     stats = theory.topic_stats(tm) if tm is not None else None
     seed_text = str(cell.seed) if cell.seed is not None else "-"

@@ -96,11 +96,10 @@ def similarity_matrix(tm: TopicModel) -> SimilarityMatrix:
     return SimilarityMatrix(matrix=tm.relevance.T @ tm.relevance)
 
 
-def intra_topic_pairs(tm: TopicModel) -> set[tuple[int, int]]:
-    """Unordered document index pairs sharing at least one positive topic."""
+def intra_topic_pairs(tm: TopicModel) -> np.ndarray:
+    """n_docs x n_docs bool mask of the doc pairs i < j sharing a positive topic."""
     positive = (tm.relevance > 0.0).astype(np.float64)
-    i, j = np.nonzero(np.triu(positive.T @ positive > 0.0, 1))
-    return set(zip(i.tolist(), j.tolist()))
+    return np.triu(positive.T @ positive > 0.0, 1)
 
 
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:

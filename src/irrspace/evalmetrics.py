@@ -1,8 +1,8 @@
 """Retrieval-style and clustering evaluation of document representations.
 
-Document pairs are identified by 0-based column index tuples (i, j) with
-i < j.  Rankings sort by nonincreasing cosine with ties broken by the pair
-tuple, so every metric here is deterministic for a fixed input.
+A ranking holds every document pair i < j as index arrays sorted by
+nonincreasing cosine, ties broken by (i, j); intra-topic pairs are a strictly
+upper-triangular n_docs x n_docs bool mask.  Every metric is deterministic.
 """
 
 from __future__ import annotations
@@ -75,32 +75,33 @@ def rank_pairs(z) -> RankedPairs:
     return RankedPairs(i=i[order], j=j[order], cosine=cos[order], n_docs=n)
 
 
-def _precisions(ranked: RankedPairs, intra: set[tuple[int, int]]) -> tuple[float, float]:
-    """(chance precision, pairwise average precision) of the ``intra`` (i, j)
-    tuples, both from one hit vector over the ranking."""
-    if not intra:
-        raise UndefinedMetricError("no intra-topic pairs; precision is undefined")
-    n = ranked.n_docs
-    for i, j in intra:
-        if not (0 <= i < j < n):
-            raise ParameterError(f"pair ({i}, {j}) is not a canonical pair of {n} docs")
-    hits = np.isin(ranked.i * n + ranked.j, [i * n + j for i, j in intra])
+def _precisions(ranked: RankedPairs, intra: np.ndarray) -> tuple[float, float]:
+    """(chance precision, pairwise average precision) of the pairs marked in
+    the ``intra`` mask, both from one hit vector over the ranking."""
+    intra = np.asarray(intra, dtype=bool)
+    if intra.shape != (ranked.n_docs,) * 2:
+        raise DimensionError(f"intra mask has shape {intra.shape}, not {(ranked.n_docs,) * 2}")
+    if np.tril(intra).any():
+        raise ParameterError("intra mask has a true entry on or below the diagonal")
+    hits = intra[ranked.i, ranked.j]
     ranks = np.flatnonzero(hits) + 1
-    if ranks.size != len(intra):
+    if ranks.size != np.count_nonzero(intra):
         raise ParameterError("intra pairs missing from the ranking")
+    if ranks.size == 0:
+        raise UndefinedMetricError("no intra-topic pairs; precision is undefined")
     return ranks.size / hits.size, math.fsum(np.arange(1, ranks.size + 1) / ranks) / ranks.size
 
 
-def pairwise_average_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
+def pairwise_average_precision(ranked: RankedPairs, intra: np.ndarray) -> float:
     """Mean over intra pairs p of (#intra ranked at or above p) / rank(p)."""
     return _precisions(ranked, intra)[1]
 
 
-def chance_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
+def chance_precision(ranked: RankedPairs, intra: np.ndarray) -> float:
     return _precisions(ranked, intra)[0]
 
 
-def kappa_average_precision(ranked: RankedPairs, intra: set[tuple[int, int]]) -> float:
+def kappa_average_precision(ranked: RankedPairs, intra: np.ndarray) -> float:
     """Chance-corrected average precision: (pap - chance) / (1 - chance)."""
     chance, pap = _precisions(ranked, intra)
     if chance == 1.0:

@@ -126,6 +126,8 @@ class CanonicalAngles:
 
 
 def canonical_angles(b1, b2) -> CanonicalAngles:
+    """Björck-Golub: with B2 the basis of fewer columns, the cosines are the
+    singular values of B1^T B2 and the sines those of B2 - B1 (B1^T B2)."""
     m1 = as_matrix(b1, "first basis")
     m2 = as_matrix(b2, "second basis")
     if m1.shape[0] != m2.shape[0]:
@@ -134,9 +136,15 @@ def canonical_angles(b1, b2) -> CanonicalAngles:
         )
     require_orthonormal(m1, "first basis")
     require_orthonormal(m2, "second basis")
-    sigma = np.linalg.svd(m1.T @ m2, compute_uv=False)
-    sigma = np.clip(sigma, 0.0, 1.0)
-    angles = np.sort(np.arccos(sigma))[::-1]
+    if m1.shape[1] < m2.shape[1]:
+        m1, m2 = m2, m1
+    cross = m1.T @ m2
+    # arccos of the cosines loses angles below ~1e-8, arcsin of the sines
+    # loses them near pi/2: take each angle from the form accurate for it
+    by_cos = np.arccos(np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0))[::-1]
+    sines = np.linalg.svd(m2 - m1 @ cross, compute_uv=False)
+    by_sin = np.arcsin(np.clip(sines, 0.0, 1.0))
+    angles = np.where(by_sin < math.pi / 4.0, by_sin, by_cos)
     theta_max = float(angles[0])
     half_pi = math.pi / 2.0
     tan_norm = math.inf if theta_max >= half_pi else math.tan(theta_max)

@@ -440,8 +440,16 @@ def verify_cosine_bound(
     instance: IdealInstance, slack: float = 1e-9, basis=None
 ) -> TheoremRecord:
     """Projected cosines stay inside the envelope set by the largest
-    deviation entry eps: (sim - eps)/(1 + eps) <= cos <= (sim + eps)/(1 - eps),
-    applicable when eps < 1 and no projected column vanishes."""
+    deviation entry eps, applicable when eps < 1 and no projected column
+    vanishes.
+
+    With unit self-similarities, |x_i.x_i - 1| <= eps puts each projected
+    norm product ||x_i|| ||x_j|| in [1 - eps, 1 + eps], and
+    |x_i.x_j - sim| <= eps.  So cos <= (sim + eps)/(1 - eps) (sim >= 0), and
+    x_i.x_j >= sim - eps gives cos >= (sim - eps)/(1 + eps) when sim >= eps
+    but only cos >= (sim - eps)/(1 - eps) when sim < eps, where the
+    numerator is negative and the smallest norm product is the worst case.
+    """
     a = instance.tdm.matrix
     smat = instance.similarity.matrix
     if basis is None:
@@ -455,8 +463,9 @@ def verify_cosine_bound(
     if applicable:
         cos = gram / np.outer(norms, norms)
         iu = np.triu_indices(a.shape[1], k=1)
-        low = (smat[iu] - eps) / (1.0 + eps)
-        high = (smat[iu] + eps) / (1.0 - eps)
+        sim = smat[iu]
+        low = (sim - eps) / np.where(sim >= eps, 1.0 + eps, 1.0 - eps)
+        high = (sim + eps) / (1.0 - eps)
         viol_low = float(np.max(low - cos[iu]))
         viol_high = float(np.max(cos[iu] - high))
         holds = viol_low <= slack and viol_high <= slack

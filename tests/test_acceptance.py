@@ -291,12 +291,7 @@ def test_criterion_10_kappa_self_consistency():
                 break
         z = rng.standard_normal((8, n))
         z /= np.linalg.norm(z, axis=0)
-        intra = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if labels[i] == labels[j]
-        }
+        intra = np.triu(labels[:, None] == labels[None, :], 1)
         ranked = rank_pairs(z)
         kappa = kappa_average_precision(ranked, intra)
         pap = pairwise_average_precision(ranked, intra)
@@ -304,10 +299,7 @@ def test_criterion_10_kappa_self_consistency():
         identity_failures += kappa != (pap - chance) / (1.0 - chance)
 
         perm = rng.permutation(n)
-        pos = np.argsort(perm)
-        permuted_intra = {
-            tuple(sorted((int(pos[i]), int(pos[j])))) for i, j in intra
-        }
+        permuted_intra = np.triu(labels[perm, None] == labels[None, perm], 1)
         permuted = kappa_average_precision(rank_pairs(z[:, perm]), permuted_intra)
         invariance_failures += permuted != kappa
     dt = perf_counter() - t0

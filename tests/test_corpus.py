@@ -103,7 +103,9 @@ def test_topic_model_requires_labels_everywhere():
 def test_intra_topic_pairs():
     docs = _docs("x1", "y2", "z3", topics=[{"a"}, {"a", "b"}, {"b"}])
     tm = corpus.topic_model_from_docs(docs)
-    assert corpus.intra_topic_pairs(tm) == {(0, 1), (1, 2)}
+    mask = corpus.intra_topic_pairs(tm)
+    assert mask.dtype == bool and mask.shape == (3, 3)
+    assert set(zip(*np.nonzero(mask))) == {(0, 1), (1, 2)}
 
 
 def test_similarity_matrix_is_relevance_gram():

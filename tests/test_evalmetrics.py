@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from irrspace import evalmetrics
 from irrspace.corpus import TopicModel
-from irrspace.errors import ParameterError, UndefinedMetricError
+from irrspace.errors import DimensionError, ParameterError, UndefinedMetricError
 
 
 def test_cosine_matrix_unit_diag_and_zero_columns():
@@ -48,10 +48,18 @@ def _ranking(order, n_docs):
     )
 
 
+def _mask(pairs, n_docs):
+    """The n_docs x n_docs intra mask that is true exactly at ``pairs``."""
+    mask = np.zeros((n_docs, n_docs), dtype=bool)
+    for i, j in pairs:
+        mask[i, j] = True
+    return mask
+
+
 def test_pairwise_average_precision_hand_case():
     # intra pairs land at ranks 1 and 4: (1/1 + 2/4) / 2 = 0.75
     ranked = _ranking([(0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 3)], 4)
-    intra = {(0, 1), (2, 3)}
+    intra = _mask({(0, 1), (2, 3)}, 4)
     assert evalmetrics.pairwise_average_precision(ranked, intra) == pytest.approx(
         0.75, abs=1e-15
     )
@@ -59,7 +67,7 @@ def test_pairwise_average_precision_hand_case():
 
 def test_kappa_hand_case_with_exact_fractions():
     ranked = _ranking(list(itertools.combinations(range(5), 2)), 5)
-    intra = {(0, 1), (0, 2)}  # at ranks 1 and 2 of 10
+    intra = _mask({(0, 1), (0, 2)}, 5)  # at ranks 1 and 2 of 10
     pap = Fraction(1, 1)
     chance = Fraction(2, 10)
     expected = (pap - chance) / (1 - chance)
@@ -75,10 +83,8 @@ def test_kappa_matches_affine_identity_on_random_rankings():
         ranked = evalmetrics.rank_pairs(z)
         all_pairs = list(zip(ranked.i.tolist(), ranked.j.tolist()))
         k = int(rng.integers(1, len(all_pairs)))
-        picks = rng.permutation(len(all_pairs))[:k]
-        intra = {all_pairs[i] for i in picks}
-        if len(intra) == len(all_pairs):
-            continue
+        picks = rng.permutation(len(all_pairs))[:k]  # k < len: never every pair
+        intra = _mask([all_pairs[i] for i in picks], n)
         pap = evalmetrics.pairwise_average_precision(ranked, intra)
         chance = evalmetrics.chance_precision(ranked, intra)
         kappa = evalmetrics.kappa_average_precision(ranked, intra)
@@ -88,13 +94,11 @@ def test_kappa_matches_affine_identity_on_random_rankings():
 def test_kappa_invariant_under_document_permutation():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((8, 10))
-    tm_intra = {(0, 1), (2, 5), (3, 4), (6, 9)}
+    tm_intra = _mask({(0, 1), (2, 5), (3, 4), (6, 9)}, 10)
     base = evalmetrics.kappa_average_precision(evalmetrics.rank_pairs(z), tm_intra)
     perm = rng.permutation(10)
-    inv = np.empty(10, dtype=int)
-    inv[perm] = np.arange(10)
     z2 = z[:, perm]
-    intra2 = {tuple(sorted((int(inv[i]), int(inv[j])))) for i, j in tm_intra}
+    intra2 = np.triu((tm_intra | tm_intra.T)[np.ix_(perm, perm)], 1)
     got = evalmetrics.kappa_average_precision(evalmetrics.rank_pairs(z2), intra2)
     assert got == base  # exact equality, not within tolerance
 
@@ -102,11 +106,35 @@ def test_kappa_invariant_under_document_permutation():
 def test_metrics_undefined_cases():
     ranked = _ranking([(0, 1)], 2)
     with pytest.raises(UndefinedMetricError):
-        evalmetrics.pairwise_average_precision(ranked, set())
+        evalmetrics.pairwise_average_precision(ranked, _mask((), 2))
     with pytest.raises(UndefinedMetricError):
-        evalmetrics.kappa_average_precision(ranked, {(0, 1)})  # chance = 1
+        evalmetrics.kappa_average_precision(ranked, _mask({(0, 1)}, 2))  # chance = 1
     with pytest.raises(ParameterError):
-        evalmetrics.pairwise_average_precision(ranked, {(5, 6)})
+        evalmetrics.pairwise_average_precision(ranked, _mask({(1, 0)}, 2))
+
+
+@pytest.mark.parametrize("metric", ["pairwise_average_precision", "chance_precision",
+                                    "kappa_average_precision"])
+def test_intra_mask_error_contract(metric):
+    score = getattr(evalmetrics, metric)
+    ranked = evalmetrics.rank_pairs(np.random.default_rng(0).standard_normal((3, 4)))
+    for shape in [(3, 3), (4, 5), (16,)]:
+        with pytest.raises(DimensionError, match="intra mask has shape"):
+            score(ranked, np.zeros(shape, dtype=bool))
+    for bad in [(1, 1), (2, 0)]:  # on and below the diagonal, next to a valid pair
+        with pytest.raises(ParameterError, match="on or below the diagonal"):
+            score(ranked, _mask({(0, 1), bad}, 4))
+    with pytest.raises(UndefinedMetricError, match="no intra-topic pairs"):
+        score(ranked, _mask((), 4))
+    partial = _ranking([(0, 1), (0, 2)], 3)  # (1, 2) left out of the ranking
+    with pytest.raises(ParameterError, match="missing from the ranking"):
+        score(partial, _mask({(0, 1), (1, 2)}, 3))
+    every_pair = np.triu(np.ones((4, 4), dtype=bool), 1)
+    if metric == "kappa_average_precision":
+        with pytest.raises(UndefinedMetricError, match="every pair is intra-topic"):
+            score(ranked, every_pair)
+    else:
+        assert score(ranked, every_pair) == 1.0
 
 
 def _oracle_rank_pairs(z):
@@ -164,7 +192,8 @@ def test_array_ranking_and_kappa_match_tuple_oracle(docs):
     assert ranked.cosine.tolist() == [c for _, c in oracle]
     intra = _same_label_pairs(labels)
     assume(0 < len(intra) < len(oracle))
-    assert evalmetrics.kappa_average_precision(ranked, intra) == _oracle_kappa(oracle, intra)
+    mask = _mask(intra, len(labels))
+    assert evalmetrics.kappa_average_precision(ranked, mask) == _oracle_kappa(oracle, intra)
 
 
 @settings(deadline=None)
@@ -188,9 +217,12 @@ def test_kappa_invariant_under_permutation_with_duplicate_and_zero_columns(
     intra = _same_label_pairs(labels)
     assume(0 < len(intra) < len(sources) * (len(sources) - 1) // 2)
     perm = data.draw(st.permutations(range(len(sources))))
-    base = evalmetrics.kappa_average_precision(evalmetrics.rank_pairs(z), intra)
+    base = evalmetrics.kappa_average_precision(
+        evalmetrics.rank_pairs(z), _mask(intra, len(sources))
+    )
     permuted = evalmetrics.kappa_average_precision(
-        evalmetrics.rank_pairs(z[:, perm]), _same_label_pairs([labels[p] for p in perm])
+        evalmetrics.rank_pairs(z[:, perm]),
+        _mask(_same_label_pairs([labels[p] for p in perm]), len(sources)),
     )
     assert permuted == base
 

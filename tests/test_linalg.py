@@ -188,6 +188,34 @@ def test_canonical_angles_extremes():
     assert math.isinf(disjoint.tan_norm)
 
 
+def test_canonical_angles_resolve_bases_of_one_span():
+    # arccos of cosines within roundoff of 1 cannot see below ~1e-8
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for _ in range(200):
+        b1, _ = np.linalg.qr(rng.standard_normal((30, 5)))
+        b2, _ = np.linalg.qr(b1 @ rng.standard_normal((5, 5)))
+        worst = max(worst, float(linalg.canonical_angles(b1, b2).angles[0]))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1e-11, 1e-6, 0.7, 1.2])
+def test_canonical_angles_small_and_large_with_unequal_column_counts(t):
+    # a 2-D plane against a 3-D space holding its first axis and, at angle t,
+    # its second; either argument order gives the two angles of the plane
+    plane = np.eye(6)[:, :2]
+    space = np.zeros((6, 3))
+    space[0, 0] = 1.0
+    space[1, 1] = math.cos(t)
+    space[2, 1] = math.sin(t)
+    space[3, 2] = 1.0
+    for got in (linalg.canonical_angles(plane, space), linalg.canonical_angles(space, plane)):
+        assert got.angles.shape == (2,)
+        assert got.angles[0] == pytest.approx(t, rel=1e-12)
+        assert got.angles[1] <= 1e-15
+        assert got.tan_norm == pytest.approx(math.tan(t), rel=1e-12)
+
+
 def test_singular_value_shift_bounded_by_perturbation_norm():
     rng = np.random.default_rng(17)
     z = rng.standard_normal((6, 4))

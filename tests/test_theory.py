@@ -235,6 +235,16 @@ def test_cosine_bound_exact_instance():
     assert rec.quantities["eps"] < 1e-10
 
 
+def test_cosine_bound_holds_where_sim_is_below_eps():
+    # at noise 2 eps is ~0.9, far above the cross-topic similarity 0, where
+    # the lower envelope must divide by 1 - eps, not 1 + eps
+    for inst in theory.standard_instance_suite(2, seed=0, noise=2.0):
+        rec = theory.verify_cosine_bound(inst)
+        assert rec.condition_met and rec.quantities["eps"] > 0.8
+        assert rec.holds
+        assert rec.quantities["lower_violation"] < 0.0
+
+
 def test_theorem_record_serializes_to_json():
     rec = theory.TheoremRecord(
         check="demo", quantities={"x": 1.5, "y": math.inf}, condition_met=True, holds=True
