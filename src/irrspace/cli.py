@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -52,22 +53,6 @@ CSV_COLUMNS = (
     "ceiling",
     "elapsed_ms",
 )
-
-_RUN_DEFAULTS = {
-    "methods": "vsm,lsi,irr",
-    "metrics": "kappa,cluster",
-    "q": "auto",
-    "alpha": "3.5",
-    "beta": "0.0",
-    "seeds": "0",
-}
-
-_SYNTH_DEFAULTS = {"seed": "0"}
-
-_VERIFY_DEFAULTS = {"trials": "12", "seed": "0"}
-
-_PLOT_DEFAULTS = {"x": "nonuniformity", "y": "kappa"}
-
 
 class _UsageError(Exception):
     pass
@@ -126,12 +111,12 @@ def _parse_stop(text: str) -> dict:
     return {"ell": _number(text, int, "ell")}
 
 
-# synth flag -> (SynthSpec field, type)
+# corpus-shape flag of synth and run -> (SynthSpec field, type, help)
 _SYNTH_FLAGS = {
-    "noise": ("noise_rate", float),
-    "vocab_per_topic": ("vocab_per_topic", int),
-    "shared_vocab": ("shared_vocab", int),
-    "doc_length": ("doc_length", int),
+    "noise": ("noise_rate", float, "shared-vocabulary token rate (default 0)"),
+    "vocab_per_topic": ("vocab_per_topic", int, "terms per topic (default 60)"),
+    "shared_vocab": ("shared_vocab", int, "shared vocabulary size (default 150)"),
+    "doc_length": ("doc_length", int, "tokens per document (default 45)"),
 }
 
 
@@ -139,9 +124,14 @@ def _synth_kwargs(opts: dict) -> dict:
     """SynthSpec keywords from the synth flags that are set."""
     return {
         field: _number(opts[key], kind, key)
-        for key, (field, kind) in _SYNTH_FLAGS.items()
+        for key, (field, kind, _) in _SYNTH_FLAGS.items()
         if opts.get(key) is not None
     }
+
+
+def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
+    for key, (_, _, text) in _SYNTH_FLAGS.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -194,12 +184,8 @@ def _build_parser() -> _Parser:
     p_synth = sub.add_parser("synth", help="write a synthetic corpus directory")
     p_synth.add_argument("--dist", help="docs per topic, e.g. 46,4")
     p_synth.add_argument("--seed", help="generator seed (default 0)")
-    p_synth.add_argument("--noise", help="shared-vocabulary token rate (default 0)")
-    p_synth.add_argument("--vocab-per-topic", dest="vocab_per_topic")
-    p_synth.add_argument("--shared-vocab", dest="shared_vocab")
-    p_synth.add_argument("--doc-length", dest="doc_length")
+    _add_synth_flags(p_synth)
     p_synth.add_argument("--out", help="output corpus directory")
-    p_synth.add_argument("--config", help="key = value defaults file")
 
     p_run = sub.add_parser("run", help="run methods over datasets, emit CSV rows")
     p_run.add_argument("--dist", action="append", default=[],
@@ -218,14 +204,10 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--clusters", help="cluster count override")
     p_run.add_argument("--metrics", help="comma list from kappa,cluster "
                                          "(or 'none' with --save-basis)")
-    p_run.add_argument("--noise", help="synth shared-token rate")
-    p_run.add_argument("--vocab-per-topic", dest="vocab_per_topic")
-    p_run.add_argument("--shared-vocab", dest="shared_vocab")
-    p_run.add_argument("--doc-length", dest="doc_length")
+    _add_synth_flags(p_run)
     p_run.add_argument("--save-basis", dest="save_basis",
                        help="write the basis of a single-method single-dataset run")
     p_run.add_argument("--out", help="output CSV path (default stdout)")
-    p_run.add_argument("--config", help="key = value defaults file")
 
     p_verify = sub.add_parser("verify", help="verify the bounds numerically")
     p_verify.add_argument("--trials", help="instance count (default 12)")
@@ -234,15 +216,24 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--out", help="JSON-lines output path (default stdout)")
     p_verify.add_argument("--inject-bug", dest="inject_bug", action="store_true",
                           help=argparse.SUPPRESS)
-    p_verify.add_argument("--config", help="key = value defaults file")
 
     p_plot = sub.add_parser("plotdata", help="aggregate a run CSV for plotting")
     p_plot.add_argument("--report", help="input CSV from 'run'")
     p_plot.add_argument("--x", help="x-axis column (default nonuniformity)")
     p_plot.add_argument("--y", help="y-axis column (default kappa)")
     p_plot.add_argument("--out", help="output CSV path (default stdout)")
-    p_plot.add_argument("--config", help="key = value defaults file")
+
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key = value defaults file")
     return parser
+
+
+def _write(text: str, out: str | None) -> None:
+    """``text`` to the file ``out``, or to stdout when ``out`` is unset."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_synth(opts: dict) -> int:
@@ -261,46 +252,30 @@ def cmd_synth(opts: dict) -> int:
     return EXIT_OK
 
 
-class _Cell:
-    """One dataset x seed unit of work."""
-
-    def __init__(self, dataset: str, dist_label: str, seed: int | None, build):
-        self.dataset = dataset
-        self.dist_label = dist_label
-        self.seed = seed
-        self.build = build  # () -> (matrix, TopicModel | None)
+# Cell loaders: each returns (term-document matrix, TopicModel | None).
+def _load_synth(dist, spec_kwargs, seed):
+    spec = corpus.SynthSpec(distribution=dist, rng_seed=seed, **spec_kwargs)
+    docs, tm = corpus.synthesize_collection(spec)
+    return corpus.build_matrix(docs).matrix, tm
 
 
-def _synth_cell_builder(dist, spec_kwargs, seed):
-    def build():
-        spec = corpus.SynthSpec(distribution=dist, rng_seed=seed, **spec_kwargs)
-        docs, tm = corpus.synthesize_collection(spec)
-        return corpus.build_matrix(docs).matrix, tm
-    return build
+def _load_corpus(path):
+    docs = corpus.load_corpus_dir(path)
+    tdm = corpus.build_matrix(docs)
+    tm = corpus.topic_model_from_docs(docs) if all(d.topics for d in docs) else None
+    return tdm.matrix, tm
 
 
-def _corpus_cell_builder(path):
-    def build():
-        docs = corpus.load_corpus_dir(path)
-        tdm = corpus.build_matrix(docs)
-        labeled = all(d.topics for d in docs)
-        tm = corpus.topic_model_from_docs(docs) if labeled else None
-        return tdm.matrix, tm
-    return build
+def _load_matrix(path):
+    p = Path(path)
+    if p.suffix.lower() == ".csv":
+        return matrixio.read_matrix_csv(p)[0], None
+    return matrixio.read_matrix_binary(p), None
 
 
-def _matrix_cell_builder(path):
-    def build():
-        p = Path(path)
-        if p.suffix.lower() == ".csv":
-            mat, _ = matrixio.read_matrix_csv(p)
-        else:
-            mat = matrixio.read_matrix_binary(p)
-        return mat, None
-    return build
-
-
-def _collect_cells(opts: dict) -> list[_Cell]:
+def _collect_cells(opts: dict) -> list[tuple]:
+    """One (dataset, dist label, seed, load) per dataset x seed; ``load()``
+    builds the cell's matrix and topic model."""
     spec_kwargs = _synth_kwargs(opts)
     seeds = _parse_seeds(opts["seeds"])
     cells = []
@@ -308,14 +283,14 @@ def _collect_cells(opts: dict) -> list[_Cell]:
         dist = _parse_dist(dist_text)
         label = ",".join(str(c) for c in dist)
         for seed in seeds:
-            cells.append(_Cell(f"synth:{label}", label, seed,
-                               _synth_cell_builder(dist, spec_kwargs, seed)))
+            cells.append((f"synth:{label}", label, seed,
+                          functools.partial(_load_synth, dist, spec_kwargs, seed)))
     for path in opts["corpus"]:
-        cells.append(_Cell(f"corpus:{Path(path).name}", "", None,
-                           _corpus_cell_builder(path)))
+        cells.append((f"corpus:{Path(path).name}", "", None,
+                      functools.partial(_load_corpus, path)))
     for path in opts["matrix"]:
-        cells.append(_Cell(f"matrix:{Path(path).stem}", "", None,
-                           _matrix_cell_builder(path)))
+        cells.append((f"matrix:{Path(path).stem}", "", None,
+                      functools.partial(_load_matrix, path)))
     if not cells:
         raise _UsageError("run requires at least one --dist, --corpus, or --matrix")
     return cells
@@ -339,18 +314,19 @@ class _RunPlan:
     stop: dict | None
 
 
-def _run_cell(cell: _Cell, plan: _RunPlan) -> tuple[list[dict], dict]:
-    z, tm = cell.build()
+def _run_cell(dataset: str, dist_label: str, seed: int | None, load, plan: _RunPlan):
+    """The cell's CSV rows and the last subspace basis it built."""
+    z, tm = load()
     if plan.metrics and tm is None:
-        raise DataError(f"{cell.dataset}: kappa and clustering need topic labels")
+        raise DataError(f"{dataset}: kappa and clustering need topic labels")
     topics = plan.topics if plan.topics is not None else (tm.n_topics if tm else None)
     stop = plan.stop or ({"ell": topics} if topics is not None else None)
     intra = corpus.intra_topic_pairs(tm) if "kappa" in plan.metrics else None
 
     stats = theory.topic_stats(tm) if tm is not None else None
-    seed_text = str(cell.seed) if cell.seed is not None else "-"
+    seed_text = str(seed) if seed is not None else "-"
     rows = []
-    bases = {}
+    built = None
     for method in plan.methods:
         t0 = time.perf_counter()
         if method == "vsm":
@@ -358,21 +334,20 @@ def _run_cell(cell: _Cell, plan: _RunPlan) -> tuple[list[dict], dict]:
         elif stop is None:
             raise ParameterError("no dimensionality: give --ell or --topics")
         elif method == "lsi":
-            basis = subspace.lsi(z, **stop)
+            basis = built = subspace.lsi(z, **stop)
         else:
             config = subspace.IrrConfig(q=plan.q, alpha=plan.alpha, beta=plan.beta, **stop)
-            basis = subspace.irr(z, config)
+            basis = built = subspace.irr(z, config)
         if basis is None:
             x, q_out, ell_out = z, None, None
         else:
             x, q_out, ell_out = subspace.represent(basis, z), basis.q, basis.ell
-            bases[method] = basis
 
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(
-            run_id=f"{cell.dataset}:s{seed_text}:{method}",
-            dataset=cell.dataset,
-            dist=cell.dist_label,
+            run_id=f"{dataset}:s{seed_text}:{method}",
+            dataset=dataset,
+            dist=dist_label,
             seed=seed_text,
             method=method,
             q=_fmt(q_out),
@@ -397,7 +372,7 @@ def _run_cell(cell: _Cell, plan: _RunPlan) -> tuple[list[dict], dict]:
             row["ceiling"] = _fmt(outcome.ceiling)
         row["elapsed_ms"] = _fmt(round((time.perf_counter() - t0) * 1000.0, 3))
         rows.append(row)
-    return rows, bases
+    return rows, built
 
 
 def _plan_run(opts: dict, n_cells: int) -> _RunPlan:
@@ -433,24 +408,19 @@ def cmd_run(opts: dict) -> int:
     cells = _collect_cells(opts)
     plan = _plan_run(opts, len(cells))
     all_rows: list[dict] = []
-    all_bases: dict[str, object] = {}
     for cell in cells:
-        rows, bases = _run_cell(cell, plan)
+        rows, basis = _run_cell(*cell, plan)
         all_rows.extend(rows)
-        all_bases.update(bases)
 
-    if opts.get("save_basis"):
-        matrixio.save_basis(opts["save_basis"], next(iter(all_bases.values())))
+    if opts.get("save_basis"):  # _plan_run allows one cell and one subspace method
+        matrixio.save_basis(opts["save_basis"], basis)
 
     all_rows.sort(key=lambda r: r["run_id"])
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(all_rows)
-    if opts.get("out"):
-        Path(opts["out"]).write_text(buf.getvalue(), encoding="utf-8")
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), opts.get("out"))
     return EXIT_OK
 
 
@@ -483,12 +453,9 @@ def cmd_verify(opts: dict) -> int:
         {"checks": len(records), "failures": failures, "summary": True},
         sort_keys=True,
     )
-    text = "\n".join(lines + [summary]) + "\n"
+    _write("\n".join(lines + [summary]) + "\n", opts.get("out"))
     if opts.get("out"):
-        Path(opts["out"]).write_text(text, encoding="utf-8")
         print(f"checks: {len(records)}, failures: {failures}")
-    else:
-        sys.stdout.write(text)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -528,11 +495,18 @@ def cmd_plotdata(opts: dict) -> int:
         writer.writerow(
             [_fmt(x), method, _fmt(float(arr.mean())), _fmt(float(arr.std())), len(ys)]
         )
-    if opts.get("out"):
-        Path(opts["out"]).write_text(buf.getvalue(), encoding="utf-8")
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), opts.get("out"))
     return EXIT_OK
+
+
+# subcommand -> (handler, hard defaults of its value-taking flags)
+_COMMANDS = {
+    "synth": (cmd_synth, {"seed": "0"}),
+    "run": (cmd_run, {"methods": "vsm,lsi,irr", "metrics": "kappa,cluster", "q": "auto",
+                      "alpha": "3.5", "beta": "0.0", "seeds": "0"}),
+    "verify": (cmd_verify, {"trials": "12", "seed": "0"}),
+    "plotdata": (cmd_plotdata, {"x": "nonuniformity", "y": "kappa"}),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -548,14 +522,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help / --version
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    handler, defaults = _COMMANDS[args.command]
     try:
-        if args.command == "synth":
-            return cmd_synth(_merge(args, _SYNTH_DEFAULTS))
-        if args.command == "run":
-            return cmd_run(_merge(args, _RUN_DEFAULTS))
-        if args.command == "verify":
-            return cmd_verify(_merge(args, _VERIFY_DEFAULTS))
-        return cmd_plotdata(_merge(args, _PLOT_DEFAULTS))
+        return handler(_merge(args, defaults))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

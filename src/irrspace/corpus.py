@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionError, EmptyVocabularyError, ParameterError
+from .errors import DataError, DimensionError, EmptyVocabularyError, ParameterError, as_integer
 from .stemming import porter_stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -154,14 +153,6 @@ def topic_model_from_docs(docs: list[Document]) -> TopicModel:
 _SYNTH_MINIMA = {"vocab_per_topic": 1, "shared_vocab": 1, "doc_length": 1, "rng_seed": 0}
 
 
-def _integer(name: str, value) -> int:
-    """A Python or numpy integer as int; anything else is a ParameterError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of a synthetic single-topic collection.
@@ -184,12 +175,12 @@ class SynthSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = tuple(_integer("distribution", c) for c in self.distribution)
+        counts = tuple(as_integer("distribution", c) for c in self.distribution)
         if not counts or any(c < 1 for c in counts):
             raise ParameterError("distribution needs at least one doc per topic")
         object.__setattr__(self, "distribution", counts)
         for name, low in _SYNTH_MINIMA.items():
-            value = _integer(name, getattr(self, name))
+            value = as_integer(name, getattr(self, name))
             if value < low:
                 raise ParameterError(f"{name} must be >= {low}")
             object.__setattr__(self, name, value)
@@ -214,7 +205,8 @@ _SYNTH_KEYS = {
 
 
 def synth_spec_from_mapping(kv: dict) -> SynthSpec:
-    """Build a SynthSpec from string-keyed config values (CLI / manifest)."""
+    """Build a SynthSpec from a mapping of field names to values or their
+    strings, e.g. a parsed config file; library use only."""
     unknown = set(kv) - set(_SYNTH_KEYS)
     if unknown:
         raise ParameterError(f"unknown synth keys: {sorted(unknown)}")

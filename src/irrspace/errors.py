@@ -5,6 +5,8 @@ distinction can catch the usual thing; the CLI maps IrrspaceError to its
 data-error exit code.
 """
 
+import operator
+
 
 class IrrspaceError(ValueError):
     """Base class for all package-specific errors."""
@@ -36,3 +38,14 @@ class UndefinedMetricError(IrrspaceError):
 
 class DataError(IrrspaceError):
     """A file or directory does not hold what its format promises."""
+
+
+def as_integer(name: str, value) -> int:
+    """A Python or numpy integer as int; a bool or anything else is a
+    ParameterError.  The one rule for every count or seed argument."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")

@@ -16,7 +16,7 @@ from scipy.spatial.distance import squareform
 
 from . import linalg
 from .corpus import TopicModel
-from .errors import DimensionError, ParameterError, UndefinedMetricError
+from .errors import DimensionError, ParameterError, UndefinedMetricError, as_integer
 
 ALGORITHMS = (
     "single_link",
@@ -155,6 +155,7 @@ def cluster(z, k: int, algorithm: str) -> np.ndarray:
     n = x.shape[1]
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
+    k = as_integer("k", k)
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     if algorithm in _LINKAGE:

@@ -18,6 +18,7 @@ from .errors import (
     InvalidBasisError,
     InvalidInputError,
     ParameterError,
+    as_integer,
 )
 
 # Singular values below RANK_CUTOFF * sigma_1 count as zero.
@@ -84,8 +85,7 @@ def svd(z) -> SvdResult:
 def truncate_svd(res: SvdResult, ell: int) -> np.ndarray:
     """First ``ell`` left singular vectors as an orthonormal basis matrix."""
     rank = res.rank
-    if not isinstance(ell, (int, np.integer)) or isinstance(ell, bool):
-        raise ParameterError(f"ell must be an integer, got {ell!r}")
+    ell = as_integer("ell", ell)
     if not 1 <= ell <= rank:
         raise ParameterError(f"ell must be in [1, rank] = [1, {rank}], got {ell}")
     return res.u[:, :ell].copy()

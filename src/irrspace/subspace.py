@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ParameterError
+from .errors import ParameterError, as_integer
 
 METHODS = ("vsm", "lsi", "irr")
 
@@ -28,7 +28,7 @@ _EXHAUSTED_RTOL = 1e-12
 def _check_stopping_rule(ell: int | None, theta: float | None) -> None:
     if (ell is None) == (theta is None):
         raise ParameterError("set exactly one of ell and theta")
-    if ell is not None and ell < 1:
+    if ell is not None and as_integer("ell", ell) < 1:
         raise ParameterError(f"ell must be >= 1, got {ell}")
     if theta is not None and not theta > 0.0:
         raise ParameterError(f"theta must be positive, got {theta}")

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import linalg
 from .corpus import SimilarityMatrix, TermDocumentMatrix, TopicModel
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, as_integer
 
 _EVAL_CHUNK = 4096  # subset candidates scored per batch
 
@@ -224,7 +224,7 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     """
     a = linalg.as_matrix(a)
     smat = _check_similarity(s, a.shape[1])
-    if h_max < 1:
+    if as_integer("h_max", h_max) < 1:
         raise ParameterError(f"h_max must be >= 1, got {h_max}")
     res = linalg.svd(a)
     r = res.rank
@@ -265,10 +265,13 @@ def construct_ideal_instance(
     deviation) and the result is flagged exact; otherwise the optimum is
     located by search.
     """
+    m = as_integer("m", m)
     if m < tm.n_topics:
         raise ParameterError(f"need m >= {tm.n_topics} dimensions, got {m}")
-    if noise < 0.0:
-        raise ParameterError("noise must be >= 0")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ParameterError(f"noise must be a finite value >= 0, got {noise}")
+    if as_integer("seed", seed) < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rho = tm.relevance
     rng = np.random.default_rng(seed)
     qmat, rmat = np.linalg.qr(rng.standard_normal((m, tm.n_topics)))
@@ -436,9 +439,7 @@ def verify_sv_perturbation(x1, x2, slack: float = 1e-10) -> TheoremRecord:
     )
 
 
-def verify_cosine_bound(
-    instance: IdealInstance, slack: float = 1e-9, basis=None
-) -> TheoremRecord:
+def verify_cosine_bound(instance: IdealInstance, slack: float = 1e-9) -> TheoremRecord:
     """Projected cosines stay inside the envelope set by the largest
     deviation entry eps, applicable when eps < 1 and no projected column
     vanishes.
@@ -452,9 +453,7 @@ def verify_cosine_bound(
     """
     a = instance.tdm.matrix
     smat = instance.similarity.matrix
-    if basis is None:
-        basis = instance.optimum.basis
-    x = linalg.project(basis, a)
+    x = linalg.project(instance.optimum.basis, a)
     gram = x.T @ x
     e = smat - gram
     eps = float(np.max(np.abs(e)))
@@ -522,7 +521,7 @@ def standard_instance_suite(
     mingling is exercised; the rest are single-topic.  ``noise`` overrides the
     default cycle over {0.05, 0.1, 0.2}; at 0 every instance is exact.
     """
-    if count < 1:
+    if as_integer("count", count) < 1:
         raise ParameterError("count must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")

@@ -104,6 +104,27 @@ def test_run_on_corpus_directory(tmp_path):
     assert rows[0]["ell"] == "2"  # topic count inferred from labels
 
 
+def test_shared_synth_flags_reach_synth_and_run(tmp_path):
+    shape = ["--vocab-per-topic", "7", "--shared-vocab", "9", "--doc-length", "11",
+             "--noise", "0.5"]
+    corpus_dir = tmp_path / "corp"
+    assert cli.main(["synth", "--dist", "6,4", "--seed", "3", *shape,
+                     "--out", str(corpus_dir)]) == 0
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    assert (manifest["vocab_per_topic"], manifest["shared_vocab"], manifest["doc_length"],
+            manifest["noise_rate"]) == (7, 9, 11, 0.5)
+    rows = {}
+    for name, source in (("corpus", ["--corpus", str(corpus_dir)]),
+                         ("synth", ["--dist", "6,4", "--seeds", "3", *shape])):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["run", *source, "--methods", "vsm,lsi,irr", "--out", str(out)]) == 0
+        rows[name] = [{k: v for k, v in r.items()
+                       if k not in ("run_id", "dataset", "dist", "seed", "elapsed_ms")}
+                      for r in _read_rows(out)]
+    assert len(rows["synth"]) == 3
+    assert rows["corpus"] == rows["synth"]
+
+
 def test_run_matrix_input_with_save_basis(tmp_path):
     rng = np.random.default_rng(0)
     z = rng.standard_normal((12, 6))

@@ -191,6 +191,12 @@ def test_ideal_instance_validation():
         theory.construct_ideal_instance(tm, m=10, noise=-0.5, seed=0)
 
 
+@pytest.mark.parametrize("noise", [math.nan, math.inf])
+def test_ideal_instance_rejects_non_finite_noise(noise):
+    with pytest.raises(ParameterError, match="finite"):
+        theory.construct_ideal_instance(_single_topic((2, 2)), m=10, noise=noise, seed=0)
+
+
 def test_ideal_instance_deterministic():
     tm = _single_topic((3, 2))
     a1 = theory.construct_ideal_instance(tm, m=15, noise=0.2, seed=9).tdm.matrix
