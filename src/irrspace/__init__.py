@@ -61,7 +61,6 @@ from .linalg import (
     project,
     spectral_norm,
     svd,
-    truncate_svd,
 )
 from .matrixio import (
     load_basis,
@@ -174,7 +173,6 @@ __all__ = [
     "tokenize",
     "topic_model_from_docs",
     "topic_stats",
-    "truncate_svd",
     "verify_cosine_bound",
     "verify_dominance_interval",
     "verify_sv_perturbation",

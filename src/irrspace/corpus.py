@@ -184,7 +184,8 @@ class SynthSpec:
             if value < low:
                 raise ParameterError(f"{name} must be >= {low}")
             object.__setattr__(self, name, value)
-        if not isinstance(self.noise_rate, numbers.Real) or not 0.0 <= self.noise_rate <= 1.0:
+        rate = self.noise_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 <= rate <= 1.0:
             raise ParameterError(f"noise_rate must be in [0, 1], got {self.noise_rate!r}")
 
 

@@ -1,4 +1,4 @@
-"""Dense real matrix kernels: SVD, truncation, projection, norms, canonical angles.
+"""Dense real matrix kernels: SVD, projection, norms, canonical angles.
 
 All functions accept anything ``np.asarray`` can turn into a 2-D float64 array
 and validate it first.  Results are deterministic for a fixed input: the SVD
@@ -17,12 +17,12 @@ from .errors import (
     DimensionError,
     InvalidBasisError,
     InvalidInputError,
-    ParameterError,
-    as_integer,
 )
 
-# Singular values below RANK_CUTOFF * sigma_1 count as zero.
-RANK_CUTOFF = 1e-10
+# The one rule for numerical zero: what is left of a matrix counts as zero
+# once its Frobenius norm is at most ZERO_RTOL times the whole matrix's.
+ZERO_RTOL = 1e-12
+ZERO_MATRIX = "input matrix is zero; no directions to extract"
 
 # Orthonormality is validated to this tolerance wherever a basis is consumed.
 ORTHO_TOL = 1e-8
@@ -63,10 +63,18 @@ class SvdResult:
     v: np.ndarray
 
     @property
+    def tail_energy(self) -> np.ndarray:
+        """Squared Frobenius norm left after the first i directions, for
+        i = 0 .. len(s).  Summed from the smallest value up, so a tail far
+        below sigma_1^2 keeps its digits instead of cancelling."""
+        return np.append(np.cumsum(self.s[::-1] ** 2)[::-1], 0.0)
+
+    @property
     def rank(self) -> int:
-        if self.s.size == 0 or self.s[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(self.s > RANK_CUTOFF * self.s[0]))
+        """Directions taken before the rest has Frobenius norm
+        <= ZERO_RTOL * ||Z||_F: irr's exhaustion test, read off s."""
+        tails = self.tail_energy
+        return int(np.count_nonzero(tails[:-1] > ZERO_RTOL**2 * tails[0]))
 
 
 def svd(z) -> SvdResult:
@@ -80,15 +88,6 @@ def svd(z) -> SvdResult:
     u = u * signs
     v = v * signs
     return SvdResult(u=u, s=s, v=v)
-
-
-def truncate_svd(res: SvdResult, ell: int) -> np.ndarray:
-    """First ``ell`` left singular vectors as an orthonormal basis matrix."""
-    rank = res.rank
-    ell = as_integer("ell", ell)
-    if not 1 <= ell <= rank:
-        raise ParameterError(f"ell must be in [1, rank] = [1, {rank}], got {ell}")
-    return res.u[:, :ell].copy()
 
 
 def project(basis, z) -> np.ndarray:

@@ -77,12 +77,12 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str] | None]:
         rows = rows[1:]
     if not rows:
         raise DataError(f"{p}: header but no data rows")
+    if len({len(r) for r in rows}) > 1:
+        raise DataError(f"{p}: rows have differing lengths")
     try:
         a = np.array([[float(x) for x in r] for r in rows])
     except ValueError as exc:
         raise DataError(f"{p}: non-numeric entry: {exc}") from exc
-    if a.ndim != 2:
-        raise DataError(f"{p}: rows have differing lengths")
     if header is not None and len(header) != a.shape[1]:
         raise DataError(f"{p}: {len(header)} header labels for {a.shape[1]} columns")
     return linalg.as_matrix(a), header
@@ -114,16 +114,25 @@ def load_basis(path) -> SubspaceBasis:
         raise DataError(f"missing basis sidecar {side}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{side}: invalid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{side}: expected a JSON object")
     method = meta.get("method")
     if method not in METHODS:
         raise DataError(f"{side}: unknown method {method!r}")
     if meta.get("ell") != mat.shape[1]:
         raise DataError(f"{side}: ell does not match the stored basis")
+    # a JSON number loads as int or float; type() also keeps out bool
+    ratios = meta.get("residual_ratios", [])
+    if not isinstance(ratios, list) or any(type(r) not in (int, float) for r in ratios):
+        raise DataError(f"{side}: residual_ratios must be a list of numbers")
+    for key in ("q", "alpha", "beta"):
+        if type(meta.get(key)) not in (int, float, type(None)):
+            raise DataError(f"{side}: {key} must be a number or null")
     return SubspaceBasis(
         basis=mat,
         method=method,
         q=meta.get("q"),
-        residual_ratios=tuple(meta.get("residual_ratios") or ()),
+        residual_ratios=tuple(ratios),
         alpha=meta.get("alpha"),
         beta=meta.get("beta"),
     )

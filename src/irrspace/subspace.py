@@ -20,10 +20,6 @@ from .errors import ParameterError, as_integer
 
 METHODS = ("vsm", "lsi", "irr")
 
-# Residuals whose Frobenius norm falls below this fraction of the input's are
-# treated as exhausted; further directions would be numerical noise.
-_EXHAUSTED_RTOL = 1e-12
-
 
 def _check_stopping_rule(ell: int | None, theta: float | None) -> None:
     if (ell is None) == (theta is None):
@@ -151,7 +147,7 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
 
     resid = a.copy()
     initial_fro = float(np.linalg.norm(a))
-    vanish = _EXHAUSTED_RTOL * initial_fro
+    vanish = linalg.ZERO_RTOL * initial_fro
     ratios = [initial_fro**2 / n]
     cols: list[np.ndarray] = []
     exhausted = False
@@ -176,7 +172,7 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
         if config.theta is not None and ratios[-1] <= config.theta:
             break
     if not cols:
-        raise ParameterError("input matrix is zero; no directions to extract")
+        raise ParameterError(linalg.ZERO_MATRIX)
     return SubspaceBasis(
         basis=np.column_stack(cols),
         method="irr",
@@ -189,29 +185,33 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
 
 
 def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
-    """Rank-ell truncated SVD basis (identical to IRR at q = 0).
+    """Rank-ell truncated SVD basis: IRR at q = 0, read off one SVD.
 
     Exactly one of ``ell`` and ``theta`` must be set, as in IrrConfig.  With
-    ``theta`` the dimensionality is the smallest ell in [1, rank] whose
-    residual ratio, read off the singular values, is <= theta, or the rank
-    if none is.
+    ``theta`` the dimensionality is the smallest ell whose residual ratio is
+    <= theta.  As in irr, the basis stops at the rank (``linalg.ZERO_RTOL``)
+    with ``exhausted`` set when the stopping rule asks for more.
     """
     _check_stopping_rule(ell, theta)
     a = linalg.as_matrix(z)
     res = linalg.svd(a)
-    n = a.shape[1]
-    total = float(np.sum(res.s**2))
-    removed = np.concatenate(([0.0], np.cumsum(res.s**2)))
-    ratios = np.maximum(total - removed, 0.0) / n
+    rank = res.rank
+    if rank == 0:
+        raise ParameterError(linalg.ZERO_MATRIX)
+    ratios = res.tail_energy / a.shape[1]
     if theta is not None:
-        rank = res.rank
-        if rank == 0:
-            raise ParameterError("cannot select a dimensionality for a zero matrix")
+        # no ratio within the rank reaches theta: irr asks for one more
+        # direction and finds the residual exhausted
         below = np.flatnonzero(ratios[1 : rank + 1] <= theta)
-        ell = int(below[0]) + 1 if below.size else rank
-    basis = linalg.truncate_svd(res, ell)
+        ell = int(below[0]) + 1 if below.size else rank + 1
+    exhausted = ell > rank
+    ell = min(ell, rank)
     return SubspaceBasis(
-        basis=basis, method="lsi", q=0.0, residual_ratios=tuple(ratios[: ell + 1])
+        basis=res.u[:, :ell].copy(),
+        method="lsi",
+        q=0.0,
+        residual_ratios=tuple(ratios[: ell + 1]),
+        exhausted=exhausted,
     )
 
 

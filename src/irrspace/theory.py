@@ -30,9 +30,9 @@ J = diag(J_S, -I_h).  Its nonzero spectrum is that of a matrix of size at
 most k + h, k = rank S (see _eps_of_coords); dropping the small eigenvalues
 moves a deviation norm by at most n * eps * ||S||_2 (Weyl).
 
-Spectral norms inside the verifiers are computed by dense symmetric
-eigen-decomposition: the checks certify theorems at tight slacks and must
-not inherit iterative-solver residue.
+Spectral norms inside the verifiers are computed by dense decompositions:
+the checks certify theorems at tight slacks and must not inherit
+iterative-solver residue.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, subspace
 from .corpus import SimilarityMatrix, TermDocumentMatrix, TopicModel
 from .errors import DimensionError, ParameterError, as_integer
 
@@ -229,7 +229,7 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     res = linalg.svd(a)
     r = res.rank
     if r == 0:
-        raise ParameterError("zero matrix has no subspaces to search")
+        raise ParameterError(linalg.ZERO_MATRIX)
     u = res.u[:, :r]
     c = u.T @ a
     factor = _similarity_factor(smat)
@@ -323,15 +323,7 @@ class TheoremRecord:
     holds: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "quantities": self.quantities,
-                "condition_met": self.condition_met,
-                "holds": self.holds,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _padded_singular_values(a: np.ndarray, count: int) -> np.ndarray:
@@ -392,7 +384,7 @@ def verify_truncation_angle(instance: IdealInstance, slack: float = 1e-6) -> The
     full_s = _padded_singular_values(a, h + 1)
     sigma_next = float(full_s[h])
 
-    lsi_basis = linalg.truncate_svd(linalg.svd(a), h)
+    lsi_basis = subspace.lsi(a, ell=h).basis
     tan_measured = linalg.canonical_angles(lsi_basis, basis).tan_norm
     if condition:
         x = sqrt_et / dhat_min
@@ -523,7 +515,7 @@ def standard_instance_suite(
     """
     if as_integer("count", count) < 1:
         raise ParameterError("count must be >= 1")
-    if seed < 0:
+    if as_integer("seed", seed) < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if noise is not None and not (math.isfinite(noise) and noise >= 0.0):
         raise ParameterError(f"noise must be a finite value >= 0, got {noise}")

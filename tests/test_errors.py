@@ -22,6 +22,10 @@ _CALLS = {
     "instance_bool_seed": lambda: theory.construct_ideal_instance(_TM, 8, 0.1, True),
     "suite_fractional_count": lambda: theory.standard_instance_suite(2.5),
     "synth_bool_doc_length": lambda: corpus.SynthSpec(distribution=(3, 3), doc_length=True),
+    "synth_bool_noise_rate": lambda: corpus.SynthSpec(distribution=(3, 3), noise_rate=True),
+    "suite_bool_seed": lambda: theory.standard_instance_suite(1, seed=True),
+    "suite_string_seed": lambda: theory.standard_instance_suite(1, seed="x"),
+    "suite_fractional_seed": lambda: theory.standard_instance_suite(1, seed=2.5),
 }
 
 
@@ -29,3 +33,8 @@ _CALLS = {
 def test_count_arguments_must_be_integers(call):
     with pytest.raises(ParameterError):
         call()
+
+
+def test_suite_seed_is_reported_as_given():
+    with pytest.raises(ParameterError, match=r"seed must be an integer, got 2\.5$"):
+        theory.standard_instance_suite(1, seed=2.5)

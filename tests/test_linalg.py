@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from irrspace import linalg
-from irrspace.errors import DimensionError, InvalidBasisError, InvalidInputError, ParameterError
+from irrspace import linalg, subspace
+from irrspace.errors import DimensionError, InvalidBasisError, InvalidInputError
 
 
 def jacobi_eigh(a, sweeps=60, tol=1e-14):
@@ -107,7 +107,7 @@ def test_truncation_beats_every_subset_of_singular_vectors():
     from itertools import combinations
 
     for ell in range(1, 5):
-        lead = linalg.truncate_svd(res, ell)
+        lead = subspace.lsi(z, ell=ell).basis
         best = min(
             np.linalg.norm(z - res.u[:, list(c)] @ (res.u[:, list(c)].T @ z))
             for c in combinations(range(5), ell)
@@ -116,17 +116,6 @@ def test_truncation_beats_every_subset_of_singular_vectors():
         assert got <= best + 1e-12
         # residual energy equals the tail of the squared spectrum
         assert got**2 == pytest.approx(float((res.s[ell:] ** 2).sum()), abs=1e-10)
-
-
-def test_truncate_svd_validates_ell():
-    res = linalg.svd(np.eye(3))
-    with pytest.raises(ParameterError):
-        linalg.truncate_svd(res, 0)
-    with pytest.raises(ParameterError):
-        linalg.truncate_svd(res, 4)
-    rank_deficient = linalg.svd(np.outer(np.ones(4), np.ones(3)))
-    with pytest.raises(ParameterError):
-        linalg.truncate_svd(rank_deficient, 2)
 
 
 def test_project_is_idempotent_and_leaves_orthogonal_residual():

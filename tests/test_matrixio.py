@@ -63,9 +63,10 @@ def test_csv_round_trip_with_and_without_header(tmp_path):
 
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
-    path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(DataError):
-        matrixio.read_matrix_csv(path)
+    for text in ("1.0,2.0\n3.0\n", "a,b\n1,2\n3,4,5\n", "1\n2\n3,4\n"):
+        path.write_text(text)
+        with pytest.raises(DataError, match="rows have differing lengths"):
+            matrixio.read_matrix_csv(path)
 
 
 def test_basis_round_trip(tmp_path):
@@ -103,5 +104,33 @@ def test_load_basis_rejects_tampered_sidecar(tmp_path):
         matrixio.load_basis(path)
 
     sidecar.unlink()
+    with pytest.raises(DataError):
+        matrixio.load_basis(path)
+
+
+_SIDECAR_FAULTS = {
+    "array": lambda meta: [meta],
+    "string": lambda meta: "lsi",
+    "null": lambda meta: None,
+    "ratios_string": lambda meta: {**meta, "residual_ratios": "xy"},
+    "ratios_of_strings": lambda meta: {**meta, "residual_ratios": ["1", "0.5", "0.1"]},
+    "ratios_of_bools": lambda meta: {**meta, "residual_ratios": [True, False, False]},
+    "ratios_object": lambda meta: {**meta, "residual_ratios": {"a": 1}},
+    "ratios_null": lambda meta: {**meta, "residual_ratios": None},
+    "q_list": lambda meta: {**meta, "q": [1]},
+    "q_string": lambda meta: {**meta, "q": "0"},
+    "alpha_bool": lambda meta: {**meta, "alpha": True},
+    "beta_object": lambda meta: {**meta, "beta": {}},
+}
+
+
+@pytest.mark.parametrize("fault", _SIDECAR_FAULTS.values(), ids=_SIDECAR_FAULTS.keys())
+def test_load_basis_rejects_malformed_sidecar_values(tmp_path, fault):
+    basis = subspace.lsi(np.random.default_rng(4).standard_normal((8, 5)), 2)
+    path = tmp_path / "b.ssm1"
+    matrixio.save_basis(path, basis)
+    sidecar = path.with_name(path.name + ".json")
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(fault(meta)))
     with pytest.raises(DataError):
         matrixio.load_basis(path)

@@ -222,10 +222,20 @@ def test_irr_large_q_does_not_underflow(q):
     assert np.max(np.abs(b.T @ b - np.eye(15))) < 1e-10
 
 
-def test_lsi_rejects_ell_beyond_rank():
-    z = np.outer(np.ones(4), np.ones(3))
-    with pytest.raises(ParameterError):
-        subspace.lsi(z, 2)
+_RANK_ONE = np.outer(np.ones(4), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "z, ell, rank",
+    [(np.eye(3), 4, 3), (_RANK_ONE, 2, 1), (_RANK_ONE, 9, 1)],
+    ids=["full_rank", "rank_one", "rank_one_far"],
+)
+def test_lsi_beyond_rank_returns_the_rank_exhausted_as_irr_does(z, ell, rank):
+    got = subspace.lsi(z, ell)
+    ref = subspace.irr(z, subspace.IrrConfig(q=0.0, ell=ell))
+    assert (got.ell, got.exhausted) == (ref.ell, ref.exhausted) == (rank, True)
+    assert len(got.residual_ratios) == rank + 1
+    assert _sin_largest_angle(got.basis, ref.basis) <= 1e-12
 
 
 def test_represent_projects_into_span():
@@ -320,3 +330,98 @@ def test_irr_tiny_input_is_not_zero():
     assert subspace.irr(z, subspace.IrrConfig(q=1.0, ell=3)).ell == 3
     with pytest.raises(ParameterError, match="zero"):
         subspace.irr(np.zeros((30, 20)), subspace.IrrConfig(q=1.0, ell=3))
+
+
+def _planted(m, n, s, seed):
+    """An m x n matrix with singular values s and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    return (u * s) @ v.T
+
+
+def _lsi_and_irr_at_q0(z, stop):
+    got = subspace.lsi(z, **stop)
+    ref = subspace.irr(z, subspace.IrrConfig(q=0.0, **stop))
+    assert (got.ell, got.exhausted) == (ref.ell, ref.exhausted)
+    r0 = got.residual_ratios[0]
+    np.testing.assert_allclose(got.residual_ratios, ref.residual_ratios, rtol=0, atol=1e-9 * r0)
+    return got, ref
+
+
+@pytest.mark.parametrize(
+    "stop, want",
+    [
+        ({"ell": 2}, (2, False)),
+        ({"ell": 3}, (3, False)),
+        ({"ell": 5}, (3, True)),
+        ({"theta": 1e-3}, (2, False)),
+        ({"theta": 1e-40}, (3, True)),
+    ],
+)
+def test_lsi_and_irr_keep_a_direction_just_above_the_zero_rule(stop, want):
+    # sigma_3 = 1e-11 sigma_1 leaves a tail of ~9e-12 ||Z||_F, above
+    # ZERO_RTOL, so both take it; its ratio 3.3e-24 is read without
+    # cancelling.  The roundoff ratio left after it exceeds theta = 1e-40 on
+    # this matrix, so both then find the residual exhausted.
+    z = _planted(40, 30, np.array([1.0, 0.5, 1e-11]), seed=0)
+    got, _ = _lsi_and_irr_at_q0(z, stop)
+    assert (got.ell, got.exhausted) == want
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 8),
+    n=st.integers(2, 8),
+    data=st.data(),
+)
+def test_lsi_is_irr_at_q0_on_planted_spectra(seed, m, n, data):
+    p = min(m, n)
+    k = data.draw(st.integers(1, p), label="planted rank")
+    exps = data.draw(st.lists(st.floats(0.0, 14.0), min_size=k - 1, max_size=k - 1), label="exps")
+    s = np.sort(np.append(1.0, 10.0 ** -np.array(exps)))[::-1]
+    z = _planted(m, n, s, seed)
+    # what is left after i planted directions, relative to ||Z||_F
+    tails = np.sqrt(np.cumsum(s[::-1] ** 2)[::-1] / np.sum(s**2))
+    zero = linalg.ZERO_RTOL
+    assume(not np.any((tails > zero / 10) & (tails < zero * 10)))
+    rank = int(np.count_nonzero(tails > zero))
+    if data.draw(st.booleans(), label="theta mode"):
+        t = data.draw(st.floats(0.0, 44.0), label="-log10(theta / first ratio)")
+        # past a planted rank below min(m, n), the ratio is roundoff (0 to
+        # ~1e-30 relative): whether a theta under 1e-26 meets it is not
+        # determined by the matrix
+        assume(not (rank == k < p and t > 26.0))
+        r0 = np.sum(s**2) / n
+        theta = r0 * 10.0**-t
+        planted = tails[1:] ** 2 * r0
+        assume(not np.any((planted > theta / 10) & (planted < theta * 10)))
+        stop = {"theta": theta}
+    else:
+        ell = data.draw(st.integers(1, p + 1), label="ell")
+        stop = {"ell": ell}
+    got, ref = _lsi_and_irr_at_q0(z, stop)
+    if "ell" in stop:
+        assert (got.ell, got.exhausted) == (min(ell, rank), ell > rank)
+    assume(_least_rescaled_gap(z, ref.basis, 0.0) >= 1e-2)
+    # roundoff of ~1e-16 ||Z|| turns a span by ~1e-16 / gap, so a span that
+    # ends on a direction far below sigma_1 is fixed by no solver to 1e-8
+    gap = s[got.ell - 1] - (s[got.ell] if got.ell < k else 0.0)
+    if gap >= 1e-6:
+        assert _sin_largest_angle(got.basis, ref.basis) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda z: subspace.lsi(z, ell=2),
+        lambda z: subspace.lsi(z, theta=0.5),
+        lambda z: subspace.irr(z, subspace.IrrConfig(q=0.0, ell=2)),
+        lambda z: subspace.irr(z, subspace.IrrConfig(q=1.0, theta=0.5)),
+        lambda z: theory.optimum_subspace(np.eye(4), z, 2),
+    ],
+)
+def test_zero_matrix_has_one_message(build):
+    with pytest.raises(ParameterError, match="^input matrix is zero; no directions to extract$"):
+        build(np.zeros((5, 4)))
