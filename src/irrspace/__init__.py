@@ -15,15 +15,12 @@ evaluation, and a command line front end (``irrspace``).
 
 from .corpus import (
     Document,
-    SimilarityMatrix,
     SynthSpec,
     TermDocumentMatrix,
     TopicModel,
     build_matrix,
     intra_topic_pairs,
     load_corpus_dir,
-    similarity_matrix,
-    synth_spec_from_mapping,
     synthesize_collection,
     tokenize,
     topic_model_from_docs,
@@ -57,9 +54,7 @@ from .linalg import (
     CanonicalAngles,
     SvdResult,
     canonical_angles,
-    frobenius_norm,
     project,
-    spectral_norm,
     svd,
 )
 from .matrixio import (
@@ -71,7 +66,7 @@ from .matrixio import (
     write_matrix_csv,
 )
 from .stemming import porter_stem
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords
+from .stopwords import DEFAULT_STOPWORDS
 from .subspace import (
     METHODS,
     IrrConfig,
@@ -122,7 +117,6 @@ __all__ = [
     "OptimumSubspaceResult",
     "ParameterError",
     "RankedPairs",
-    "SimilarityMatrix",
     "SubspaceBasis",
     "SvdResult",
     "SynthSpec",
@@ -144,14 +138,12 @@ __all__ = [
     "deviation_matrix",
     "dimensionality_by_residual_ratio",
     "floor_ceiling",
-    "frobenius_norm",
     "input_error",
     "intra_topic_pairs",
     "irr",
     "kappa_average_precision",
     "load_basis",
     "load_corpus_dir",
-    "load_stopwords",
     "lsi",
     "optimum_subspace",
     "pairwise_average_precision",
@@ -164,11 +156,8 @@ __all__ = [
     "rescale",
     "s_prime_matrix",
     "save_basis",
-    "similarity_matrix",
-    "spectral_norm",
     "standard_instance_suite",
     "svd",
-    "synth_spec_from_mapping",
     "synthesize_collection",
     "tokenize",
     "topic_model_from_docs",

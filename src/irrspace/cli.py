@@ -91,10 +91,12 @@ def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     if ":" in text:
         lo, hi = (_number(t, int, "seeds") for t in text.split(":", 1))
-        if hi <= lo:
-            raise _UsageError(f"empty seed range {text!r}")
-        return list(range(lo, hi))
-    return [_number(s, int, "seeds") for s in text.split(",") if s.strip()]
+        seeds = list(range(lo, hi))
+    else:
+        seeds = [_number(s, int, "seeds") for s in text.split(",") if s.strip()]
+    if not seeds:
+        raise _UsageError(f"--seeds names no seed: {text!r}")
+    return seeds
 
 
 def _parse_dist(text: str) -> tuple[int, ...]:

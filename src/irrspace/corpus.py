@@ -84,17 +84,6 @@ class TopicModel:
         return self.relevance.shape[1]
 
 
-@dataclass
-class SimilarityMatrix:
-    """Docs x docs matrix of topic-model inner products rho.T @ rho."""
-
-    matrix: np.ndarray
-
-
-def similarity_matrix(tm: TopicModel) -> SimilarityMatrix:
-    return SimilarityMatrix(matrix=tm.relevance.T @ tm.relevance)
-
-
 def intra_topic_pairs(tm: TopicModel) -> np.ndarray:
     """n_docs x n_docs bool mask of the doc pairs i < j sharing a positive topic."""
     positive = (tm.relevance > 0.0).astype(np.float64)
@@ -187,39 +176,6 @@ class SynthSpec:
         rate = self.noise_rate
         if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 <= rate <= 1.0:
             raise ParameterError(f"noise_rate must be in [0, 1], got {self.noise_rate!r}")
-
-
-def _int_tuple(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        value = [c for c in value.replace(" ", "").split(",") if c]
-    return tuple(int(c) for c in value)
-
-
-_SYNTH_KEYS = {
-    "distribution": _int_tuple,
-    "vocab_per_topic": int,
-    "shared_vocab": int,
-    "doc_length": int,
-    "noise_rate": float,
-    "rng_seed": int,
-}
-
-
-def synth_spec_from_mapping(kv: dict) -> SynthSpec:
-    """Build a SynthSpec from a mapping of field names to values or their
-    strings, e.g. a parsed config file; library use only."""
-    unknown = set(kv) - set(_SYNTH_KEYS)
-    if unknown:
-        raise ParameterError(f"unknown synth keys: {sorted(unknown)}")
-    if "distribution" not in kv:
-        raise ParameterError("synth keys must include 'distribution'")
-    out = {}
-    for key, value in kv.items():
-        try:
-            out[key] = _SYNTH_KEYS[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"synth key {key!r}: bad value {value!r}") from exc
-    return SynthSpec(**out)
 
 
 def synthesize_collection(spec: SynthSpec) -> tuple[list[Document], TopicModel]:

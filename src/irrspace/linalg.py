@@ -1,4 +1,4 @@
-"""Dense real matrix kernels: SVD, projection, norms, canonical angles.
+"""Dense real matrix kernels: SVD, projection, canonical angles.
 
 All functions accept anything ``np.asarray`` can turn into a 2-D float64 array
 and validate it first.  Results are deterministic for a fixed input: the SVD
@@ -100,15 +100,6 @@ def project(basis, z) -> np.ndarray:
         )
     require_orthonormal(b)
     return b @ (b.T @ a)
-
-
-def frobenius_norm(z) -> float:
-    return float(np.linalg.norm(as_matrix(z)))
-
-
-def spectral_norm(z) -> float:
-    """Largest singular value; 0.0 for the zero matrix."""
-    return float(np.linalg.norm(as_matrix(z), 2))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -105,11 +106,17 @@ def save_basis(path, basis: SubspaceBasis) -> None:
     _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
+def _finite_number(x) -> bool:
+    # json reads NaN, Infinity and 1e999 too; type() also keeps out bool
+    return type(x) is float and math.isfinite(x)
+
+
 def load_basis(path) -> SubspaceBasis:
     mat = read_matrix_binary(path)
     side = _sidecar(path)
     try:
-        meta = json.loads(side.read_text(encoding="utf-8"))
+        # every JSON number as a float, so an int too large for one reads inf
+        meta = json.loads(side.read_text(encoding="utf-8"), parse_int=float)
     except OSError as exc:
         raise DataError(f"missing basis sidecar {side}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -121,13 +128,12 @@ def load_basis(path) -> SubspaceBasis:
         raise DataError(f"{side}: unknown method {method!r}")
     if meta.get("ell") != mat.shape[1]:
         raise DataError(f"{side}: ell does not match the stored basis")
-    # a JSON number loads as int or float; type() also keeps out bool
     ratios = meta.get("residual_ratios", [])
-    if not isinstance(ratios, list) or any(type(r) not in (int, float) for r in ratios):
-        raise DataError(f"{side}: residual_ratios must be a list of numbers")
+    if not isinstance(ratios, list) or not all(map(_finite_number, ratios)):
+        raise DataError(f"{side}: residual_ratios must be a list of finite numbers")
     for key in ("q", "alpha", "beta"):
-        if type(meta.get(key)) not in (int, float, type(None)):
-            raise DataError(f"{side}: {key} must be a number or null")
+        if meta.get(key) is not None and not _finite_number(meta[key]):
+            raise DataError(f"{side}: {key} must be a finite number or null")
     return SubspaceBasis(
         basis=mat,
         method=method,

@@ -1,10 +1,7 @@
-"""Default English stopword list, overridable by a user-supplied file."""
+"""Default English stopword list; tokenize and build_matrix take another
+frozenset through their ``stopwords`` argument."""
 
 from __future__ import annotations
-
-from pathlib import Path
-
-from .errors import DataError
 
 DEFAULT_STOPWORDS = frozenset("""
 a about above across after again against all almost alone along already also
@@ -39,12 +36,3 @@ which while who whole whose why will with within without work worked working
 works would year years yet you young younger youngest your yours
 """.split())
 
-
-def load_stopwords(path) -> frozenset[str]:
-    """Read a stopword file: one token per line, blank lines ignored."""
-    p = Path(path)
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read stopword file {p}: {exc}") from exc
-    return frozenset(w.strip().lower() for w in lines if w.strip())

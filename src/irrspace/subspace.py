@@ -141,8 +141,8 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
     n = a.shape[1]
     q = config.q if config.q is not None else auto_scale(a, config.alpha, config.beta)
 
-    # In theta mode on rank-deficient input, the exhaustion check below ends
-    # the loop before this bound.
+    # In theta mode a residual that meets the zero rule, ratio 0, ends the
+    # loop by this bound at the latest.
     limit = config.ell if config.theta is None else min(a.shape)
 
     resid = a.copy()
@@ -152,7 +152,7 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
     cols: list[np.ndarray] = []
     exhausted = False
     while len(cols) < limit:
-        if float(np.linalg.norm(resid)) <= vanish:
+        if ratios[-1] == 0.0:
             exhausted = True
             break
         # The solve only needs the direction, so weight by (|r_i| / top)^q:
@@ -168,7 +168,9 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
             b /= np.linalg.norm(b)
         resid -= np.outer(b, b @ resid)
         cols.append(b)
-        ratios.append(float(np.linalg.norm(resid)) ** 2 / n)
+        # a residual that meets the zero rule is recorded as ratio 0
+        fro = float(np.linalg.norm(resid))
+        ratios.append(fro**2 / n if fro > vanish else 0.0)
         if config.theta is not None and ratios[-1] <= config.theta:
             break
     if not cols:
@@ -189,8 +191,9 @@ def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
 
     Exactly one of ``ell`` and ``theta`` must be set, as in IrrConfig.  With
     ``theta`` the dimensionality is the smallest ell whose residual ratio is
-    <= theta.  As in irr, the basis stops at the rank (``linalg.ZERO_RTOL``)
-    with ``exhausted`` set when the stopping rule asks for more.
+    <= theta.  As in irr, the ratio past the rank (``linalg.ZERO_RTOL``) is 0,
+    so theta mode stops at the rank at the latest; an ``ell`` above the rank
+    returns the rank's directions with ``exhausted`` set.
     """
     _check_stopping_rule(ell, theta)
     a = linalg.as_matrix(z)
@@ -199,11 +202,9 @@ def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
     if rank == 0:
         raise ParameterError(linalg.ZERO_MATRIX)
     ratios = res.tail_energy / a.shape[1]
+    ratios[rank:] = 0.0
     if theta is not None:
-        # no ratio within the rank reaches theta: irr asks for one more
-        # direction and finds the residual exhausted
-        below = np.flatnonzero(ratios[1 : rank + 1] <= theta)
-        ell = int(below[0]) + 1 if below.size else rank + 1
+        ell = int(np.argmax(ratios[1:] <= theta)) + 1
     exhausted = ell > rank
     ell = min(ell, rank)
     return SubspaceBasis(

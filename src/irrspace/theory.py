@@ -20,7 +20,10 @@ C = U.T A and M = w.T C, a candidate's coordinates are
 M + (w'_i - w_i).T C_i + (w'_j - w_j).T C_j.  The
 verifiers check the dominance/singular-value interval, the tangent bound on
 the angle between the truncation subspace and the optimum, the
-singular-value perturbation inequality, and the projected-cosine envelope.
+singular-value perturbation inequality, and the projected-cosine envelope,
+each as ``x <= bound + slack`` at a fixed slack: 1e-8 for the dominance
+interval, 1e-6 for the truncation angle, 1e-10 for the singular-value
+perturbation and 1e-9 for the cosine envelope.
 
 The search scores each candidate through a low-rank identity rather than the
 n x n deviation: S is factored once as S ~= F.T J_S F (F = sqrt|lambda| V.T
@@ -45,7 +48,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg, subspace
-from .corpus import SimilarityMatrix, TermDocumentMatrix, TopicModel
+from .corpus import TopicModel
 from .errors import DimensionError, ParameterError, as_integer
 
 _EVAL_CHUNK = 4096  # subset candidates scored per batch
@@ -54,6 +57,12 @@ _EVAL_CHUNK = 4096  # subset candidates scored per batch
 _ANGLE_GRID = (0.3, 0.1, 0.03, 0.01)
 _IMPROVE_TOL = 1e-8
 _MAX_ROUNDS = 80
+
+# the verifiers' fixed slacks of the module docstring
+_DOMINANCE_SLACK = 1e-8
+_ANGLE_SLACK = 1e-6
+_SV_SLACK = 1e-10
+_COSINE_SLACK = 1e-9
 
 
 @dataclass
@@ -95,8 +104,7 @@ def _sym_spectral_norm(m: np.ndarray) -> float:
 
 
 def _check_similarity(s, n: int) -> np.ndarray:
-    mat = s.matrix if isinstance(s, SimilarityMatrix) else s
-    mat = linalg.as_matrix(mat, "similarity matrix")
+    mat = linalg.as_matrix(s, "similarity matrix")
     if mat.shape != (n, n):
         raise DimensionError(f"similarity matrix must be {n}x{n}, got {mat.shape}")
     return mat
@@ -245,11 +253,12 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
 
 @dataclass
 class IdealInstance:
-    """A term-document matrix built directly from a topic model."""
+    """A unit-column m x n matrix built directly from a topic model, with its
+    ideal similarities rho.T @ rho (n x n)."""
 
-    tdm: TermDocumentMatrix
+    matrix: np.ndarray
     topic_model: TopicModel
-    similarity: SimilarityMatrix
+    similarity: np.ndarray
     optimum: OptimumSubspaceResult
     noise: float
     seed: int
@@ -289,11 +298,6 @@ def construct_ideal_instance(
             raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
         cols = cols / norms
     smat = rho.T @ rho
-    tdm = TermDocumentMatrix(
-        matrix=cols,
-        terms=tuple(f"ax{i:04d}" for i in range(m)),
-        doc_ids=tuple(f"d{j:03d}" for j in range(tm.n_docs)),
-    )
     if noise == 0.0:
         optimum = OptimumSubspaceResult(
             basis=qmat,
@@ -304,9 +308,9 @@ def construct_ideal_instance(
     else:
         optimum = optimum_subspace(smat, cols, h_max=tm.n_topics)
     return IdealInstance(
-        tdm=tdm,
+        matrix=cols,
         topic_model=tm,
-        similarity=SimilarityMatrix(matrix=smat),
+        similarity=smat,
         optimum=optimum,
         noise=noise,
         seed=seed,
@@ -333,10 +337,10 @@ def _padded_singular_values(a: np.ndarray, count: int) -> np.ndarray:
     return s
 
 
-def verify_dominance_interval(instance: IdealInstance, slack: float = 1e-8) -> TheoremRecord:
+def verify_dominance_interval(instance: IdealInstance) -> TheoremRecord:
     """Squared singular values of the optimally projected matrix stay within
     eps_opt + mingling of the squared topic dominances."""
-    a = instance.tdm.matrix
+    a = instance.matrix
     basis = instance.optimum.basis
     stats = topic_stats(instance.topic_model)
     k = instance.topic_model.n_topics
@@ -353,11 +357,11 @@ def verify_dominance_interval(instance: IdealInstance, slack: float = 1e-8) -> T
             "mingling": stats.mingling,
         },
         condition_met=True,
-        holds=deviation <= bound + slack,
+        holds=deviation <= bound + _DOMINANCE_SLACK,
     )
 
 
-def verify_truncation_angle(instance: IdealInstance, slack: float = 1e-6) -> TheoremRecord:
+def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
     """Tangent bound between the rank-h truncation subspace and the optimum.
 
     When the smallest projected singular value exceeds sqrt(eps_tilde), where
@@ -368,10 +372,10 @@ def verify_truncation_angle(instance: IdealInstance, slack: float = 1e-6) -> The
     Also checks the two intermediate claims: sigma_{h+1}(A) <= sqrt(eps_tilde)
     and |eps_tilde - eps_0| <= eps_opt.
     """
-    a = instance.tdm.matrix
+    a = instance.matrix
     basis = instance.optimum.basis
     h = instance.optimum.h
-    smat = instance.similarity.matrix
+    smat = instance.similarity
     dhat = _padded_singular_values(basis.T @ a, h)
     dbar = a - basis @ (basis.T @ a)
     eps_tilde = float(np.linalg.svd(dbar, compute_uv=False)[0]) ** 2
@@ -391,9 +395,9 @@ def verify_truncation_angle(instance: IdealInstance, slack: float = 1e-6) -> The
         tan_bound = (dhat_max / dhat_min) * x / (1.0 - x * x)
     else:
         tan_bound = math.inf
-    angle_ok = tan_measured <= tan_bound + slack
-    next_sv_ok = sigma_next <= sqrt_et + slack
-    agree_ok = abs(eps_tilde - eps0) <= eps_opt + slack
+    angle_ok = tan_measured <= tan_bound + _ANGLE_SLACK
+    next_sv_ok = sigma_next <= sqrt_et + _ANGLE_SLACK
+    agree_ok = abs(eps_tilde - eps0) <= eps_opt + _ANGLE_SLACK
     return TheoremRecord(
         check="truncation_angle",
         quantities={
@@ -411,7 +415,7 @@ def verify_truncation_angle(instance: IdealInstance, slack: float = 1e-6) -> The
     )
 
 
-def verify_sv_perturbation(x1, x2, slack: float = 1e-10) -> TheoremRecord:
+def verify_sv_perturbation(x1, x2) -> TheoremRecord:
     """|sigma_i(X1) - sigma_i(X2)| <= ||X1 - X2||_2 <= ||X1 - X2||_F."""
     a1 = linalg.as_matrix(x1, "first matrix")
     a2 = linalg.as_matrix(x2, "second matrix")
@@ -427,11 +431,11 @@ def verify_sv_perturbation(x1, x2, slack: float = 1e-10) -> TheoremRecord:
         check="sv_perturbation",
         quantities={"max_shift": max_shift, "spectral": spec, "frobenius": fro},
         condition_met=True,
-        holds=max_shift <= spec + slack and spec <= fro + slack,
+        holds=max_shift <= spec + _SV_SLACK and spec <= fro + _SV_SLACK,
     )
 
 
-def verify_cosine_bound(instance: IdealInstance, slack: float = 1e-9) -> TheoremRecord:
+def verify_cosine_bound(instance: IdealInstance) -> TheoremRecord:
     """Projected cosines stay inside the envelope set by the largest
     deviation entry eps, applicable when eps < 1 and no projected column
     vanishes.
@@ -443,8 +447,8 @@ def verify_cosine_bound(instance: IdealInstance, slack: float = 1e-9) -> Theorem
     but only cos >= (sim - eps)/(1 - eps) when sim < eps, where the
     numerator is negative and the smallest norm product is the worst case.
     """
-    a = instance.tdm.matrix
-    smat = instance.similarity.matrix
+    a = instance.matrix
+    smat = instance.similarity
     x = linalg.project(instance.optimum.basis, a)
     gram = x.T @ x
     e = smat - gram
@@ -459,7 +463,7 @@ def verify_cosine_bound(instance: IdealInstance, slack: float = 1e-9) -> Theorem
         high = (sim + eps) / (1.0 - eps)
         viol_low = float(np.max(low - cos[iu]))
         viol_high = float(np.max(cos[iu] - high))
-        holds = viol_low <= slack and viol_high <= slack
+        holds = viol_low <= _COSINE_SLACK and viol_high <= _COSINE_SLACK
     else:
         viol_low = viol_high = math.nan
         holds = True

@@ -131,7 +131,7 @@ def test_criterion_03_singular_value_perturbation():
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         x1 = rng.standard_normal((m, n)) * scale
         x2 = x1 + rng.standard_normal((m, n)) * scale * 10.0 ** rng.uniform(-6.0, 0.0)
-        rec = theory.verify_sv_perturbation(x1, x2, slack=1e-10)
+        rec = theory.verify_sv_perturbation(x1, x2)
         failures += not rec.holds
     dt = perf_counter() - t0
     ok = failures == 0 and dt < 30.0
@@ -146,7 +146,7 @@ def test_criterion_04_exact_dominance_at_zero_noise():
         tm = _single_topic_model(counts)
         inst = theory.construct_ideal_instance(tm, m=100, noise=0.0, seed=4)
         stats = theory.topic_stats(tm)
-        rec = theory.verify_dominance_interval(inst, slack=1e-8)
+        rec = theory.verify_dominance_interval(inst)
         worst = max(worst, rec.quantities["max_deviation"])
         ok = (
             ok
@@ -167,8 +167,8 @@ def test_criterion_05_interval_and_angle_bounds_under_noise(noisy_suite):
     angle_failures = 0
     met = 0
     for inst in instances:
-        dom_failures += not theory.verify_dominance_interval(inst, slack=1e-6).holds
-        rec = theory.verify_truncation_angle(inst, slack=1e-6)
+        dom_failures += not theory.verify_dominance_interval(inst).holds
+        rec = theory.verify_truncation_angle(inst)
         met += rec.condition_met
         angle_failures += not rec.holds
     dt = build_s + (perf_counter() - t0)
@@ -199,7 +199,7 @@ def test_optimum_search_agrees_with_verifier_and_dense_search(noisy_suite):
     instances, _ = noisy_suite
     for inst, (dense_eps, dense_h) in zip(instances, DENSE_SEARCH_OPTIMA):
         opt = inst.optimum
-        a = inst.tdm.matrix
+        a = inst.matrix
         recomputed = theory.deviation_error(inst.similarity, a, opt.basis)
         assert abs(opt.eps_opt - recomputed) <= 1e-12
         assert opt.eps_opt <= dense_eps + 1e-12
@@ -209,7 +209,7 @@ def test_optimum_search_agrees_with_verifier_and_dense_search(noisy_suite):
 def test_criterion_06_cosine_envelope(noisy_suite):
     instances, _ = noisy_suite
     t0 = perf_counter()
-    records = [theory.verify_cosine_bound(inst, slack=1e-9) for inst in instances]
+    records = [theory.verify_cosine_bound(inst) for inst in instances]
     applicable = sum(r.condition_met for r in records)
     failures = sum(not r.holds for r in records)
     dt = perf_counter() - t0

@@ -288,6 +288,21 @@ def test_negative_seed_is_data_error(argv, tmp_path, capsys):
     assert err.startswith("error: rng_seed") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("seeds", [",", "3:3"])
+@pytest.mark.parametrize("with_corpus", [False, True])
+def test_seeds_naming_no_seed_is_usage_error(seeds, with_corpus, tmp_path, capsys):
+    argv = ["run", "--dist", "5,5", "--seeds", seeds, "--methods", "lsi", "--topics", "2",
+            "--metrics", "kappa", "--out", str(tmp_path / "o.csv")]
+    if with_corpus:
+        assert cli.main(["synth", "--dist", "3,3", "--out", str(tmp_path / "c")]) == 0
+        argv += ["--corpus", str(tmp_path / "c")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seeds") and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_verify_emits_parseable_records(tmp_path):
     out = tmp_path / "checks.jsonl"
     rc = cli.main(["verify", "--trials", "2", "--out", str(out)])

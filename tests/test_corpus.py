@@ -108,14 +108,6 @@ def test_intra_topic_pairs():
     assert set(zip(*np.nonzero(mask))) == {(0, 1), (1, 2)}
 
 
-def test_similarity_matrix_is_relevance_gram():
-    docs = _docs("x1", "y2", topics=[{"a"}, {"a", "b"}])
-    tm = corpus.topic_model_from_docs(docs)
-    sim = corpus.similarity_matrix(tm)
-    assert sim.matrix == pytest.approx(tm.relevance.T @ tm.relevance)
-    assert sim.matrix[0, 1] == pytest.approx(1 / math.sqrt(2))
-
-
 def test_synth_spec_validation():
     with pytest.raises(ParameterError):
         corpus.SynthSpec(distribution=())
@@ -139,32 +131,6 @@ def test_synth_spec_bad_values_are_parameter_errors_naming_the_field():
     spec = corpus.SynthSpec(distribution=(np.int64(5), 3), doc_length=np.int32(20))
     assert spec.distribution == (5, 3) and spec.doc_length == 20
     assert all(type(c) is int for c in spec.distribution)
-
-
-def test_synth_spec_from_mapping_coerces_strings():
-    spec = corpus.synth_spec_from_mapping(
-        {"distribution": "46,4", "noise_rate": "0.3", "rng_seed": "7"}
-    )
-    assert spec.distribution == (46, 4)
-    assert spec.noise_rate == 0.3
-    assert spec.rng_seed == 7
-    with pytest.raises(ParameterError):
-        corpus.synth_spec_from_mapping({"distribution": "2,2", "bogus": "1"})
-    with pytest.raises(ParameterError, match="distribution"):
-        corpus.synth_spec_from_mapping({"noise_rate": "0.3"})
-
-
-@pytest.mark.parametrize(
-    "kv, key",
-    [
-        ({"distribution": "a,b"}, "distribution"),
-        ({"distribution": "2,2", "noise_rate": "x"}, "noise_rate"),
-        ({"distribution": "2,2", "doc_length": "1.5"}, "doc_length"),
-    ],
-)
-def test_synth_spec_from_mapping_bad_value_is_parameter_error(kv, key):
-    with pytest.raises(ParameterError, match=f"{key}.*{kv[key]}"):
-        corpus.synth_spec_from_mapping(kv)
 
 
 def test_synthesize_collection_counts_and_labels():

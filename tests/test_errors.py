@@ -7,7 +7,7 @@ from irrspace import corpus, evalmetrics, subspace, theory
 from irrspace.errors import ParameterError
 
 _TM = corpus.TopicModel(relevance=np.repeat(np.eye(2), 3, axis=1), topic_ids=("a", "b"))
-_Z = theory.construct_ideal_instance(_TM, m=8, noise=0.1, seed=0).tdm.matrix
+_Z = theory.construct_ideal_instance(_TM, m=8, noise=0.1, seed=0).matrix
 
 _CALLS = {
     "irr_config_fractional_ell": lambda: subspace.IrrConfig(ell=2.5),

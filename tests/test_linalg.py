@@ -135,27 +135,6 @@ def test_project_rejects_bad_basis():
         linalg.project(np.eye(3)[:, :2], z)
 
 
-def test_spectral_norm_matches_oracle():
-    rng = np.random.default_rng(13)
-    for shape in [(5, 5), (8, 3), (3, 8), (20, 7)]:
-        z = rng.standard_normal(shape)
-        assert linalg.spectral_norm(z) == pytest.approx(
-            float(oracle_singular_values(z)[0]), abs=1e-9
-        )
-    assert linalg.spectral_norm(np.zeros((4, 4))) == 0.0
-
-
-def test_spectral_norm_handles_repeated_extremes():
-    # equal top singular values are the classic power-iteration trap
-    assert linalg.spectral_norm(np.eye(6)) == pytest.approx(1.0, abs=1e-10)
-    assert linalg.spectral_norm(np.diag([3.0, 3.0, 1.0])) == pytest.approx(3.0, abs=1e-10)
-
-
-def test_frobenius_norm():
-    z = np.array([[3.0, 0.0], [4.0, 0.0]])
-    assert linalg.frobenius_norm(z) == pytest.approx(5.0, abs=1e-15)
-
-
 def test_canonical_angles_of_constructed_rotation():
     # plane 2 of b2 is plane 2 of b1 rotated by a known angle
     t = 0.3
@@ -211,5 +190,5 @@ def test_singular_value_shift_bounded_by_perturbation_norm():
     e = rng.standard_normal((6, 4)) * 0.1
     s1 = linalg.svd(z).s
     s2 = linalg.svd(z + e).s
-    assert np.max(np.abs(s1 - s2)) <= linalg.spectral_norm(e) + 1e-10
-    assert linalg.spectral_norm(e) <= linalg.frobenius_norm(e) + 1e-10
+    assert np.max(np.abs(s1 - s2)) <= np.linalg.norm(e, 2) + 1e-10
+    assert np.linalg.norm(e, 2) <= np.linalg.norm(e) + 1e-10

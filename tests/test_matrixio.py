@@ -1,6 +1,7 @@
 """Binary/CSV matrix serialization and basis persistence."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,8 @@ _SIDECAR_FAULTS = {
     "q_string": lambda meta: {**meta, "q": "0"},
     "alpha_bool": lambda meta: {**meta, "alpha": True},
     "beta_object": lambda meta: {**meta, "beta": {}},
+    "ratios_nan": lambda meta: {**meta, "residual_ratios": [math.nan] * 3},
+    "q_infinity": lambda meta: {**meta, "q": math.inf},
 }
 
 

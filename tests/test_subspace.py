@@ -145,7 +145,7 @@ def test_theta_mode_selects_topic_count_on_exact_instance():
     rho[1, 5:] = 1.0
     tm = TopicModel(relevance=rho, topic_ids=("t0", "t1"))
     inst = theory.construct_ideal_instance(tm, m=30, noise=0.0, seed=0)
-    got = subspace.dimensionality_by_residual_ratio(inst.tdm.matrix, theta=0.01, q=0.0)
+    got = subspace.dimensionality_by_residual_ratio(inst.matrix, theta=0.01, q=0.0)
     assert got == 2
 
 
@@ -356,17 +356,29 @@ def _lsi_and_irr_at_q0(z, stop):
         ({"ell": 3}, (3, False)),
         ({"ell": 5}, (3, True)),
         ({"theta": 1e-3}, (2, False)),
-        ({"theta": 1e-40}, (3, True)),
+        ({"theta": 1e-40}, (3, False)),
     ],
 )
 def test_lsi_and_irr_keep_a_direction_just_above_the_zero_rule(stop, want):
     # sigma_3 = 1e-11 sigma_1 leaves a tail of ~9e-12 ||Z||_F, above
     # ZERO_RTOL, so both take it; its ratio 3.3e-24 is read without
-    # cancelling.  The roundoff ratio left after it exceeds theta = 1e-40 on
-    # this matrix, so both then find the residual exhausted.
+    # cancelling.  What is left after it meets the zero rule, so both read
+    # its ratio as 0 <= theta = 1e-40 and stop there, not exhausted.
     z = _planted(40, 30, np.array([1.0, 0.5, 1e-11]), seed=0)
     got, _ = _lsi_and_irr_at_q0(z, stop)
     assert (got.ell, got.exhausted) == want
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_theta_below_the_roundoff_past_the_rank_is_not_exhaustion(seed):
+    # past the rank of a 2 x 6 rank-one matrix, lsi's sigma_2 and irr's
+    # residual are roundoff of ~1e-33 relative; read as that, a theta of
+    # 1e-34 of the first ratio was met by one and not the other (seed 1: lsi
+    # exhausted, irr not; seed 7 the reverse).  Both read it as 0.
+    z = _planted(2, 6, np.array([1.0]), seed=seed)
+    got, ref = _lsi_and_irr_at_q0(z, {"theta": 1e-34 * np.sum(z**2) / 6})
+    assert (got.ell, got.exhausted) == (1, False)
+    assert got.residual_ratios[1] == ref.residual_ratios[1] == 0.0
 
 
 @settings(deadline=None, max_examples=300)
@@ -389,10 +401,6 @@ def test_lsi_is_irr_at_q0_on_planted_spectra(seed, m, n, data):
     rank = int(np.count_nonzero(tails > zero))
     if data.draw(st.booleans(), label="theta mode"):
         t = data.draw(st.floats(0.0, 44.0), label="-log10(theta / first ratio)")
-        # past a planted rank below min(m, n), the ratio is roundoff (0 to
-        # ~1e-30 relative): whether a theta under 1e-26 meets it is not
-        # determined by the matrix
-        assume(not (rank == k < p and t > 26.0))
         r0 = np.sum(s**2) / n
         theta = r0 * 10.0**-t
         planted = tails[1:] ** 2 * r0

@@ -168,9 +168,9 @@ def test_ideal_instance_noise_zero_is_exact():
     assert inst.optimum.is_exact
     assert inst.optimum.h == 2
     assert inst.optimum.eps_opt < 1e-12
-    assert np.allclose(np.linalg.norm(inst.tdm.matrix, axis=0), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(inst.matrix, axis=0), 1.0, atol=1e-12)
     # projected singular values squared equal the topic dominances squared
-    sig = np.linalg.svd(inst.optimum.basis.T @ inst.tdm.matrix, compute_uv=False)
+    sig = np.linalg.svd(inst.optimum.basis.T @ inst.matrix, compute_uv=False)
     assert np.allclose(np.sort(sig**2), [3.0, 5.0], atol=1e-10)
 
 
@@ -178,7 +178,7 @@ def test_ideal_instance_noise_perturbs_but_normalizes():
     tm = _single_topic((4, 4))
     inst = theory.construct_ideal_instance(tm, m=50, noise=0.1, seed=5)
     assert not inst.optimum.is_exact
-    assert np.allclose(np.linalg.norm(inst.tdm.matrix, axis=0), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(inst.matrix, axis=0), 1.0, atol=1e-12)
     assert inst.optimum.h <= 2
     assert 0.0 < inst.optimum.eps_opt < 1.0
 
@@ -199,8 +199,8 @@ def test_ideal_instance_rejects_non_finite_noise(noise):
 
 def test_ideal_instance_deterministic():
     tm = _single_topic((3, 2))
-    a1 = theory.construct_ideal_instance(tm, m=15, noise=0.2, seed=9).tdm.matrix
-    a2 = theory.construct_ideal_instance(tm, m=15, noise=0.2, seed=9).tdm.matrix
+    a1 = theory.construct_ideal_instance(tm, m=15, noise=0.2, seed=9).matrix
+    a2 = theory.construct_ideal_instance(tm, m=15, noise=0.2, seed=9).matrix
     assert np.array_equal(a1, a2)
 
 
@@ -265,7 +265,7 @@ def test_standard_instance_suite_deterministic_and_varied():
     s1 = theory.standard_instance_suite(6, seed=1)
     s2 = theory.standard_instance_suite(6, seed=1)
     for a, b in zip(s1, s2):
-        assert np.array_equal(a.tdm.matrix, b.tdm.matrix)
+        assert np.array_equal(a.matrix, b.matrix)
     assert {i.topic_model.n_topics for i in s1} == {2, 5}
     assert {i.noise for i in s1} == {0.05, 0.1, 0.2}
     mingled = [i for i in s1 if theory.topic_stats(i.topic_model).mingling > 0]
