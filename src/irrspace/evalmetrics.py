@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import cut_tree, linkage
+from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
 from . import linalg
@@ -115,9 +115,37 @@ def _cosine_distances(x: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
+def cut_tree(z: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Flat labels of a monotone linkage ``z`` cut into ``n_clusters`` groups.
+
+    Reproduces scipy's ``cut_tree(z, n_clusters=k)``, ties included.  scipy
+    does not apply the merges in z's row order: it applies them by height,
+    and at equal heights in reverse breadth-first order from the root,
+    visiting the right child before the left.  The first n - k merges in
+    that order form k trees; each leaf takes its tree's root, and the roots
+    are relabelled 0, 1, ... by first appearance among the leaves.
+    """
+    n = z.shape[0] + 1
+    children = z[:, :2].astype(np.intp)
+    # breadth-first position of each merge; the queue grows as it is walked
+    bfs = np.empty(n - 1, np.intp)
+    queue = [2 * n - 2]
+    for pos, node in enumerate(queue):
+        bfs[node - n] = pos
+        queue.extend(c for c in children[node - n, ::-1] if c >= n)
+    kept = np.lexsort((-bfs, z[:, 2]))[: n - n_clusters]
+    # a merge's children are ids below its own, so a descending sweep pushes
+    # every root down to its leaves
+    root = np.arange(2 * n - 1)
+    for row in np.sort(kept)[::-1]:
+        root[children[row]] = root[n + row]
+    _, first, inverse = np.unique(root[:n], return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 def _hierarchical(x: np.ndarray, k: int, algorithm: str) -> np.ndarray:
     z = linkage(squareform(_cosine_distances(x), checks=False), method=_LINKAGE[algorithm])
-    return cut_tree(z, n_clusters=k).ravel().astype(np.intp)
+    return cut_tree(z, k)
 
 
 def _spherical_kmeans(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -158,6 +186,8 @@ def cluster(z, k: int, algorithm: str) -> np.ndarray:
     k = as_integer("k", k)
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
+    if k == 1:
+        return np.zeros(n, dtype=np.intp)  # every algorithm's one cluster
     if algorithm in _LINKAGE:
         return _hierarchical(x, k, algorithm)
     base = algorithm.removeprefix("kmeans_")

@@ -126,7 +126,7 @@ def load_basis(path) -> SubspaceBasis:
     method = meta.get("method")
     if method not in METHODS:
         raise DataError(f"{side}: unknown method {method!r}")
-    if meta.get("ell") != mat.shape[1]:
+    if not (_finite_number(meta.get("ell")) and meta["ell"] == mat.shape[1]):
         raise DataError(f"{side}: ell does not match the stored basis")
     ratios = meta.get("residual_ratios", [])
     if not isinstance(ratios, list) or not all(map(_finite_number, ratios)):

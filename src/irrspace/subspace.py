@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import ParameterError, as_integer
@@ -113,21 +114,28 @@ def rescale(z, q: float) -> np.ndarray:
     return a * np.power(norms, q)
 
 
-def _leading_left_vector(r: np.ndarray) -> np.ndarray:
-    """First left singular vector of r, solved on the smaller Gram side.
+def _leading_left_vector(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """First left singular vector of r scaled column-wise by w.
 
-    A dense symmetric eigen-solve is backward stable, but the direction it
+    Only the top eigenpair of the weighted Gram on the smaller side is
+    solved, by MRRR (LAPACK ``evr``); for m > n that is the n x n
+    diag(w) r^T r diag(w), so the scaled m x n matrix is never formed.  A
+    dense symmetric eigen-solve is backward stable, but the direction it
     returns is accurate only to about machine precision times
     lambda_1 / (lambda_1 - lambda_2): when the top two eigenvalues nearly
     coincide, the direction is not determined.
     """
     m, n = r.shape
     if m <= n:
-        w, vecs = np.linalg.eigh(r @ r.T)
-        b = vecs[:, -1]
+        rw = r * w
+        _, vec = scipy.linalg.eigh(rw @ rw.T, subset_by_index=[m - 1, m - 1], driver="evr")
+        b = vec[:, 0]
     else:
-        w, vecs = np.linalg.eigh(r.T @ r)
-        b = r @ vecs[:, -1]
+        g = r.T @ r
+        g *= w[:, None]
+        g *= w[None, :]
+        _, vec = scipy.linalg.eigh(g, subset_by_index=[n - 1, n - 1], driver="evr")
+        b = r @ (w * vec[:, 0])
         b /= np.linalg.norm(b)
     i = int(np.argmax(np.abs(b)))
     if b[i] < 0.0:
@@ -139,6 +147,11 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
     """Iterative residual rescaling under the given configuration."""
     a = linalg.as_matrix(z)
     n = a.shape[1]
+    with np.errstate(over="ignore"):
+        initial_fro = float(np.linalg.norm(a))
+    if not math.isfinite(initial_fro):
+        # a finite ||A||_F^2 keeps every Gram entry finite: |r_i . r_j| <= ||A||_F^2
+        raise ParameterError("input matrix is too large: its squared norm overflows")
     q = config.q if config.q is not None else auto_scale(a, config.alpha, config.beta)
 
     # In theta mode a residual that meets the zero rule, ratio 0, ends the
@@ -146,7 +159,6 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
     limit = config.ell if config.theta is None else min(a.shape)
 
     resid = a.copy()
-    initial_fro = float(np.linalg.norm(a))
     vanish = linalg.ZERO_RTOL * initial_fro
     ratios = [initial_fro**2 / n]
     cols: list[np.ndarray] = []
@@ -155,11 +167,11 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
         if ratios[-1] == 0.0:
             exhausted = True
             break
-        # The solve only needs the direction, so weight by (|r_i| / top)^q:
-        # the longest column's weight is exactly 1, so no q under- or overflows.
+        # The solve only needs the direction, so weight by (|r_i| / top)^q / top:
+        # the longest weighted column has norm 1, so no q under- or overflows.
         norms = np.linalg.norm(resid, axis=0)
         top = float(np.max(norms))
-        b = _leading_left_vector(resid / top * np.power(norms / top, q))
+        b = _leading_left_vector(resid, np.power(norms / top, q) / top)
         if cols:
             # Deflation leaves roundoff along earlier directions, which
             # dominates b once the residual is tiny; project it out again.

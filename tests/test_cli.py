@@ -89,6 +89,25 @@ def test_run_is_deterministic_modulo_timing(tmp_path):
     assert _strip_timing(_read_rows(out1)) == _strip_timing(_read_rows(out2))
 
 
+def test_run_clusters_a_one_document_collection(tmp_path):
+    out = tmp_path / "one.csv"
+    rc = cli.main(
+        [
+            "run", "--dist", "1", "--seeds", "0", "--methods", "vsm,lsi,irr",
+            "--metrics", "cluster", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    rows = _read_rows(out)
+    assert sorted(r["method"] for r in rows) == ["irr", "lsi", "vsm"]
+    for row in rows:
+        for name in (
+            "single_link", "complete_link", "group_average", "kmeans_single_link",
+            "kmeans_complete_link", "kmeans_group_average", "floor", "ceiling",
+        ):
+            assert float(row[name]) == 1.0
+
+
 def test_run_on_corpus_directory(tmp_path):
     corpus_dir = tmp_path / "corp"
     assert cli.main(["synth", "--dist", "6,4", "--seed", "2", "--noise", "0.2",

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import cut_tree as scipy_cut_tree
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist
 
 from irrspace import evalmetrics
 from irrspace.corpus import TopicModel
@@ -340,6 +343,41 @@ def test_cluster_validates_arguments():
         evalmetrics.cluster(z, 13, "single_link")
     with pytest.raises(ParameterError):
         evalmetrics.cluster(z, 2, "ward")
+
+
+@pytest.mark.parametrize("algorithm", evalmetrics.ALGORITHMS)
+def test_one_cluster_is_all_zeros_even_for_one_document(algorithm):
+    assert np.array_equal(evalmetrics.cluster(np.ones((3, 1)), 1, algorithm), [0])
+    labels = evalmetrics.cluster(_two_blob_matrix(), 1, algorithm)
+    assert labels.dtype == np.intp and np.array_equal(labels, np.zeros(12))
+
+
+def test_cut_tree_matches_scipy_on_every_k_with_ties():
+    # coordinates rounded to 0 or 1 decimals give many equal merge heights
+    rng = np.random.default_rng(20010909)
+    for trial in range(60):
+        n = int(rng.integers(2, 81))
+        x = np.round(rng.uniform(0.0, 3.0, (n, int(rng.integers(1, 4)))), trial % 2)
+        z = linkage(pdist(x), method=("single", "complete", "average")[trial % 3])
+        # scipy fills the k = n column at index 0, so ask for k descending
+        want = scipy_cut_tree(z, n_clusters=np.arange(n, 0, -1))
+        for k in range(1, n + 1):
+            got = evalmetrics.cut_tree(z, k)
+            assert got.dtype == np.intp and got.shape == (n,)
+            assert np.array_equal(got, want[:, n - k]), (trial, k)
+
+
+def test_cut_tree_applies_tied_merges_in_scipy_order():
+    # single link on the points 3, 3, 1, 1, 1: all three merges at height 0
+    # tie.  Applying z's rows in order would join leaves 0 and 1 first; scipy
+    # applies tied merges in reverse breadth-first order from the root, right
+    # child first, so the first merge is row 1, which joins leaves 2 and 3.
+    z = np.array(
+        [[0.0, 1.0, 0.0, 2.0], [2.0, 3.0, 0.0, 2.0], [4.0, 6.0, 0.0, 3.0], [5.0, 7.0, 2.0, 5.0]]
+    )
+    want = [0, 1, 2, 2, 3]
+    assert np.array_equal(scipy_cut_tree(z, n_clusters=4).ravel(), want)
+    assert np.array_equal(evalmetrics.cut_tree(z, 4), want)
 
 
 def test_floor_ceiling_brackets_all_scores():

@@ -124,6 +124,7 @@ _SIDECAR_FAULTS = {
     "beta_object": lambda meta: {**meta, "beta": {}},
     "ratios_nan": lambda meta: {**meta, "residual_ratios": [math.nan] * 3},
     "q_infinity": lambda meta: {**meta, "q": math.inf},
+    "ell_true": lambda meta: {**meta, "ell": True},
 }
 
 
@@ -137,3 +138,17 @@ def test_load_basis_rejects_malformed_sidecar_values(tmp_path, fault):
     sidecar.write_text(json.dumps(fault(meta)))
     with pytest.raises(DataError):
         matrixio.load_basis(path)
+
+
+def test_load_basis_rejects_bool_ell_on_a_one_column_basis(tmp_path):
+    # JSON true equals 1, so only a type check keeps it out for ell = 1
+    basis = subspace.lsi(np.random.default_rng(4).standard_normal((8, 5)), 1)
+    path = tmp_path / "b.ssm1"
+    matrixio.save_basis(path, basis)
+    sidecar = path.with_name(path.name + ".json")
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "ell": True}))
+    with pytest.raises(DataError, match="ell"):
+        matrixio.load_basis(path)
+    sidecar.write_text(json.dumps(meta))
+    assert matrixio.load_basis(path).ell == 1

@@ -1,6 +1,7 @@
 """Basis extraction: truncation, rescaled iteration, and scale selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ def test_first_vector_maximizes_rescaled_energy():
         v = rng.standard_normal(15)
         v /= np.linalg.norm(v)
         assert np.linalg.norm(v @ scaled) <= captured + 1e-10
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (9, 30), (15, 15)], ids=["tall", "wide", "square"])
+def test_leading_left_vector_matches_full_eigh_of_weighted_gram(shape):
+    rng = np.random.default_rng(13)
+    checked = 0
+    while checked < 5:
+        r = rng.standard_normal(shape)
+        w = rng.uniform(0.0, 2.0, shape[1])
+        rw = r * w
+        lam, vecs = np.linalg.eigh(rw @ rw.T)
+        if (lam[-1] - lam[-2]) / lam[-1] < 1e-2:
+            continue
+        want = vecs[:, -1]
+        if want[np.argmax(np.abs(want))] < 0.0:
+            want = -want
+        got = subspace._leading_left_vector(r, w)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        checked += 1
 
 
 def test_extracted_basis_is_orthonormal_and_residuals_shrink():
@@ -330,6 +350,15 @@ def test_irr_tiny_input_is_not_zero():
     assert subspace.irr(z, subspace.IrrConfig(q=1.0, ell=3)).ell == 3
     with pytest.raises(ParameterError, match="zero"):
         subspace.irr(np.zeros((30, 20)), subspace.IrrConfig(q=1.0, ell=3))
+
+
+@pytest.mark.parametrize("m", [30, 8])
+@pytest.mark.parametrize("q", [0.0, 2.0, None])
+def test_irr_input_whose_squared_norm_overflows_is_a_parameter_error(m, q):
+    z = np.random.default_rng(0).standard_normal((m, 20)) * 1e154
+    with warnings.catch_warnings(), pytest.raises(ParameterError, match="too large"):
+        warnings.simplefilter("error")
+        subspace.irr(z, subspace.IrrConfig(q=q, ell=3))
 
 
 def _planted(m, n, s, seed):
