@@ -343,7 +343,9 @@ def _run_cell(dataset: str, dist_label: str, seed: int | None, load, plan: _RunP
         if basis is None:
             x, q_out, ell_out = z, None, None
         else:
-            x, q_out, ell_out = subspace.represent(basis, z), basis.q, basis.ell
+            # cosines and spherical k-means read the same on the ell x n
+            # coordinates B^T z as on the projection B B^T z (B orthonormal)
+            x, q_out, ell_out = basis.basis.T @ z, basis.q, basis.ell
 
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(

@@ -77,14 +77,21 @@ class SvdResult:
         return int(np.count_nonzero(tails[:-1] > ZERO_RTOL**2 * tails[0]))
 
 
+def column_signs(u: np.ndarray) -> np.ndarray:
+    """The sign rule: +1 or -1 per column of ``u``, chosen so that the
+    column's largest-magnitude entry becomes positive (a zero column gets +1)."""
+    idx = np.argmax(np.abs(u), axis=0)
+    signs = np.sign(u[idx, np.arange(u.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return signs
+
+
 def svd(z) -> SvdResult:
     """Full economy SVD with deterministic signs."""
     a = as_matrix(z)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     v = vt.T.copy()
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[idx, np.arange(u.shape[1])])
-    signs[signs == 0.0] = 1.0
+    signs = column_signs(u)
     u = u * signs
     v = v * signs
     return SvdResult(u=u, s=s, v=v)

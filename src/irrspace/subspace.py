@@ -6,6 +6,12 @@ left singular vector of the rescaled matrix becomes the next basis vector,
 and its projection is subtracted from the *unrescaled* residuals.  Amplifying
 long residuals (q > 0) pulls the basis toward minority topics that plain
 truncated SVD (the q = 0 special case) sacrifices on skewed collections.
+
+Every IRR direction lies in range(A), so for a tall m x n matrix A (m > n)
+the loop runs on the n x n core T of A = Q T, the idea of T. F. Chan's R-SVD
+("An improved algorithm for computing the singular value decomposition", ACM
+TOMS, 1982).  The change of variables is orthogonal, so it is backward
+stable and moves the basis only by roundoff.
 """
 
 from __future__ import annotations
@@ -96,13 +102,18 @@ def auto_scale(z, alpha: float = 3.5, beta: float = 0.0) -> float:
 
     f = (||A^T A||_F / n)^2 estimates topic-dominance non-uniformity from the
     matrix alone; it is invariant under column permutation.  The norm is
-    taken on the smaller Gram matrix, since ||A^T A||_F = ||A A^T||_F.
+    taken on the smaller Gram matrix, since ||A^T A||_F = ||A A^T||_F.  An
+    input large enough for f or q to overflow is a ParameterError.
     """
     a = linalg.as_matrix(z)
     m, n = a.shape
-    gram = a @ a.T if m < n else a.T @ a
-    f = (float(np.linalg.norm(gram)) / n) ** 2
-    return max(0.0, alpha * f + beta)
+    with np.errstate(over="ignore"):
+        gram = a @ a.T if m < n else a.T @ a
+        f = (float(np.linalg.norm(gram)) / n) ** 2
+    q = max(0.0, alpha * f + beta)
+    if not (math.isfinite(f) and math.isfinite(q)):
+        raise ParameterError("input matrix is too large: the auto_scale estimate overflows")
+    return q
 
 
 def rescale(z, q: float) -> np.ndarray:
@@ -115,38 +126,33 @@ def rescale(z, q: float) -> np.ndarray:
 
 
 def _leading_left_vector(r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """First left singular vector of r scaled column-wise by w.
+    """First left singular vector of the m x n matrix r scaled column-wise by
+    w, for m <= n (irr passes the n x n QR core of a tall input).
 
-    Only the top eigenpair of the weighted Gram on the smaller side is
-    solved, by MRRR (LAPACK ``evr``); for m > n that is the n x n
-    diag(w) r^T r diag(w), so the scaled m x n matrix is never formed.  A
-    dense symmetric eigen-solve is backward stable, but the direction it
-    returns is accurate only to about machine precision times
-    lambda_1 / (lambda_1 - lambda_2): when the top two eigenvalues nearly
-    coincide, the direction is not determined.
+    Only the top eigenpair of the m x m Gram (r w)(r w)^T is solved, by MRRR
+    (LAPACK ``evr``).  A dense symmetric eigen-solve is backward stable, but
+    the direction it returns is accurate only to about machine precision
+    times lambda_1 / (lambda_1 - lambda_2): when the top two eigenvalues
+    nearly coincide, the direction is not determined.
     """
-    m, n = r.shape
-    if m <= n:
-        rw = r * w
-        _, vec = scipy.linalg.eigh(rw @ rw.T, subset_by_index=[m - 1, m - 1], driver="evr")
-        b = vec[:, 0]
-    else:
-        g = r.T @ r
-        g *= w[:, None]
-        g *= w[None, :]
-        _, vec = scipy.linalg.eigh(g, subset_by_index=[n - 1, n - 1], driver="evr")
-        b = r @ (w * vec[:, 0])
-        b /= np.linalg.norm(b)
-    i = int(np.argmax(np.abs(b)))
-    if b[i] < 0.0:
-        b = -b
-    return b
+    m = r.shape[0]
+    rw = r * w
+    _, vec = scipy.linalg.eigh(rw @ rw.T, subset_by_index=[m - 1, m - 1], driver="evr")
+    return vec[:, 0] * linalg.column_signs(vec)
 
 
 def irr(z, config: IrrConfig) -> SubspaceBasis:
-    """Iterative residual rescaling under the given configuration."""
+    """Iterative residual rescaling under the given configuration.
+
+    For m > n the loop runs on the QR core T of A = Q T.  Q has orthonormal
+    columns, so a residual of T has the column norms and Frobenius norm of
+    the matching residual of A, and the zero rule reads the same.  The basis
+    is Q Y, with the sign rule (``linalg.column_signs``) applied to its
+    columns.  That costs one m x n QR and one m x n x ell product; each step
+    works on n x n matrices.  For m <= n the loop runs on A itself.
+    """
     a = linalg.as_matrix(z)
-    n = a.shape[1]
+    m, n = a.shape
     with np.errstate(over="ignore"):
         initial_fro = float(np.linalg.norm(a))
     if not math.isfinite(initial_fro):
@@ -156,9 +162,9 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
 
     # In theta mode a residual that meets the zero rule, ratio 0, ends the
     # loop by this bound at the latest.
-    limit = config.ell if config.theta is None else min(a.shape)
+    limit = config.ell if config.theta is None else min(m, n)
 
-    resid = a.copy()
+    frame, resid = np.linalg.qr(a) if m > n else (None, a.copy())
     vanish = linalg.ZERO_RTOL * initial_fro
     ratios = [initial_fro**2 / n]
     cols: list[np.ndarray] = []
@@ -187,8 +193,12 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
             break
     if not cols:
         raise ParameterError(linalg.ZERO_MATRIX)
+    basis = np.column_stack(cols)
+    if frame is not None:
+        basis = frame @ basis
+        basis *= linalg.column_signs(basis)
     return SubspaceBasis(
-        basis=np.column_stack(cols),
+        basis=basis,
         method="irr",
         q=float(q),
         residual_ratios=tuple(ratios),

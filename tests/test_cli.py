@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrspace import cli, matrixio
+from irrspace import cli, corpus, evalmetrics, matrixio, subspace
 
 
 def _read_rows(path):
@@ -486,3 +487,53 @@ _VERIFY_FLAGS = {
 )
 def test_verify_flag_fuzz_ends_in_an_exit_code(flags, junk):
     assert _main_quietly(_argv(["verify", "--trials", "1"], flags, junk)) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("method", ["lsi", "irr"])
+def test_subspace_rows_score_as_the_projection(method, tmp_path):
+    # run scores lsi and irr on the coordinates B^T z, whose cosines are the
+    # projection's; the projection B B^T z stays the oracle for every score
+    out, saved = tmp_path / "rows.csv", tmp_path / "basis.ssm1"
+    # a noisy cell, so that no score is 0 or 1
+    rc = cli.main(["run", "--dist", "10,8,6,4", "--seeds", "3", "--methods", method,
+                   "--noise", "0.6", "--doc-length", "20", "--ell", "3",
+                   "--metrics", "kappa,cluster", "--save-basis", str(saved), "--out", str(out)])
+    assert rc == 0
+    (row,) = _read_rows(out)
+    z, tm = cli._load_synth((10, 8, 6, 4), {"noise_rate": 0.6, "doc_length": 20}, 3)
+    x = subspace.represent(matrixio.load_basis(saved), z)
+    ranked = evalmetrics.rank_pairs(x)
+    intra = corpus.intra_topic_pairs(tm)
+    assert float(row["kappa"]) == evalmetrics.kappa_average_precision(ranked, intra)
+    outcome = evalmetrics.floor_ceiling(x, tm, 4)
+    for name in evalmetrics.ALGORITHMS:
+        assert float(row[name]) == outcome.scores[name]
+    assert (float(row["floor"]), float(row["ceiling"])) == (outcome.floor, outcome.ceiling)
+
+
+@pytest.mark.parametrize("method", ["lsi", "irr"])
+def test_save_basis_run_raises_no_floating_point_warning(method, tmp_path):
+    # the 46,4 corpus is 116 terms x 50 docs, so irr runs on its QR core
+    saved = tmp_path / "basis.ssm1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["run", "--dist", "46,4", "--seeds", "0", "--methods", method,
+                       "--ell", "ratio:0.5", "--metrics", "kappa,cluster",
+                       "--save-basis", str(saved), "--out", str(tmp_path / "rows.csv")])
+    assert rc == 0
+    basis = matrixio.load_basis(saved)
+    assert basis.basis.shape[0] > 50
+    assert basis.method == method and math.isfinite(basis.q)
+
+
+def test_run_whose_auto_q_overflows_is_a_parameter_error(tmp_path, capsys):
+    z = np.random.default_rng(0).standard_normal((30, 20)) * 1e77
+    mat = tmp_path / "big.ssm1"
+    matrixio.write_matrix_binary(mat, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["run", "--matrix", str(mat), "--methods", "irr", "--ell", "3",
+                       "--metrics", "none", "--save-basis", str(tmp_path / "b.ssm1"),
+                       "--out", str(tmp_path / "rows.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -462,3 +462,100 @@ def test_lsi_is_irr_at_q0_on_planted_spectra(seed, m, n, data):
 def test_zero_matrix_has_one_message(build):
     with pytest.raises(ParameterError, match="^input matrix is zero; no directions to extract$"):
         build(np.zeros((5, 4)))
+
+
+def _textbook_irr(z, q, ell=None, theta=None):
+    """IRR as the paper states it, in term space: the top left singular
+    vector of the whole m x n residual scaled by norms**q, deflated on the
+    unrescaled residual, under irr's stopping and zero rules."""
+    n = z.shape[1]
+    fro0 = np.linalg.norm(z)
+    resid = z.copy()
+    ratios = [fro0**2 / n]
+    cols = []
+    exhausted = False
+    while len(cols) < (ell if theta is None else min(z.shape)):
+        if ratios[-1] == 0.0:
+            exhausted = True
+            break
+        u = np.linalg.svd(resid * np.linalg.norm(resid, axis=0) ** q, full_matrices=False)[0]
+        resid = resid - np.outer(u[:, 0], u[:, 0] @ resid)
+        cols.append(u[:, 0])
+        fro = np.linalg.norm(resid)
+        ratios.append(fro**2 / n if fro > linalg.ZERO_RTOL * fro0 else 0.0)
+        if theta is not None and ratios[-1] <= theta:
+            break
+    return np.column_stack(cols), ratios, exhausted
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (24, 8), (40, 12)], ids=["n+1", "3n", "40x12"])
+@pytest.mark.parametrize("q", [0.0, 1.5, None], ids=["q0", "q1.5", "auto"])
+@pytest.mark.parametrize("mode", ["ell", "theta"])
+def test_irr_on_tall_input_matches_the_term_space_loop(shape, q, mode):
+    m, n = shape
+    rng = np.random.default_rng(m * n)
+    z = rng.standard_normal(shape) * rng.uniform(0.2, 1.0, n) / math.sqrt(m)
+    q_used = subspace.auto_scale(z) if q is None else q
+    if mode == "ell":
+        stops = [{"ell": ell} for ell in (1, n // 2, n, n + 1)]
+    else:
+        # a theta between two of the loop's ratios, far from both
+        _, full, _ = _textbook_irr(z, q_used, ell=n)
+        stops = [{"theta": math.sqrt(full[k] * full[k + 1])} for k in (0, n // 2, n - 2)]
+    for stop in stops:
+        want, want_ratios, want_exhausted = _textbook_irr(z, q_used, **stop)
+        got = subspace.irr(z, subspace.IrrConfig(q=q, **stop))
+        assert got.q == q_used
+        assert (got.ell, got.exhausted) == (want.shape[1], want_exhausted)
+        np.testing.assert_allclose(got.residual_ratios, want_ratios, rtol=1e-12, atol=0.0)
+        b = got.basis
+        assert np.all(b[np.argmax(np.abs(b), axis=0), np.arange(got.ell)] > 0.0)
+        if _least_rescaled_gap(z, want, q_used) >= 1e-2:
+            assert _sin_largest_angle(want, b) <= 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    extra=st.integers(1, 10),
+    q=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    data=st.data(),
+)
+def test_irr_on_tall_input_rotates_with_the_term_space(seed, n, extra, q, data):
+    m = n + extra
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, n)) * rng.uniform(0.1, 2.0, n)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    ell = data.draw(st.integers(1, n), label="ell")
+    b = subspace.irr(z, subspace.IrrConfig(q=q, ell=ell)).basis
+    assume(_least_rescaled_gap(z, b, q) >= 1e-2)
+    rotated = subspace.irr(u @ z, subspace.IrrConfig(q=q, ell=ell))
+    assert rotated.ell == ell
+    assert _sin_largest_angle(u @ b, rotated.basis) <= 1e-8
+
+
+@pytest.mark.parametrize("stop", [{"ell": 6}, {"theta": 0.5}])
+def test_irr_on_tall_input_solves_only_on_the_qr_core(monkeypatch, stop):
+    seen = []
+    solve = subspace._leading_left_vector
+
+    def spy(r, w):
+        seen.append(r.shape)
+        return solve(r, w)
+
+    monkeypatch.setattr(subspace, "_leading_left_vector", spy)
+    z = np.random.default_rng(5).standard_normal((600, 40))
+    got = subspace.irr(z, subspace.IrrConfig(q=1.0, **stop))
+    assert got.basis.shape == (600, got.ell)
+    assert seen == [(40, 40)] * got.ell
+
+
+@pytest.mark.parametrize("c", [1e76, 1e77])
+def test_auto_scale_that_overflows_is_a_parameter_error(c):
+    # ||A^T A||_F^2 of a 30 x 20 Gaussian x 1e76 overflows; q used to be inf
+    z = np.random.default_rng(0).standard_normal((30, 20)) * c
+    with warnings.catch_warnings(), pytest.raises(ParameterError, match="too large"):
+        warnings.simplefilter("error")
+        subspace.irr(z, subspace.IrrConfig(ell=3))
+    assert math.isfinite(subspace.auto_scale(z / c * 1e75))
