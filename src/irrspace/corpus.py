@@ -8,7 +8,6 @@ columns (with a warning) so that column indices keep lining up with doc ids.
 from __future__ import annotations
 
 import json
-import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionError, EmptyVocabularyError, ParameterError, as_integer
+from . import linalg
+from .errors import DataError, DimensionError, EmptyVocabularyError, ParameterError
+from .errors import as_integer, as_real
 from .stemming import porter_stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -39,16 +40,12 @@ class TermDocumentMatrix:
     doc_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2:
-            raise DimensionError("term-document matrix must be 2-D")
+        self.matrix = linalg.as_matrix(self.matrix, "term-document matrix")
         m, n = self.matrix.shape
         if len(self.terms) != m:
             raise DimensionError(f"{len(self.terms)} terms for {m} rows")
         if len(self.doc_ids) != n:
             raise DimensionError(f"{len(self.doc_ids)} doc ids for {n} columns")
-        if not np.isfinite(self.matrix).all():
-            raise DataError("term-document matrix has non-finite entries")
         norms = np.linalg.norm(self.matrix, axis=0)
         bad = np.abs(norms - 1.0) > 1e-8
         bad &= norms > 0.0
@@ -64,9 +61,7 @@ class TopicModel:
     topic_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        self.relevance = np.asarray(self.relevance, dtype=np.float64)
-        if self.relevance.ndim != 2:
-            raise DimensionError("relevance matrix must be 2-D")
+        self.relevance = linalg.as_matrix(self.relevance, "relevance matrix")
         if len(self.topic_ids) != self.relevance.shape[0]:
             raise DimensionError("topic id count does not match relevance rows")
         if (self.relevance < 0.0).any():
@@ -139,9 +134,6 @@ def topic_model_from_docs(docs: list[Document]) -> TopicModel:
     return TopicModel(relevance=rho, topic_ids=topic_ids)
 
 
-_SYNTH_MINIMA = {"vocab_per_topic": 1, "shared_vocab": 1, "doc_length": 1, "rng_seed": 0}
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of a synthetic single-topic collection.
@@ -164,18 +156,14 @@ class SynthSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = tuple(as_integer("distribution", c) for c in self.distribution)
-        if not counts or any(c < 1 for c in counts):
-            raise ParameterError("distribution needs at least one doc per topic")
+        counts = tuple(as_integer("distribution", c, 1) for c in self.distribution)
+        if not counts:
+            raise ParameterError("distribution needs at least one topic")
         object.__setattr__(self, "distribution", counts)
-        for name, low in _SYNTH_MINIMA.items():
-            value = as_integer(name, getattr(self, name))
-            if value < low:
-                raise ParameterError(f"{name} must be >= {low}")
-            object.__setattr__(self, name, value)
-        rate = self.noise_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 <= rate <= 1.0:
-            raise ParameterError(f"noise_rate must be in [0, 1], got {self.noise_rate!r}")
+        minima = {"vocab_per_topic": 1, "shared_vocab": 1, "doc_length": 1, "rng_seed": 0}
+        for name, low in minima.items():
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), low))
+        as_real("noise_rate", self.noise_rate, 0, 1)
 
 
 def synthesize_collection(spec: SynthSpec) -> tuple[list[Document], TopicModel]:
@@ -201,8 +189,8 @@ def synthesize_collection(spec: SynthSpec) -> tuple[list[Document], TopicModel]:
     return docs, tm
 
 
-def write_corpus_dir(path, docs: list[Document], manifest: dict | None = None) -> None:
-    """Write one .txt per document plus topics.tsv (and an optional manifest)."""
+def write_corpus_dir(path, docs: list[Document], manifest: dict) -> None:
+    """Write one .txt per document plus topics.tsv and manifest.json."""
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     for d in docs:
@@ -213,10 +201,9 @@ def write_corpus_dir(path, docs: list[Document], manifest: dict | None = None) -
         for t in sorted(d.topics)
     ]
     (p / "topics.tsv").write_text("".join(lines), encoding="utf-8")
-    if manifest is not None:
-        (p / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    (p / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def load_corpus_dir(path) -> list[Document]:

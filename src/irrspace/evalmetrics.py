@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import squareform
 
 from . import linalg
 from .corpus import TopicModel
@@ -109,12 +108,6 @@ def kappa_average_precision(ranked: RankedPairs, intra: np.ndarray) -> float:
     return (pap - chance) / (1.0 - chance)
 
 
-def _cosine_distances(x: np.ndarray) -> np.ndarray:
-    d = 1.0 - cosine_matrix(x)
-    np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0)
-
-
 def cut_tree(z: np.ndarray, n_clusters: int) -> np.ndarray:
     """Flat labels of a monotone linkage ``z`` cut into ``n_clusters`` groups.
 
@@ -144,8 +137,9 @@ def cut_tree(z: np.ndarray, n_clusters: int) -> np.ndarray:
 
 
 def _hierarchical(x: np.ndarray, k: int, algorithm: str) -> np.ndarray:
-    z = linkage(squareform(_cosine_distances(x), checks=False), method=_LINKAGE[algorithm])
-    return cut_tree(z, k)
+    # condensed cosine distances: the pairs i < j in row order
+    d = np.maximum(1.0 - cosine_matrix(x)[np.triu_indices(x.shape[1], 1)], 0.0)
+    return cut_tree(linkage(d, method=_LINKAGE[algorithm]), k)
 
 
 def _spherical_kmeans(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -183,9 +177,7 @@ def cluster(z, k: int, algorithm: str) -> np.ndarray:
     n = x.shape[1]
     if algorithm not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    k = as_integer("k", k)
-    if not 1 <= k <= n:
-        raise ParameterError(f"k must be in [1, {n}], got {k}")
+    k = as_integer("k", k, 1, n)
     if k == 1:
         return np.zeros(n, dtype=np.intp)  # every algorithm's one cluster
     if algorithm in _LINKAGE:
@@ -211,9 +203,9 @@ def contingency_table(
     topic_index = np.asarray(topic_index)
     if labels.shape != topic_index.shape:
         raise DimensionError("labels and topic assignments differ in length")
+    rows = _index_array(labels, as_integer("n_clusters", n_clusters, 0), "cluster label")
+    cols = _index_array(topic_index, as_integer("n_topics", n_topics, 0), "topic index")
     table = np.zeros((n_clusters, n_topics), dtype=np.int64)
-    rows = _index_array(labels, n_clusters, "cluster label")
-    cols = _index_array(topic_index, n_topics, "topic index")
     np.add.at(table, (rows, cols), 1)
     return table
 

@@ -1,9 +1,9 @@
 """Dense real matrix kernels: SVD, projection, canonical angles.
 
 All functions accept anything ``np.asarray`` can turn into a 2-D float64 array
-and validate it first.  Results are deterministic for a fixed input: the SVD
-sign ambiguity is resolved by making the largest-magnitude coordinate of each
-left singular vector positive.
+and validate it first with ``as_matrix``, the package's one array rule.  Results
+are deterministic for a fixed input: the SVD sign ambiguity is resolved by
+making the largest-magnitude coordinate of each left singular vector positive.
 """
 
 from __future__ import annotations
@@ -30,7 +30,12 @@ ORTHO_TOL = 1e-8
 
 def as_matrix(z, name: str = "matrix") -> np.ndarray:
     """Return ``z`` as a nonempty 2-D float64 array with finite entries."""
-    a = np.asarray(z, dtype=np.float64)
+    try:
+        if np.iscomplexobj(z):  # np.asarray would drop the imaginary part
+            raise TypeError("complex entries")
+        a = np.asarray(z, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{name} must hold real numbers: {exc}") from exc
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got shape {a.shape}")
     if a.shape[0] == 0 or a.shape[1] == 0:
@@ -40,11 +45,11 @@ def as_matrix(z, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_orthonormal(b: np.ndarray, name: str = "basis", tol: float = ORTHO_TOL) -> None:
-    """Raise InvalidBasisError unless the columns of ``b`` are orthonormal."""
+def require_orthonormal(b: np.ndarray, name: str = "basis") -> None:
+    """Raise InvalidBasisError unless the columns of ``b`` are orthonormal to ORTHO_TOL."""
     gram = b.T @ b
     dev = float(np.max(np.abs(gram - np.eye(b.shape[1]))))
-    if dev > tol:
+    if dev > ORTHO_TOL:
         raise InvalidBasisError(
             f"{name} columns are not orthonormal (max Gram deviation {dev:.3e})"
         )

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from . import linalg
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .subspace import METHODS, SubspaceBasis
 
 MAGIC = b"SSM1"
@@ -106,11 +105,6 @@ def save_basis(path, basis: SubspaceBasis) -> None:
     _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def _finite_number(x) -> bool:
-    # json reads NaN, Infinity and 1e999 too; type() also keeps out bool
-    return type(x) is float and math.isfinite(x)
-
-
 def load_basis(path) -> SubspaceBasis:
     mat = read_matrix_binary(path)
     side = _sidecar(path)
@@ -126,19 +120,20 @@ def load_basis(path) -> SubspaceBasis:
     method = meta.get("method")
     if method not in METHODS:
         raise DataError(f"{side}: unknown method {method!r}")
-    if not (_finite_number(meta.get("ell")) and meta["ell"] == mat.shape[1]):
+    # type() keeps out JSON true, which equals 1
+    if not (type(meta.get("ell")) is float and meta["ell"] == mat.shape[1]):
         raise DataError(f"{side}: ell does not match the stored basis")
     ratios = meta.get("residual_ratios", [])
-    if not isinstance(ratios, list) or not all(map(_finite_number, ratios)):
-        raise DataError(f"{side}: residual_ratios must be a list of finite numbers")
-    for key in ("q", "alpha", "beta"):
-        if meta.get(key) is not None and not _finite_number(meta[key]):
-            raise DataError(f"{side}: {key} must be a finite number or null")
-    return SubspaceBasis(
-        basis=mat,
-        method=method,
-        q=meta.get("q"),
-        residual_ratios=tuple(ratios),
-        alpha=meta.get("alpha"),
-        beta=meta.get("beta"),
-    )
+    if not isinstance(ratios, list):
+        raise DataError(f"{side}: residual_ratios must be a list")
+    try:
+        return SubspaceBasis(
+            basis=mat,
+            method=method,
+            q=meta.get("q"),
+            residual_ratios=tuple(ratios),
+            alpha=meta.get("alpha"),
+            beta=meta.get("beta"),
+        )
+    except ParameterError as exc:
+        raise DataError(f"{side}: {exc}") from exc

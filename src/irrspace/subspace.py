@@ -23,18 +23,9 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import ParameterError, as_integer
+from .errors import ParameterError, as_integer, as_real
 
 METHODS = ("vsm", "lsi", "irr")
-
-
-def _check_stopping_rule(ell: int | None, theta: float | None) -> None:
-    if (ell is None) == (theta is None):
-        raise ParameterError("set exactly one of ell and theta")
-    if ell is not None and as_integer("ell", ell) < 1:
-        raise ParameterError(f"ell must be >= 1, got {ell}")
-    if theta is not None and not theta > 0.0:
-        raise ParameterError(f"theta must be positive, got {theta}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +44,16 @@ class IrrConfig:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_stopping_rule(self.ell, self.theta)
-        if self.q is not None and not (math.isfinite(self.q) and self.q >= 0.0):
-            raise ParameterError(f"q must be a finite value >= 0, got {self.q}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ParameterError("alpha and beta must be finite")
+        if (self.ell is None) == (self.theta is None):
+            raise ParameterError("set exactly one of ell and theta")
+        if self.theta is None:
+            as_integer("ell", self.ell, 1)
+        else:
+            as_real("theta", self.theta, 0, open_low=True)
+        if self.q is not None:
+            as_real("q", self.q, 0)
+        as_real("alpha", self.alpha)
+        as_real("beta", self.beta)
 
 
 @dataclass
@@ -83,7 +79,10 @@ class SubspaceBasis:
             raise ParameterError(f"method must be one of {METHODS}")
         self.basis = linalg.as_matrix(self.basis, "basis")
         linalg.require_orthonormal(self.basis)
-        ratios = tuple(float(r) for r in self.residual_ratios)
+        for name, low in (("q", 0), ("alpha", None), ("beta", None)):
+            if getattr(self, name) is not None:
+                as_real(name, getattr(self, name), low)
+        ratios = tuple(as_real("residual_ratios", r, 0) for r in self.residual_ratios)
         if ratios:
             if len(ratios) != self.ell + 1:
                 raise ParameterError("need ell + 1 residual ratios")
@@ -106,6 +105,7 @@ def auto_scale(z, alpha: float = 3.5, beta: float = 0.0) -> float:
     input large enough for f or q to overflow is a ParameterError.
     """
     a = linalg.as_matrix(z)
+    alpha, beta = as_real("alpha", alpha), as_real("beta", beta)
     m, n = a.shape
     with np.errstate(over="ignore"):
         gram = a @ a.T if m < n else a.T @ a
@@ -119,8 +119,7 @@ def auto_scale(z, alpha: float = 3.5, beta: float = 0.0) -> float:
 def rescale(z, q: float) -> np.ndarray:
     """Scale every column r to |r|^q r.  Zero columns stay zero (0^0 = 1)."""
     a = linalg.as_matrix(z)
-    if not (math.isfinite(q) and q >= 0.0):
-        raise ParameterError(f"q must be a finite value >= 0, got {q}")
+    q = as_real("q", q, 0)
     norms = np.linalg.norm(a, axis=0)
     return a * np.power(norms, q)
 
@@ -217,7 +216,7 @@ def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
     so theta mode stops at the rank at the latest; an ``ell`` above the rank
     returns the rank's directions with ``exhausted`` set.
     """
-    _check_stopping_rule(ell, theta)
+    IrrConfig(q=0.0, ell=ell, theta=theta)  # checks the stopping rule
     a = linalg.as_matrix(z)
     res = linalg.svd(a)
     rank = res.rank

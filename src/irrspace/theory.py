@@ -49,7 +49,7 @@ import numpy as np
 
 from . import linalg, subspace
 from .corpus import TopicModel
-from .errors import DimensionError, ParameterError, as_integer
+from .errors import DimensionError, ParameterError, as_integer, as_real
 
 _EVAL_CHUNK = 4096  # subset candidates scored per batch
 
@@ -232,8 +232,7 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     """
     a = linalg.as_matrix(a)
     smat = _check_similarity(s, a.shape[1])
-    if as_integer("h_max", h_max) < 1:
-        raise ParameterError(f"h_max must be >= 1, got {h_max}")
+    h_max = as_integer("h_max", h_max, 1)
     res = linalg.svd(a)
     r = res.rank
     if r == 0:
@@ -274,13 +273,9 @@ def construct_ideal_instance(
     deviation) and the result is flagged exact; otherwise the optimum is
     located by search.
     """
-    m = as_integer("m", m)
-    if m < tm.n_topics:
-        raise ParameterError(f"need m >= {tm.n_topics} dimensions, got {m}")
-    if not (math.isfinite(noise) and noise >= 0.0):
-        raise ParameterError(f"noise must be a finite value >= 0, got {noise}")
-    if as_integer("seed", seed) < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    m = as_integer("m", m, tm.n_topics)
+    as_real("noise", noise, 0)
+    as_integer("seed", seed, 0)
     rho = tm.relevance
     rng = np.random.default_rng(seed)
     qmat, rmat = np.linalg.qr(rng.standard_normal((m, tm.n_topics)))
@@ -517,12 +512,10 @@ def standard_instance_suite(
     mingling is exercised; the rest are single-topic.  ``noise`` overrides the
     default cycle over {0.05, 0.1, 0.2}; at 0 every instance is exact.
     """
-    if as_integer("count", count) < 1:
-        raise ParameterError("count must be >= 1")
-    if as_integer("seed", seed) < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    if noise is not None and not (math.isfinite(noise) and noise >= 0.0):
-        raise ParameterError(f"noise must be a finite value >= 0, got {noise}")
+    as_integer("count", count, 1)
+    as_integer("seed", seed, 0)
+    if noise is not None:
+        as_real("noise", noise, 0)
     out = []
     for t in range(count):
         inst_seed = seed * 1_000_003 + t

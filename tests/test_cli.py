@@ -308,6 +308,13 @@ def test_negative_seed_is_data_error(argv, tmp_path, capsys):
     assert err.startswith("error: rng_seed") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("theta", ["inf", "nan", "0", "-1", "1e400"])
+def test_ratio_that_is_not_a_positive_finite_number_is_data_error(theta, tmp_path, capsys):
+    # ratio:inf once meant ell 1, as any theta at or above the first ratio does
+    assert cli.main(_RUN + ["--ell", f"ratio:{theta}", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: theta must be a finite number > 0")
+
+
 @pytest.mark.parametrize("seeds", [",", "3:3"])
 @pytest.mark.parametrize("with_corpus", [False, True])
 def test_seeds_naming_no_seed_is_usage_error(seeds, with_corpus, tmp_path, capsys):

@@ -1,13 +1,28 @@
-"""One integer rule for count and seed arguments across the package."""
+"""One rule per argument kind: integers, reals and matrices.
+
+``as_integer`` checks every count and seed, ``as_real`` every real-valued
+parameter and ``linalg.as_matrix`` every array.  The tables below feed each
+rule bad values through the public entry points.  A key of the form
+``<callable>.<parameter>.<case>`` names the argument it covers, and the guard
+test at the end asks for one such key per int- or float-annotated parameter of
+every public callable.
+"""
+
+import inspect
+import math
+import re
 
 import numpy as np
 import pytest
 
-from irrspace import corpus, evalmetrics, subspace, theory
-from irrspace.errors import ParameterError
+import irrspace
+from irrspace import corpus, evalmetrics, linalg, subspace, theory
+from irrspace.errors import InvalidInputError, ParameterError
 
 _TM = corpus.TopicModel(relevance=np.repeat(np.eye(2), 3, axis=1), topic_ids=("a", "b"))
 _Z = theory.construct_ideal_instance(_TM, m=8, noise=0.1, seed=0).matrix
+_BASIS = np.eye(3)[:, :2]
+_LABELS = np.array([0, 1, 1])
 
 _CALLS = {
     "irr_config_fractional_ell": lambda: subspace.IrrConfig(ell=2.5),
@@ -26,6 +41,134 @@ _CALLS = {
     "suite_bool_seed": lambda: theory.standard_instance_suite(1, seed=True),
     "suite_string_seed": lambda: theory.standard_instance_suite(1, seed="x"),
     "suite_fractional_seed": lambda: theory.standard_instance_suite(1, seed=2.5),
+    # counts and seeds out of range, or not integers at all
+    "IrrConfig.ell.zero": lambda: subspace.IrrConfig(ell=0),
+    "IrrConfig.ell.string": lambda: subspace.IrrConfig(ell="2"),
+    "lsi.ell.zero": lambda: subspace.lsi(_Z, ell=0),
+    "lsi.ell.string": lambda: subspace.lsi(_Z, ell="2"),
+    "lsi.ell.bool": lambda: subspace.lsi(_Z, ell=True),
+    "SynthSpec.distribution.zero": lambda: corpus.SynthSpec(distribution=(3, 0)),
+    "SynthSpec.distribution.string": lambda: corpus.SynthSpec(distribution=("3", 3)),
+    "SynthSpec.distribution.empty": lambda: corpus.SynthSpec(distribution=()),
+    "SynthSpec.vocab_per_topic.zero": lambda: corpus.SynthSpec((3, 3), vocab_per_topic=0),
+    "SynthSpec.shared_vocab.zero": lambda: corpus.SynthSpec((3, 3), shared_vocab=0),
+    "SynthSpec.shared_vocab.string": lambda: corpus.SynthSpec((3, 3), shared_vocab="150"),
+    "SynthSpec.doc_length.zero": lambda: corpus.SynthSpec((3, 3), doc_length=0),
+    "SynthSpec.rng_seed.negative": lambda: corpus.SynthSpec((3, 3), rng_seed=-1),
+    "SynthSpec.rng_seed.string": lambda: corpus.SynthSpec((3, 3), rng_seed="0"),
+    "cluster.k.zero": lambda: evalmetrics.cluster(_Z, 0, "single_link"),
+    "cluster.k.above_n": lambda: evalmetrics.cluster(_Z, 7, "group_average"),
+    "cluster.k.string": lambda: evalmetrics.cluster(_Z, "2", "single_link"),
+    "floor_ceiling.k.zero": lambda: evalmetrics.floor_ceiling(_Z, _TM, 0),
+    "floor_ceiling.k.string": lambda: evalmetrics.floor_ceiling(_Z, _TM, "2"),
+    "contingency_table.n_clusters.float": lambda: evalmetrics.contingency_table(
+        _LABELS, _LABELS, 2.0, 2),
+    "contingency_table.n_clusters.negative": lambda: evalmetrics.contingency_table(
+        _LABELS, _LABELS, -1, 2),
+    "contingency_table.n_clusters.string": lambda: evalmetrics.contingency_table(
+        _LABELS, _LABELS, "2", 2),
+    "contingency_table.n_topics.bool": lambda: evalmetrics.contingency_table(
+        _LABELS, _LABELS, 2, True),
+    "contingency_table.n_topics.negative": lambda: evalmetrics.contingency_table(
+        _LABELS, _LABELS, 2, -1),
+    "optimum_subspace.h_max.zero": lambda: theory.optimum_subspace(np.eye(6), _Z, 0),
+    "optimum_subspace.h_max.string": lambda: theory.optimum_subspace(np.eye(6), _Z, "1"),
+    "construct_ideal_instance.m.below_topics": lambda: theory.construct_ideal_instance(
+        _TM, 1, 0.1, 0),
+    "construct_ideal_instance.m.string": lambda: theory.construct_ideal_instance(
+        _TM, "8", 0.1, 0),
+    "construct_ideal_instance.seed.string": lambda: theory.construct_ideal_instance(
+        _TM, 8, 0.1, "0"),
+    "standard_instance_suite.count.zero": lambda: theory.standard_instance_suite(0),
+    "standard_instance_suite.count.bool": lambda: theory.standard_instance_suite(True),
+    "standard_instance_suite.seed.negative": lambda: theory.standard_instance_suite(1, -1),
+}
+
+# every real parameter gets each of these, and its out-of-range values below
+_BAD_REALS = {
+    "bool": True,
+    "string": "1",
+    "nan": math.nan,
+    "inf": math.inf,
+    "minus_inf": -math.inf,
+    "huge_int": 10**400,
+    "none": None,
+}
+_REAL_CALLS = {
+    "IrrConfig.q": lambda v: subspace.IrrConfig(q=v, ell=2),
+    "IrrConfig.theta": lambda v: subspace.IrrConfig(theta=v),
+    "IrrConfig.alpha": lambda v: subspace.IrrConfig(ell=2, alpha=v),
+    "IrrConfig.beta": lambda v: subspace.IrrConfig(ell=2, beta=v),
+    "SubspaceBasis.q": lambda v: subspace.SubspaceBasis(_BASIS, "irr", q=v),
+    "SubspaceBasis.alpha": lambda v: subspace.SubspaceBasis(_BASIS, "irr", alpha=v),
+    "SubspaceBasis.beta": lambda v: subspace.SubspaceBasis(_BASIS, "irr", beta=v),
+    "SubspaceBasis.residual_ratios": lambda v: subspace.SubspaceBasis(
+        _BASIS, "irr", residual_ratios=(1.0, 0.5, v)),
+    "SynthSpec.noise_rate": lambda v: corpus.SynthSpec((3, 3), noise_rate=v),
+    "auto_scale.alpha": lambda v: subspace.auto_scale(_Z, alpha=v),
+    "auto_scale.beta": lambda v: subspace.auto_scale(_Z, beta=v),
+    "rescale.q": lambda v: subspace.rescale(_Z, v),
+    "lsi.theta": lambda v: subspace.lsi(_Z, theta=v),
+    "dimensionality_by_residual_ratio.theta": lambda v: (
+        subspace.dimensionality_by_residual_ratio(_Z, v)),
+    "dimensionality_by_residual_ratio.q": lambda v: (
+        subspace.dimensionality_by_residual_ratio(_Z, 0.5, q=v)),
+    "construct_ideal_instance.noise": lambda v: theory.construct_ideal_instance(_TM, 8, v, 0),
+    "standard_instance_suite.noise": lambda v: theory.standard_instance_suite(1, noise=v),
+}
+# None is a valid value of these: it means "not set"
+_OPTIONAL = {"IrrConfig.q", "SubspaceBasis.q", "SubspaceBasis.alpha", "SubspaceBasis.beta",
+             "dimensionality_by_residual_ratio.q", "standard_instance_suite.noise"}
+_OUT_OF_RANGE = {
+    "IrrConfig.q": {"negative": -0.5},
+    "IrrConfig.theta": {"zero": 0.0, "negative": -1.0},
+    "SubspaceBasis.q": {"negative": -1.0},
+    "SubspaceBasis.residual_ratios": {"negative": -0.5},
+    "SynthSpec.noise_rate": {"negative": -0.1, "above_one": 1.5},
+    "rescale.q": {"negative": -1.0},
+    "lsi.theta": {"zero": 0.0, "negative": -1.0},
+    "dimensionality_by_residual_ratio.theta": {"zero": 0.0},
+    "dimensionality_by_residual_ratio.q": {"negative": -2.0},
+    "construct_ideal_instance.noise": {"negative": -0.5},
+    "standard_instance_suite.noise": {"negative": -0.1},
+}
+_REALS = {
+    f"{param}.{case}": (lambda call=call, value=value: call(value))
+    for param, call in _REAL_CALLS.items()
+    for case, value in {**_BAD_REALS, **_OUT_OF_RANGE.get(param, {})}.items()
+    if not (case == "none" and param in _OPTIONAL)
+}
+
+_MATRICES = {
+    "svd.z.string": lambda: linalg.svd([["a", "b"], ["c", "d"]]),
+    "svd.z.ragged": lambda: linalg.svd([[1.0, 2.0], [3.0]]),
+    "svd.z.complex_list": lambda: linalg.svd([[1j, 0.0], [0.0, 1.0]]),
+    "svd.z.complex_array": lambda: linalg.svd(np.eye(2, dtype=complex)),
+    "svd.z.huge_int": lambda: linalg.svd([[10**400, 0], [0, 1]]),
+    "svd.z.object": lambda: linalg.svd([[object()]]),
+    "lsi.z.ragged": lambda: subspace.lsi([[1.0], [1.0, 2.0]], ell=1),
+    "irr.z.complex": lambda: subspace.irr(_Z * 1j, subspace.IrrConfig(ell=1)),
+    "project.basis.complex": lambda: linalg.project(_BASIS.astype(complex), np.ones((3, 2))),
+    "rank_pairs.z.string": lambda: evalmetrics.rank_pairs([["x", "y"]]),
+    "TermDocumentMatrix.matrix.nan": lambda: corpus.TermDocumentMatrix(
+        np.array([[math.nan]]), ("t",), ("d",)),
+    "TermDocumentMatrix.matrix.one_d": lambda: corpus.TermDocumentMatrix(
+        np.ones(2), ("t",), ("d",)),
+    "TopicModel.relevance.nan": lambda: corpus.TopicModel(np.array([[math.nan]]), ("a",)),
+    "TopicModel.relevance.inf": lambda: corpus.TopicModel(np.array([[math.inf]]), ("a",)),
+    "TopicModel.relevance.one_d": lambda: corpus.TopicModel(np.ones(1), ("a",)),
+    "TopicModel.relevance.string": lambda: corpus.TopicModel([["x"]], ("a",)),
+}
+
+# public classes that only carry results; their fields are not arguments
+_RESULT_CONTAINERS = {
+    "CanonicalAngles",
+    "ClusteringOutcome",
+    "IdealInstance",
+    "OptimumSubspaceResult",
+    "RankedPairs",
+    "TheoremRecord",
+    "TopicStats",
 }
 
 
@@ -35,6 +178,61 @@ def test_count_arguments_must_be_integers(call):
         call()
 
 
+@pytest.mark.parametrize("call", _REALS.values(), ids=_REALS.keys())
+def test_real_arguments_must_be_finite_numbers_in_range(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("call", _MATRICES.values(), ids=_MATRICES.keys())
+def test_matrix_arguments_must_be_real_and_finite(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
 def test_suite_seed_is_reported_as_given():
-    with pytest.raises(ParameterError, match=r"seed must be an integer, got 2\.5$"):
+    with pytest.raises(ParameterError, match=r"seed must be an integer >= 0, got 2\.5$"):
         theory.standard_instance_suite(1, seed=2.5)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: evalmetrics.cluster(_Z, 7, "single_link"),
+         r"^k must be an integer in \[1, 6\], got 7$"),
+        (lambda: subspace.lsi(_Z, theta=0), r"^theta must be a finite number > 0, got 0$"),
+        (lambda: subspace.IrrConfig(q=True, ell=1),
+         r"^q must be a finite number >= 0, got True$"),
+        (lambda: corpus.SynthSpec((3,), noise_rate=2),
+         r"^noise_rate must be a finite number in \[0, 1\], got 2$"),
+        (lambda: subspace.auto_scale(_Z, alpha=math.nan),
+         r"^alpha must be a finite number, got nan$"),
+    ],
+)
+def test_each_rule_has_one_message(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_valid_values_are_stored_as_given():
+    # the rules check noise_rate and noise, and do not rebind them, so a
+    # synth manifest and a verify record print what the caller gave
+    assert type(corpus.SynthSpec((3, 3), noise_rate=0).noise_rate) is int
+    assert type(theory.construct_ideal_instance(_TM, 8, 0, 0).noise) is int
+    basis = subspace.SubspaceBasis(_BASIS, "lsi", q=0.0, residual_ratios=(1, 0.5, 0))
+    assert [type(r) for r in basis.residual_ratios] == [float] * 3
+
+
+def test_every_numeric_parameter_has_a_bad_input_case():
+    covered = {key.rsplit(".", 1)[0] for key in (*_CALLS, *_REALS, *_MATRICES) if "." in key}
+    missing = []
+    for name in irrspace.__all__:
+        obj = getattr(irrspace, name)
+        exception = isinstance(obj, type) and issubclass(obj, Exception)
+        if name in _RESULT_CONTAINERS or exception or not callable(obj):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            numeric = re.search(r"\b(int|float)\b", str(param.annotation))
+            if numeric and f"{name}.{param.name}" not in covered:
+                missing.append(f"{name}.{param.name}")
+    assert not missing, f"no bad-input case for {missing}"

@@ -125,6 +125,10 @@ _SIDECAR_FAULTS = {
     "ratios_nan": lambda meta: {**meta, "residual_ratios": [math.nan] * 3},
     "q_infinity": lambda meta: {**meta, "q": math.inf},
     "ell_true": lambda meta: {**meta, "ell": True},
+    "q_negative": lambda meta: {**meta, "q": -1.0},
+    "ratios_negative": lambda meta: {**meta, "residual_ratios": [1.0, 0.5, -0.1]},
+    "ratios_too_few": lambda meta: {**meta, "residual_ratios": [1.0, 0.5]},
+    "ratios_increasing": lambda meta: {**meta, "residual_ratios": [0.1, 0.5, 1.0]},
 }
 
 
