@@ -9,8 +9,9 @@ verify    numerical verification of the bounds -> JSON lines + summary
 plotdata  aggregate a run CSV into (x, series, mean, std) rows
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 verification
-failure.  All value-taking flags may also come from a ``key = value`` config
-file via ``--config``; command line flags win.
+failure.  A value-taking flag may also come from a ``key = value`` config
+file via ``--config``, whose keys must name such flags of the subcommand;
+command line flags win.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -71,13 +72,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _number(text: str | None, kind: type, flag: str):
-    """``kind(text)`` for the value of ``--flag``; None stays None.
-
-    A value that does not convert is a usage error, not a traceback.
-    """
-    if text is None:
-        return None
+def _number(text: str, kind: type, flag: str):
+    """``kind(text)`` for the value of ``--flag``; a value that does not
+    convert is a usage error, not a traceback."""
     try:
         return kind(text)
     except ValueError as exc:
@@ -113,27 +110,75 @@ def _parse_stop(text: str) -> dict:
     return {"ell": _number(text, int, "ell")}
 
 
-# corpus-shape flag of synth and run -> (SynthSpec field, type, help)
+def _parse_q(text: str) -> float | None:
+    """``--q``: None (auto scale) for 'auto', else a float."""
+    return None if text == "auto" else _number(text, float, "q")
+
+
+def _parse_list(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+# Each subcommand's flags are one table: flag -> (kind, default, help).  The
+# kind turns the flag's text into the value its command reads: int or float
+# (through _number), a parser above, str, bool for a switch only the command
+# line sets, or [kind] for a repeatable flag.  The default is text too; None
+# leaves the flag unset.
+
+# corpus-shape flags of synth and run; each defaults to its SynthSpec field
+_SHAPE_FLAGS = {
+    "noise": (float, str(corpus.SynthSpec.noise_rate), "shared-vocabulary token rate"),
+    "vocab_per_topic": (int, str(corpus.SynthSpec.vocab_per_topic), "terms per topic"),
+    "shared_vocab": (int, str(corpus.SynthSpec.shared_vocab), "shared vocabulary size"),
+    "doc_length": (int, str(corpus.SynthSpec.doc_length), "tokens per document"),
+}
+
 _SYNTH_FLAGS = {
-    "noise": ("noise_rate", float, "shared-vocabulary token rate (default 0)"),
-    "vocab_per_topic": ("vocab_per_topic", int, "terms per topic (default 60)"),
-    "shared_vocab": ("shared_vocab", int, "shared vocabulary size (default 150)"),
-    "doc_length": ("doc_length", int, "tokens per document (default 45)"),
+    "dist": (_parse_dist, None, "docs per topic, e.g. 46,4"),
+    "seed": (int, str(corpus.SynthSpec.rng_seed), "generator seed"),
+    **_SHAPE_FLAGS,
+    "out": (str, None, "output corpus directory"),
+}
+
+_RUN_FLAGS = {
+    "dist": ([_parse_dist], None, "synthetic dataset, repeatable"),
+    "corpus": ([str], None, "corpus directory, repeatable"),
+    "matrix": ([str], None, "term-document matrix file (.csv or binary)"),
+    "seeds": (_parse_seeds, "0", "seed list 1,2,3 or range 0:10, for --dist datasets"),
+    "methods": (_parse_list, ",".join(subspace.METHODS), "comma list of methods"),
+    "q": (_parse_q, "auto", "'auto' or a nonnegative float, for irr"),
+    "alpha": (float, str(subspace.IrrConfig.alpha), "auto-scale slope"),
+    "beta": (float, str(subspace.IrrConfig.beta), "auto-scale intercept"),
+    "ell": (_parse_stop, None, "dimensionality: int, or ratio:<theta>"),
+    "topics": (int, None, "known topic count (sets default ell)"),
+    "clusters": (int, None, "cluster count override"),
+    "metrics": (_parse_list, "kappa,cluster",
+                "comma list from kappa,cluster ('none' with --save-basis)"),
+    **_SHAPE_FLAGS,
+    "save_basis": (str, None, "write the basis of a single-method single-dataset run"),
+    "out": (str, None, "output CSV path (default stdout)"),
+}
+
+_VERIFY_FLAGS = {
+    "trials": (int, "12", "instance count"),
+    "seed": (int, "0", "suite seed"),
+    "noise": (float, None, "override instance noise level"),
+    "out": (str, None, "JSON-lines output path (default stdout)"),
+    "inject_bug": (bool, None, argparse.SUPPRESS),
+}
+
+_PLOTDATA_FLAGS = {
+    "report": (str, None, "input CSV from 'run'"),
+    "x": (str, "nonuniformity", "x-axis column"),
+    "y": (str, "kappa", "y-axis column"),
+    "out": (str, None, "output CSV path (default stdout)"),
 }
 
 
-def _synth_kwargs(opts: dict) -> dict:
-    """SynthSpec keywords from the synth flags that are set."""
-    return {
-        field: _number(opts[key], kind, key)
-        for key, (field, kind, _) in _SYNTH_FLAGS.items()
-        if opts.get(key) is not None
-    }
-
-
-def _add_synth_flags(parser: argparse.ArgumentParser) -> None:
-    for key, (_, _, text) in _SYNTH_FLAGS.items():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text)
+def _spec_kwargs(opts: dict) -> dict:
+    """SynthSpec keywords from the corpus-shape flags."""
+    return {"noise_rate": opts["noise"], "vocab_per_topic": opts["vocab_per_topic"],
+            "shared_vocab": opts["shared_vocab"], "doc_length": opts["doc_length"]}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -157,75 +202,44 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _merge(args: argparse.Namespace, defaults: dict[str, str]) -> dict[str, str | list[str] | bool | None]:
-    """Config-file values fill flags left unset; hard defaults fill the rest."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    merged: dict = {}
-    for key, original in vars(args).items():
-        if key == "config":
-            continue
-        value = original
-        if value is None or (isinstance(value, list) and not value):
-            if key in cfg:
-                # repeatable flags take ';'-separated config values
-                value = cfg[key].split(";") if isinstance(original, list) else cfg[key]
-            elif key in defaults:
-                value = defaults[key]
-        merged[key] = value
-    unknown = set(cfg) - set(merged)
+def _convert(kind, flag: str, text):
+    """The value of ``--flag`` from its text; None stays None."""
+    if isinstance(kind, list):
+        return [_convert(kind[0], flag, t) for t in text or ()]
+    if text is None:
+        return None
+    return _number(text, kind, flag) if kind in (int, float) else kind(text)
+
+
+def _merge(args: argparse.Namespace) -> dict:
+    """Each flag of the command from the command line, else the config file,
+    else its default, converted by its kind.  A switch has no config key."""
+    _, _, flags = _COMMANDS[args.command]
+    cfg = _load_config(args.config) if args.config else {}
+    unknown = set(cfg) - {key for key, (kind, _, _) in flags.items() if kind is not bool}
     if unknown:
         raise DataError(f"config keys not recognized: {sorted(unknown)}")
-    return merged
+    opts = {}
+    for key, (kind, default, _) in flags.items():
+        text = getattr(args, key)
+        if text is None and key in cfg:
+            # repeatable flags take ';'-separated config values
+            text = cfg[key].split(";") if isinstance(kind, list) else cfg[key]
+        opts[key] = _convert(kind, key, default if text is None else text)
+    return opts
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="irrspace", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"irrspace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="write a synthetic corpus directory")
-    p_synth.add_argument("--dist", help="docs per topic, e.g. 46,4")
-    p_synth.add_argument("--seed", help="generator seed (default 0)")
-    _add_synth_flags(p_synth)
-    p_synth.add_argument("--out", help="output corpus directory")
-
-    p_run = sub.add_parser("run", help="run methods over datasets, emit CSV rows")
-    p_run.add_argument("--dist", action="append", default=[],
-                       help="synthetic dataset, repeatable")
-    p_run.add_argument("--corpus", action="append", default=[],
-                       help="corpus directory, repeatable")
-    p_run.add_argument("--matrix", action="append", default=[],
-                       help="term-document matrix file (.csv or binary)")
-    p_run.add_argument("--seeds", help="seed list 1,2,3 or range 0:10 (synth only)")
-    p_run.add_argument("--methods", help="comma list from vsm,lsi,irr")
-    p_run.add_argument("--q", help="'auto' or a nonnegative float (irr)")
-    p_run.add_argument("--alpha", help="auto-scale slope (default 3.5)")
-    p_run.add_argument("--beta", help="auto-scale intercept (default 0)")
-    p_run.add_argument("--ell", help="dimensionality: int, or ratio:<theta>")
-    p_run.add_argument("--topics", help="known topic count (sets default ell)")
-    p_run.add_argument("--clusters", help="cluster count override")
-    p_run.add_argument("--metrics", help="comma list from kappa,cluster "
-                                         "(or 'none' with --save-basis)")
-    _add_synth_flags(p_run)
-    p_run.add_argument("--save-basis", dest="save_basis",
-                       help="write the basis of a single-method single-dataset run")
-    p_run.add_argument("--out", help="output CSV path (default stdout)")
-
-    p_verify = sub.add_parser("verify", help="verify the bounds numerically")
-    p_verify.add_argument("--trials", help="instance count (default 12)")
-    p_verify.add_argument("--seed", help="suite seed (default 0)")
-    p_verify.add_argument("--noise", help="override instance noise level")
-    p_verify.add_argument("--out", help="JSON-lines output path (default stdout)")
-    p_verify.add_argument("--inject-bug", dest="inject_bug", action="store_true",
-                          help=argparse.SUPPRESS)
-
-    p_plot = sub.add_parser("plotdata", help="aggregate a run CSV for plotting")
-    p_plot.add_argument("--report", help="input CSV from 'run'")
-    p_plot.add_argument("--x", help="x-axis column (default nonuniformity)")
-    p_plot.add_argument("--y", help="y-axis column (default kappa)")
-    p_plot.add_argument("--out", help="output CSV path (default stdout)")
-
-    for p in sub.choices.values():
+    for name, (_, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for key, (kind, default, text) in flags.items():
+            action = "store_true" if kind is bool else "append" if isinstance(kind, list) else None
+            suffix = "" if default is None else f" (default {default})"
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, action=action,
+                           help=text + suffix)
         p.add_argument("--config", help="key = value defaults file")
     return parser
 
@@ -239,15 +253,12 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_synth(opts: dict) -> int:
-    if not opts.get("dist"):
+    if not opts["dist"]:
         raise _UsageError("synth requires --dist")
-    if not opts.get("out"):
+    if not opts["out"]:
         raise _UsageError("synth requires --out")
-    spec = corpus.SynthSpec(
-        distribution=_parse_dist(opts["dist"]),
-        rng_seed=_number(opts["seed"], int, "seed"),
-        **_synth_kwargs(opts),
-    )
+    spec = corpus.SynthSpec(distribution=opts["dist"], rng_seed=opts["seed"],
+                            **_spec_kwargs(opts))
     docs, _ = corpus.synthesize_collection(spec)
     corpus.write_corpus_dir(opts["out"], docs, asdict(spec))
     print(f"wrote {len(docs)} documents to {opts['out']}")
@@ -278,13 +289,11 @@ def _load_matrix(path):
 def _collect_cells(opts: dict) -> list[tuple]:
     """One (dataset, dist label, seed, load) per dataset x seed; ``load()``
     builds the cell's matrix and topic model."""
-    spec_kwargs = _synth_kwargs(opts)
-    seeds = _parse_seeds(opts["seeds"])
+    spec_kwargs = _spec_kwargs(opts)
     cells = []
-    for dist_text in opts["dist"]:
-        dist = _parse_dist(dist_text)
+    for dist in opts["dist"]:
         label = ",".join(str(c) for c in dist)
-        for seed in seeds:
+        for seed in opts["seeds"]:
             cells.append((f"synth:{label}", label, seed,
                           functools.partial(_load_synth, dist, spec_kwargs, seed)))
     for path in opts["corpus"]:
@@ -298,38 +307,22 @@ def _collect_cells(opts: dict) -> list[tuple]:
     return cells
 
 
-@dataclass(frozen=True)
-class _RunPlan:
-    """The ``run`` options, parsed and validated once before any cell is built.
-
-    ``stop`` is the subspace stopping rule from --ell ({"ell": n} or
-    {"theta": t}); without it, ell is --topics or the cell's topic count.
-    """
-
-    methods: tuple[str, ...]
-    metrics: frozenset[str]
-    q: float | None
-    alpha: float
-    beta: float
-    topics: int | None
-    clusters: int | None
-    stop: dict | None
-
-
-def _run_cell(dataset: str, dist_label: str, seed: int | None, load, plan: _RunPlan):
-    """The cell's CSV rows and the last subspace basis it built."""
+def _run_cell(dataset: str, dist_label: str, seed: int | None, load, opts: dict,
+              metrics: frozenset[str]):
+    """The cell's CSV rows and the last subspace basis it built; without
+    --ell, ell is --topics or the cell's topic count."""
     z, tm = load()
-    if plan.metrics and tm is None:
+    if metrics and tm is None:
         raise DataError(f"{dataset}: kappa and clustering need topic labels")
-    topics = plan.topics if plan.topics is not None else (tm.n_topics if tm else None)
-    stop = plan.stop or ({"ell": topics} if topics is not None else None)
-    intra = corpus.intra_topic_pairs(tm) if "kappa" in plan.metrics else None
+    topics = opts["topics"] if opts["topics"] is not None else (tm.n_topics if tm else None)
+    stop = opts["ell"] or ({"ell": topics} if topics is not None else None)
+    intra = corpus.intra_topic_pairs(tm) if "kappa" in metrics else None
 
     stats = theory.topic_stats(tm) if tm is not None else None
     seed_text = str(seed) if seed is not None else "-"
     rows = []
     built = None
-    for method in plan.methods:
+    for method in opts["methods"]:
         t0 = time.perf_counter()
         if method == "vsm":
             basis = None
@@ -338,7 +331,8 @@ def _run_cell(dataset: str, dist_label: str, seed: int | None, load, plan: _RunP
         elif method == "lsi":
             basis = built = subspace.lsi(z, **stop)
         else:
-            config = subspace.IrrConfig(q=plan.q, alpha=plan.alpha, beta=plan.beta, **stop)
+            config = subspace.IrrConfig(q=opts["q"], alpha=opts["alpha"], beta=opts["beta"],
+                                        **stop)
             basis = built = subspace.irr(z, config)
         if basis is None:
             x, q_out, ell_out = z, None, None
@@ -363,11 +357,11 @@ def _run_cell(dataset: str, dist_label: str, seed: int | None, load, plan: _RunP
                 mingling=_fmt(stats.mingling),
                 f_estimate=_fmt(stats.f_estimate),
             )
-        if "kappa" in plan.metrics:
+        if "kappa" in metrics:
             ranked = evalmetrics.rank_pairs(x)
             row["kappa"] = _fmt(evalmetrics.kappa_average_precision(ranked, intra))
-        if "cluster" in plan.metrics:
-            n_clusters = plan.clusters if plan.clusters is not None else topics
+        if "cluster" in metrics:
+            n_clusters = opts["clusters"] if opts["clusters"] is not None else topics
             outcome = evalmetrics.floor_ceiling(x, tm, n_clusters)
             row["clusters"] = _fmt(n_clusters)
             for name in evalmetrics.ALGORITHMS:
@@ -379,44 +373,36 @@ def _run_cell(dataset: str, dist_label: str, seed: int | None, load, plan: _RunP
     return rows, built
 
 
-def _plan_run(opts: dict, n_cells: int) -> _RunPlan:
-    methods = tuple(m.strip() for m in opts["methods"].split(",") if m.strip())
+def _plan_run(opts: dict, n_cells: int) -> frozenset[str]:
+    """Check methods, metrics and --save-basis before any cell is built;
+    return the metrics to compute."""
+    methods, metrics = opts["methods"], opts["metrics"]
     if not methods:
         raise _UsageError("at least one method is required")
     unknown_methods = [m for m in methods if m not in subspace.METHODS]
     if unknown_methods:
         raise _UsageError(f"unknown methods: {unknown_methods}")
-    metrics = [m.strip() for m in opts["metrics"].split(",") if m.strip()]
-    if metrics == ["none"]:
-        if not opts.get("save_basis"):
+    if metrics == ("none",):
+        if not opts["save_basis"]:
             raise _UsageError("--metrics none is only valid with --save-basis")
-        metrics = []
+        metrics = ()
     bad = set(metrics) - {"kappa", "cluster"}
     if bad:
         raise _UsageError(f"unknown metrics: {sorted(bad)}")
-    if opts.get("save_basis") and (n_cells != 1 or len(set(methods) - {"vsm"}) != 1):
+    if opts["save_basis"] and (n_cells != 1 or len(set(methods) - {"vsm"}) != 1):
         raise _UsageError("--save-basis needs exactly one dataset and one subspace method")
-    return _RunPlan(
-        methods=methods,
-        metrics=frozenset(metrics),
-        q=None if opts["q"] == "auto" else _number(opts["q"], float, "q"),
-        alpha=_number(opts["alpha"], float, "alpha"),
-        beta=_number(opts["beta"], float, "beta"),
-        topics=_number(opts.get("topics"), int, "topics"),
-        clusters=_number(opts.get("clusters"), int, "clusters"),
-        stop=_parse_stop(opts["ell"]) if opts.get("ell") else None,
-    )
+    return frozenset(metrics)
 
 
 def cmd_run(opts: dict) -> int:
     cells = _collect_cells(opts)
-    plan = _plan_run(opts, len(cells))
+    metrics = _plan_run(opts, len(cells))
     all_rows: list[dict] = []
     for cell in cells:
-        rows, basis = _run_cell(*cell, plan)
+        rows, basis = _run_cell(*cell, opts, metrics)
         all_rows.extend(rows)
 
-    if opts.get("save_basis"):  # _plan_run allows one cell and one subspace method
+    if opts["save_basis"]:  # _plan_run allows one cell and one subspace method
         matrixio.save_basis(opts["save_basis"], basis)
 
     all_rows.sort(key=lambda r: r["run_id"])
@@ -424,16 +410,14 @@ def cmd_run(opts: dict) -> int:
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(all_rows)
-    _write(buf.getvalue(), opts.get("out"))
+    _write(buf.getvalue(), opts["out"])
     return EXIT_OK
 
 
 def cmd_verify(opts: dict) -> int:
-    trials = _number(opts["trials"], int, "trials")
-    seed = _number(opts["seed"], int, "seed")
-    noise = _number(opts.get("noise"), float, "noise")
+    trials, seed = opts["trials"], opts["seed"]
     # built first: the suite rejects a bad seed or noise before rng sees it
-    suite = theory.standard_instance_suite(trials, seed=seed, noise=noise)
+    suite = theory.standard_instance_suite(trials, seed=seed, noise=opts["noise"])
     records: list[theory.TheoremRecord] = []
 
     rng = np.random.default_rng(seed)
@@ -448,7 +432,7 @@ def cmd_verify(opts: dict) -> int:
         records.append(theory.verify_truncation_angle(inst))
         records.append(theory.verify_cosine_bound(inst))
 
-    if opts.get("inject_bug") and records:
+    if opts["inject_bug"] and records:
         records[0].holds = not records[0].holds
 
     lines = [r.to_json() for r in records]
@@ -457,14 +441,14 @@ def cmd_verify(opts: dict) -> int:
         {"checks": len(records), "failures": failures, "summary": True},
         sort_keys=True,
     )
-    _write("\n".join(lines + [summary]) + "\n", opts.get("out"))
-    if opts.get("out"):
+    _write("\n".join(lines + [summary]) + "\n", opts["out"])
+    if opts["out"]:
         print(f"checks: {len(records)}, failures: {failures}")
     return EXIT_VERIFY if failures else EXIT_OK
 
 
 def cmd_plotdata(opts: dict) -> int:
-    if not opts.get("report"):
+    if not opts["report"]:
         raise _UsageError("plotdata requires --report")
     x_col, y_col = opts["x"], opts["y"]
     try:
@@ -499,17 +483,16 @@ def cmd_plotdata(opts: dict) -> int:
         writer.writerow(
             [_fmt(x), method, _fmt(float(arr.mean())), _fmt(float(arr.std())), len(ys)]
         )
-    _write(buf.getvalue(), opts.get("out"))
+    _write(buf.getvalue(), opts["out"])
     return EXIT_OK
 
 
-# subcommand -> (handler, hard defaults of its value-taking flags)
+# subcommand -> (handler, help, flags)
 _COMMANDS = {
-    "synth": (cmd_synth, {"seed": "0"}),
-    "run": (cmd_run, {"methods": "vsm,lsi,irr", "metrics": "kappa,cluster", "q": "auto",
-                      "alpha": "3.5", "beta": "0.0", "seeds": "0"}),
-    "verify": (cmd_verify, {"trials": "12", "seed": "0"}),
-    "plotdata": (cmd_plotdata, {"x": "nonuniformity", "y": "kappa"}),
+    "synth": (cmd_synth, "write a synthetic corpus directory", _SYNTH_FLAGS),
+    "run": (cmd_run, "run methods over datasets, emit CSV rows", _RUN_FLAGS),
+    "verify": (cmd_verify, "verify the bounds numerically", _VERIFY_FLAGS),
+    "plotdata": (cmd_plotdata, "aggregate a run CSV for plotting", _PLOTDATA_FLAGS),
 }
 
 
@@ -526,9 +509,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help / --version
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    handler, defaults = _COMMANDS[args.command]
     try:
-        return handler(_merge(args, defaults))
+        return _COMMANDS[args.command][0](_merge(args))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -156,9 +156,14 @@ class SynthSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = tuple(as_integer("distribution", c, 1) for c in self.distribution)
+        try:
+            counts = () if isinstance(self.distribution, str) else tuple(self.distribution)
+        except TypeError:  # not iterable
+            counts = ()
         if not counts:
-            raise ParameterError("distribution needs at least one topic")
+            raise ParameterError("distribution must be a nonempty sequence of counts, "
+                                 f"got {self.distribution!r}")
+        counts = tuple(as_integer("distribution", c, 1) for c in counts)
         object.__setattr__(self, "distribution", counts)
         minima = {"vocab_per_topic": 1, "shared_vocab": 1, "doc_length": 1, "rng_seed": 0}
         for name, low in minima.items():

@@ -213,16 +213,16 @@ def contingency_table(
 def contingency_score(table) -> float:
     """Fraction of documents in cells that are the strict unique maximum of
     both their row and their column."""
-    t = np.asarray(table, dtype=np.int64)
-    if t.ndim != 2:
-        raise DimensionError("contingency table must be 2-D")
-    n = int(t.sum())
+    t = linalg.as_matrix(table, "contingency table")
+    if (t < 0).any() or (t != np.round(t)).any():
+        raise ParameterError("contingency table must hold counts >= 0")
+    n = t.sum()
     if n == 0:
         raise UndefinedMetricError("empty contingency table")
     row_max = t == t.max(axis=1, keepdims=True)
     col_max = t == t.max(axis=0, keepdims=True)
     unique = (row_max.sum(axis=1, keepdims=True) == 1) & (col_max.sum(axis=0) == 1)
-    return int(t[row_max & col_max & unique & (t != 0)].sum()) / n
+    return float(t[row_max & col_max & unique & (t != 0)].sum() / n)
 
 
 @dataclass

@@ -96,7 +96,7 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def auto_scale(z, alpha: float = 3.5, beta: float = 0.0) -> float:
+def auto_scale(z, alpha: float = IrrConfig.alpha, beta: float = IrrConfig.beta) -> float:
     """Data-driven rescaling exponent max(0, alpha * f + beta).
 
     f = (||A^T A||_F / n)^2 estimates topic-dominance non-uniformity from the

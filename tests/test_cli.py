@@ -6,6 +6,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -292,6 +293,66 @@ def test_config_jobs_key_is_data_error(tmp_path):
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text("jobs = 2\n")
     assert cli.main(_RUN + ["--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    ("argv", "config"),
+    [
+        (["verify", "--trials", "1"], "command = synth\n"),
+        (["verify", "--trials", "1"], "inject_bug = 1\n"),
+        (["verify", "--trials", "1"], "inject-bug = false\n"),
+        (_SYNTH, "seeds = 0:2\n"),
+        (["plotdata", "--report", "r.csv"], "config = other.cfg\n"),
+    ],
+)
+def test_config_key_that_names_no_value_flag_is_data_error(argv, config, tmp_path, capsys):
+    # a config key must name a value-taking flag of the command; the
+    # --inject-bug switch and the parser's own attributes are not keys
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: config keys not recognized")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "key", "value"),
+    [
+        (_RUN, "alpha", "x"),
+        (["run", "--methods", "lsi", "--topics", "2"], "dist", "4,x"),
+        (["run", "--methods", "lsi", "--topics", "2"], "dist", "4,4;4,x"),
+        (_RUN, "ell", "ratio:half"),
+        (_RUN, "q", "fast"),
+        (_SYNTH, "doc_length", "long"),
+        (["verify"], "trials", "many"),
+    ],
+)
+def test_non_numeric_config_value_is_reported_as_the_flag(argv, key, value, tmp_path,
+                                                          capsys):
+    out = ["--out", str(tmp_path / "o")]
+    flag_value = value.split(";")[-1]
+    assert cli.main(argv + [f"--{key.replace('_', '-')}", flag_value] + out) == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert cli.main(argv + ["--config", str(cfg)] + out) == 1
+    assert capsys.readouterr().err == from_flag
+    assert from_flag.startswith(f"error: --{key.replace('_', '-')} expects")
+
+
+def test_defaults_come_from_the_library(tmp_path):
+    assert cli.main(_SYNTH + ["--out", str(tmp_path / "c")]) == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest == json.loads(json.dumps(asdict(corpus.SynthSpec(distribution=(4, 4)))))
+
+    out = tmp_path / "rows.csv"
+    assert cli.main(["run", "--dist", "8,4", "--methods", "irr", "--topics", "2",
+                     "--metrics", "kappa", "--out", str(out)]) == 0
+    (row,) = _read_rows(out)
+    z, _ = cli._load_synth((8, 4), {}, 0)
+    assert row["q"] == repr(subspace.auto_scale(z))
+    assert subspace.auto_scale(z) == subspace.auto_scale(
+        z, subspace.IrrConfig.alpha, subspace.IrrConfig.beta)
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,9 @@ _CALLS = {
     "SynthSpec.distribution.zero": lambda: corpus.SynthSpec(distribution=(3, 0)),
     "SynthSpec.distribution.string": lambda: corpus.SynthSpec(distribution=("3", 3)),
     "SynthSpec.distribution.empty": lambda: corpus.SynthSpec(distribution=()),
+    "SynthSpec.distribution.int": lambda: corpus.SynthSpec(distribution=5),
+    "SynthSpec.distribution.none": lambda: corpus.SynthSpec(distribution=None),
+    "SynthSpec.distribution.text": lambda: corpus.SynthSpec(distribution="46,4"),
     "SynthSpec.vocab_per_topic.zero": lambda: corpus.SynthSpec((3, 3), vocab_per_topic=0),
     "SynthSpec.shared_vocab.zero": lambda: corpus.SynthSpec((3, 3), shared_vocab=0),
     "SynthSpec.shared_vocab.string": lambda: corpus.SynthSpec((3, 3), shared_vocab="150"),
@@ -71,6 +74,10 @@ _CALLS = {
         _LABELS, _LABELS, 2, True),
     "contingency_table.n_topics.negative": lambda: evalmetrics.contingency_table(
         _LABELS, _LABELS, 2, -1),
+    "contingency_score.table.fractional": lambda: evalmetrics.contingency_score(
+        [[1.5, 0.2], [0.1, 2.7]]),
+    "contingency_score.table.negative": lambda: evalmetrics.contingency_score(
+        [[-3, 1], [1, 5]]),
     "optimum_subspace.h_max.zero": lambda: theory.optimum_subspace(np.eye(6), _Z, 0),
     "optimum_subspace.h_max.string": lambda: theory.optimum_subspace(np.eye(6), _Z, "1"),
     "construct_ideal_instance.m.below_topics": lambda: theory.construct_ideal_instance(
@@ -150,6 +157,8 @@ _MATRICES = {
     "irr.z.complex": lambda: subspace.irr(_Z * 1j, subspace.IrrConfig(ell=1)),
     "project.basis.complex": lambda: linalg.project(_BASIS.astype(complex), np.ones((3, 2))),
     "rank_pairs.z.string": lambda: evalmetrics.rank_pairs([["x", "y"]]),
+    "contingency_score.table.nan": lambda: evalmetrics.contingency_score([[math.nan, 1]]),
+    "contingency_score.table.string": lambda: evalmetrics.contingency_score([["x", 1]]),
     "TermDocumentMatrix.matrix.nan": lambda: corpus.TermDocumentMatrix(
         np.array([[math.nan]]), ("t",), ("d",)),
     "TermDocumentMatrix.matrix.one_d": lambda: corpus.TermDocumentMatrix(
@@ -207,6 +216,8 @@ def test_suite_seed_is_reported_as_given():
          r"^noise_rate must be a finite number in \[0, 1\], got 2$"),
         (lambda: subspace.auto_scale(_Z, alpha=math.nan),
          r"^alpha must be a finite number, got nan$"),
+        (lambda: corpus.SynthSpec(distribution="46,4"),
+         r"^distribution must be a nonempty sequence of counts, got '46,4'$"),
     ],
 )
 def test_each_rule_has_one_message(call, message):

@@ -1,11 +1,13 @@
-"""The README's library quick start runs against the package as it is, and
-the package exports what it names."""
+"""The README's library quick start runs against the package as it is, its
+command lines parse, and the package exports what it names."""
 
 import re
+import shlex
 import types
 from pathlib import Path
 
 import irrspace
+from irrspace import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,6 +18,20 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(blocks[0], "README.md quick start", "exec"), {})
     methods = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert methods == ["lsi", "irr"]
+
+
+def test_readme_command_lines_parse_and_convert():
+    text = README.read_text(encoding="utf-8")
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("irrspace "):
+                lines.append(shlex.split(line)[1:])
+    assert len(lines) == 5
+    parser = cli._build_parser()
+    for argv in lines:
+        opts = cli._merge(parser.parse_args(argv))  # converts every flag, runs nothing
+        assert set(opts) == set(cli._COMMANDS[argv[0]][2])
 
 
 def test_public_names_are_the_export_list():
