@@ -421,16 +421,24 @@ def cmd_verify(opts: dict) -> int:
     records: list[theory.TheoremRecord] = []
 
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for index in range(trials):
         shape = (int(rng.integers(2, 40)), int(rng.integers(2, 30)))
         x1 = rng.standard_normal(shape)
         x2 = x1 + rng.standard_normal(shape) * rng.uniform(0.0, 0.5)
         records.append(theory.verify_sv_perturbation(x1, x2))
+        records[-1].instance = {"index": index, "shape": list(shape)}
 
-    for inst in suite:
-        records.append(theory.verify_dominance_interval(inst))
-        records.append(theory.verify_truncation_angle(inst))
-        records.append(theory.verify_cosine_bound(inst))
+    for index, inst in enumerate(suite):
+        tm, optimum = inst.topic_model, inst.optimum
+        instance = {
+            "index": index, "seed": inst.seed, "noise": inst.noise,
+            "topics": tm.n_topics, "docs": tm.n_docs, "terms": inst.matrix.shape[0],
+            "h": optimum.h, "is_exact": optimum.is_exact,
+        }
+        for verify in (theory.verify_dominance_interval, theory.verify_truncation_angle,
+                       theory.verify_cosine_bound):
+            records.append(verify(inst))
+            records[-1].instance = instance
 
     if opts["inject_bug"] and records:
         records[0].holds = not records[0].holds

@@ -33,6 +33,24 @@ J = diag(J_S, -I_h).  Its nonzero spectrum is that of a matrix of size at
 most k + h, k = rank S (see _eps_of_coords); dropping the small eigenvalues
 moves a deviation norm by at most n * eps * ||S||_2 (Weyl).
 
+Most candidates are never scored: a cheap lower bound certifies that they
+cannot win.  For unit probe vectors u_l,
+LB = max_l |u_l.T (S~ - M.T M) u_l| <= ||S~ - M.T M||_2 by Courant-Fischer,
+where S~ is S rebuilt from the kept (lambda, W), the matrix _eps_of_coords
+measures.  The subset search probes with the eigenvectors of S~ and the unit
+vectors e_d, so a subset's ||M u||^2 is a sum of rows of (C U)^2; the
+refinement probes with the eigenvectors of the round's deviation
+S~ - M0.T M0, and a candidate's M u is M0 u plus two rank-1 terms.  Either
+costs O(h n) per candidate.  A refine candidate is skipped when
+LB >= eps - 1e-8 + margin (it cannot be accepted), and any candidate when
+LB > (a scored value) + margin (it cannot be the argmin); the candidate with
+the least LB is scored alone first to supply that value.  The margin,
+100 * n * eps * (||S~||_2 + ||C||_F^2), covers the roundoff of both sides:
+each is within a few n * eps * (||S~||_2 + ||M||_2^2) of the exact value and
+||M||_2 <= sigma_1(A) <= ||C||_F.  The candidates left are scored in their
+original order, so the argmin, its first-index tie-break and every returned
+bit are those of scoring them all.
+
 Spectral norms inside the verifiers are computed by dense decompositions:
 the checks certify theorems at tight slacks and must not inherit
 iterative-solver residue.
@@ -57,6 +75,8 @@ _EVAL_CHUNK = 4096  # subset candidates scored per batch
 _ANGLE_GRID = (0.3, 0.1, 0.03, 0.01)
 _IMPROVE_TOL = 1e-8
 _MAX_ROUNDS = 80
+# c in the pruning margin c * n * eps * (||S~||_2 + ||C||_F^2) of the module docstring
+_PRUNE_ROUNDOFF = 100
 
 # the verifiers' fixed slacks of the module docstring
 _DOMINANCE_SLACK = 1e-8
@@ -175,16 +195,66 @@ def _eps_of_coords(
     return np.max(np.abs(np.linalg.eigvalsh(core)), axis=1)
 
 
+def _similarity_matrix(factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """S~ = W_k diag(lambda) W_k.T, the matrix _eps_of_coords measures."""
+    lam, basis = factor
+    head = basis[:, : len(lam)]
+    return (head * lam) @ head.T
+
+
+def _prune_margin(factor: tuple[np.ndarray, np.ndarray], c: np.ndarray) -> float:
+    """The roundoff allowance between a probe bound and _eps_of_coords (see
+    the module docstring); ||C||_F^2 >= sigma_1(A)^2 >= ||M.T M||_2."""
+    lam, basis = factor
+    scale = float(np.max(np.abs(lam), initial=0.0)) + float(np.sum(c * c))
+    return _PRUNE_ROUNDOFF * basis.shape[0] * np.finfo(float).eps * scale
+
+
+def _probe_bounds(
+    s_tilde: np.ndarray, probes: np.ndarray, sq_norms: np.ndarray
+) -> np.ndarray:
+    """max_l |u_l.T S~ u_l - ||M u_l||^2| per candidate, for the unit columns
+    u_l of ``probes`` and sq_norms[:, l] = ||M u_l||^2.  Each term is a
+    Rayleigh quotient of S~ - M.T M, so by Courant-Fischer the result is at
+    most ||S~ - M.T M||_2."""
+    s_probe = np.sum(probes * (s_tilde @ probes), axis=0)
+    return np.max(np.abs(s_probe - sq_norms), axis=1)
+
+
+def _moved(m0: np.ndarray, c: np.ndarray, moves: tuple, sel=slice(None)) -> np.ndarray:
+    """M0 + (w'_i - w_i).T C_i + (w'_j - w_j).T C_j for the rotations ``sel``
+    of moves = (i, j, w'_i - w_i, w'_j - w_j); given M0 U and C U in place of
+    M0 and C, it is each candidate's M U."""
+    ki, kj, di, dj = (x[sel] for x in moves)
+    out = m0 + di[:, :, None] * c[ki][:, None, :]
+    out += dj[:, :, None] * c[kj][:, None, :]
+    return out
+
+
 def _best_subset(
     factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, r: int, h: int
 ) -> tuple[float, np.ndarray]:
+    # probes: the eigenvectors of S~ and the unit vectors e_d; a subset's
+    # ||M u||^2 is the sum of its rows of sq
+    probes = np.concatenate([factor[1], np.eye(c.shape[1])], axis=1)
+    s_tilde = _similarity_matrix(factor)
+    sq = (c @ probes) ** 2
+    margin = _prune_margin(factor, c)
     best_eps, best_combo = math.inf, ()
     combos = itertools.combinations(range(r), h)
     while chunk := list(itertools.islice(combos, _EVAL_CHUNK)):
-        eps = _eps_of_coords(factor, c[np.array(chunk)])
+        idx = np.array(chunk)
+        lb = _probe_bounds(s_tilde, probes, sq[idx].sum(axis=1))
+        top = int(np.argmin(lb))
+        if lb[top] > best_eps + margin:
+            continue  # no candidate of this chunk can beat the best so far
+        # scoring the candidate with the least bound alone caps the minimum
+        cap = min(best_eps, float(_eps_of_coords(factor, c[idx[top : top + 1]])[0]))
+        keep = np.flatnonzero(lb <= cap + margin)
+        eps = _eps_of_coords(factor, c[idx[keep]])
         k = int(np.argmin(eps))
         if eps[k] < best_eps:
-            best_eps, best_combo = float(eps[k]), chunk[k]
+            best_eps, best_combo = float(eps[k]), chunk[keep[k]]
     w = np.zeros((r, h))
     w[list(best_combo), np.arange(h)] = 1.0
     return best_eps, w
@@ -201,6 +271,8 @@ def _refine(
     pi, pj = np.repeat(iu, len(angles)), np.repeat(ju, len(angles))
     ct = np.cos(np.tile(angles, len(iu)))[:, None]
     st = np.sin(np.tile(angles, len(iu)))[:, None]
+    s_tilde = _similarity_matrix(factor)
+    margin = _prune_margin(factor, c)
     w = w.copy()
     for _ in range(_MAX_ROUNDS):
         # a plane between two zero rows of w leaves w unchanged, so it cannot
@@ -210,13 +282,23 @@ def _refine(
         ki, kj, kc, ks = pi[keep], pj[keep], ct[keep], st[keep]
         wi, wj = w[ki], w[kj]
         new_i, new_j = kc * wi - ks * wj, ks * wi + kc * wj
-        m_stack = w.T @ c + (new_i - wi)[:, :, None] * c[ki][:, None, :]
-        m_stack += (new_j - wj)[:, :, None] * c[kj][:, None, :]
-        eps_all = _eps_of_coords(factor, m_stack)
+        moves = (ki, kj, new_i - wi, new_j - wj)
+        m0 = w.T @ c
+        # probes: the eigenvectors of the current deviation S~ - M0.T M0
+        probes = np.linalg.eigh(s_tilde - m0.T @ m0)[1]
+        mu = _moved(m0 @ probes, c @ probes, moves)
+        lb = _probe_bounds(s_tilde, probes, np.sum(mu * mu, axis=1))
+        cand = np.flatnonzero(lb < eps - _IMPROVE_TOL + margin)
+        if cand.size == 0:
+            break  # every move is certified not to improve by the tolerance
+        top = cand[np.argmin(lb[cand])]
+        cap = float(_eps_of_coords(factor, _moved(m0, c, moves, [top]))[0])
+        cand = cand[lb[cand] <= cap + margin]
+        eps_all = _eps_of_coords(factor, _moved(m0, c, moves, cand))
         k = int(np.argmin(eps_all))
         if eps_all[k] >= eps - _IMPROVE_TOL:
             break
-        eps = float(eps_all[k])
+        eps, k = float(eps_all[k]), cand[k]
         w[ki[k]], w[kj[k]] = new_i[k], new_j[k]
     return eps, w
 
@@ -228,7 +310,9 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     combinatorially in rank and h_max; intended for verification-scale
     inputs), then refined by the fixed rotation schedule of the module
     docstring.  Ties prefer the smallest dimensionality.  The result never
-    worsens as h_max grows.
+    worsens as h_max grows.  Candidates whose probe lower bound (module
+    docstring) exceeds what they must beat by more than the roundoff margin
+    are not scored; the result is bit-for-bit that of scoring every one.
     """
     a = linalg.as_matrix(a)
     smat = _check_similarity(s, a.shape[1])
@@ -314,15 +398,23 @@ def construct_ideal_instance(
 
 @dataclass
 class TheoremRecord:
-    """Outcome of one verification check on one instance."""
+    """Outcome of one verification check on one instance.
+
+    ``instance`` names the input checked (``verify`` sets it); a record
+    without one serializes without the key.
+    """
 
     check: str
     quantities: dict[str, float]
     condition_met: bool
     holds: bool
+    instance: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        fields = asdict(self)
+        if self.instance is None:
+            del fields["instance"]
+        return json.dumps(fields, sort_keys=True)
 
 
 def _padded_singular_values(a: np.ndarray, count: int) -> np.ndarray:

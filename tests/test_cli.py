@@ -403,6 +403,17 @@ def test_verify_emits_parseable_records(tmp_path):
     assert checks == {
         "sv_perturbation", "dominance_interval", "truncation_angle", "cosine_bound",
     }
+    # every record names its input: the trial's matrix shape, or the instance
+    trials, checks = records[:2], records[2:-1]
+    assert [r["instance"]["index"] for r in trials] == [0, 1]
+    assert all(len(r["instance"]["shape"]) == 2 for r in trials)
+    assert [r["instance"]["index"] for r in checks] == [0, 0, 0, 1, 1, 1]
+    first = checks[0]["instance"]
+    assert first == {
+        "index": 0, "seed": 0, "noise": 0.05, "topics": 2, "docs": 16,
+        "terms": 34000, "h": first["h"], "is_exact": False,
+    }
+    assert checks[3]["instance"]["topics"] == 5
 
 
 def test_verify_inject_bug_exits_nonzero(tmp_path, capsys):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrspace import theory
 from irrspace.corpus import TopicModel
@@ -136,6 +138,113 @@ def test_optimum_subspace_never_worse_than_subset_oracle():
         assert 1 <= got.h <= 3
 
 
+def _unpruned_best_subset(factor, c, r, h):
+    """The subset search scoring every candidate: the oracle for pruning."""
+    best_eps, best_combo = math.inf, ()
+    combos = itertools.combinations(range(r), h)
+    while chunk := list(itertools.islice(combos, theory._EVAL_CHUNK)):
+        eps = theory._eps_of_coords(factor, c[np.array(chunk)])
+        k = int(np.argmin(eps))
+        if eps[k] < best_eps:
+            best_eps, best_combo = float(eps[k]), chunk[k]
+    w = np.zeros((r, h))
+    w[list(best_combo), np.arange(h)] = 1.0
+    return best_eps, w
+
+
+def _unpruned_refine(factor, c, w, eps):
+    """The rotation refinement scoring every candidate: the oracle for pruning."""
+    r, h = w.shape
+    if r == h:
+        return eps, w
+    iu, ju = np.triu_indices(r, 1)
+    angles = [s * t for t in theory._ANGLE_GRID for s in (1.0, -1.0)]
+    pi, pj = np.repeat(iu, len(angles)), np.repeat(ju, len(angles))
+    cos_t = np.cos(np.tile(angles, len(iu)))[:, None]
+    sin_t = np.sin(np.tile(angles, len(iu)))[:, None]
+    w = w.copy()
+    for _ in range(theory._MAX_ROUNDS):
+        live = np.any(w != 0.0, axis=1)
+        keep = live[pi] | live[pj]
+        ki, kj, kc, ks = pi[keep], pj[keep], cos_t[keep], sin_t[keep]
+        wi, wj = w[ki], w[kj]
+        new_i, new_j = kc * wi - ks * wj, ks * wi + kc * wj
+        m_stack = w.T @ c + (new_i - wi)[:, :, None] * c[ki][:, None, :]
+        m_stack += (new_j - wj)[:, :, None] * c[kj][:, None, :]
+        eps_all = theory._eps_of_coords(factor, m_stack)
+        k = int(np.argmin(eps_all))
+        if eps_all[k] >= eps - theory._IMPROVE_TOL:
+            break
+        eps = float(eps_all[k])
+        w[ki[k]], w[kj[k]] = new_i[k], new_j[k]
+    return eps, w
+
+
+def _duplicated_columns():
+    # each unit column twice, with equal similarity blocks for pairs 0-1 and
+    # 2-3: whole families of subsets and rotations score exactly the same eps
+    a = np.repeat(np.eye(6)[:, :4], 2, axis=1)
+    s = np.kron(np.diag([0.9, 0.9, 0.6, 0.6]), np.ones((2, 2)))
+    return s, a
+
+
+def _pruning_cases():
+    for inst in theory.standard_instance_suite(4, seed=7):
+        yield f"{inst.topic_model.n_topics} topics, noise {inst.noise}", (
+            inst.similarity, inst.matrix, inst.topic_model.n_topics)
+    yield "duplicated columns", (*_duplicated_columns(), 3)
+
+
+@pytest.mark.parametrize("name, case", list(_pruning_cases()))
+def test_pruned_search_is_bit_identical_to_unpruned(name, case, monkeypatch):
+    s, a, h_max = case
+    got = theory.optimum_subspace(s, a, h_max)
+    monkeypatch.setattr(theory, "_best_subset", _unpruned_best_subset)
+    monkeypatch.setattr(theory, "_refine", _unpruned_refine)
+    want = theory.optimum_subspace(s, a, h_max)
+    assert got.eps_opt == want.eps_opt, name
+    assert got.h == want.h, name
+    assert got.basis.tobytes() == want.basis.tobytes(), name
+
+
+def test_duplicated_columns_tie_on_eps():
+    # the tie-break case above is real: several subsets share the least eps
+    s, a = _duplicated_columns()
+    c = np.linalg.svd(a, full_matrices=False)[0][:, :4].T @ a
+    eps = theory._eps_of_coords(theory._similarity_factor(s), c[:, None, :])
+    assert np.sum(eps == eps.min()) >= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    h=st.integers(1, 3),
+    s_scale=st.floats(1e-3, 1e3),
+    c_scale=st.floats(1e-3, 1e3),
+)
+def test_probe_bound_never_exceeds_deviation_norm(seed, n, h, s_scale, c_scale):
+    """Courant-Fischer: each probe bound is at most the candidate's scored
+    norm, up to the pruning margin, for both probe sets of the search."""
+    rng = np.random.default_rng(seed)
+    h = min(h, n)
+    g = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+    factor = theory._similarity_factor(s_scale * (g.T @ g))
+    r = int(rng.integers(h, n + 1))
+    c = c_scale * rng.standard_normal((r, n))
+    frames = np.linalg.qr(rng.standard_normal((40, r, h)))[0]
+    m_stack = frames.transpose(0, 2, 1) @ c
+    s_tilde = theory._similarity_matrix(factor)
+    subset_probes = np.concatenate([factor[1], np.eye(n)], axis=1)
+    deviation_probes = np.linalg.eigh(s_tilde - m_stack[0].T @ m_stack[0])[1]
+    eps = theory._eps_of_coords(factor, m_stack)
+    margin = theory._prune_margin(factor, c)
+    for probes in (subset_probes, deviation_probes):
+        sq_norms = np.sum((m_stack @ probes) ** 2, axis=1)
+        lb = theory._probe_bounds(s_tilde, probes, sq_norms)
+        assert np.all(lb <= eps + margin)
+
+
 def test_optimum_subspace_beats_random_subspaces():
     s, a = _random_instance(33)
     got = theory.optimum_subspace(s, a, h_max=2)
@@ -259,6 +368,9 @@ def test_theorem_record_serializes_to_json():
     assert parsed["check"] == "demo"
     assert parsed["quantities"]["x"] == 1.5
     assert parsed["quantities"]["y"] == math.inf
+    assert "instance" not in parsed  # only verify's records name an instance
+    rec.instance = {"index": 3}
+    assert json.loads(rec.to_json())["instance"] == {"index": 3}
 
 
 def test_standard_instance_suite_deterministic_and_varied():
