@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, corpus, evalmetrics, matrixio, subspace, theory
-from .errors import DataError, IrrspaceError, ParameterError
+from .errors import DataError, IrrspaceError, ParameterError, as_real
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,12 +182,8 @@ def _spec_kwargs(opts: dict) -> dict:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(matrixio.read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -458,28 +454,25 @@ def cmd_verify(opts: dict) -> int:
 def cmd_plotdata(opts: dict) -> int:
     if not opts["report"]:
         raise _UsageError("plotdata requires --report")
-    x_col, y_col = opts["x"], opts["y"]
-    try:
-        with open(opts["report"], newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{opts['report']}: empty CSV")
-            for col in (x_col, y_col, "method"):
-                if col not in reader.fieldnames:
-                    raise DataError(f"{opts['report']}: missing column {col!r}")
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {opts['report']}: {exc}") from exc
+    report, x_col, y_col = opts["report"], opts["x"], opts["y"]
+    rows = matrixio.read_csv(report)
+    if not rows:
+        raise DataError(f"{report}: empty CSV")
+    at = {name: i for i, name in enumerate(rows[0])}  # a repeated name: its last column
+    for col in (x_col, y_col, "method"):
+        if col not in at:
+            raise DataError(f"{report}: missing column {col!r}")
 
     groups: dict[tuple[str, float], list[float]] = {}
-    for row in rows:
-        if row[y_col] == "" or row[x_col] == "":
+    for row in rows[1:]:
+        x, y = row[at[x_col]], row[at[y_col]]
+        if x == "" or y == "":
             continue
         try:
-            key = (row["method"], float(row[x_col]))
-            groups.setdefault(key, []).append(float(row[y_col]))
-        except ValueError as exc:
-            raise DataError(f"non-numeric {x_col}/{y_col} value in report") from exc
+            key = (row[at["method"]], as_real(x_col, float(x)))
+            groups.setdefault(key, []).append(as_real(y_col, float(y)))
+        except ValueError as exc:  # float's, or as_real's ParameterError
+            raise DataError(f"{report}: bad {x_col}/{y_col} value: {exc}") from exc
     if not groups:
         raise DataError(f"no rows with both {x_col!r} and {y_col!r} present")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
+from . import linalg, matrixio
 from .errors import DataError, DimensionError, EmptyVocabularyError, ParameterError
 from .errors import as_integer, as_real
 from .stemming import porter_stem
@@ -85,24 +85,20 @@ def intra_topic_pairs(tm: TopicModel) -> np.ndarray:
     return np.triu(positive.T @ positive > 0.0, 1)
 
 
-def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
-    """Lowercase, split on non-alphanumerics, drop stopwords, Porter-stem."""
-    if stopwords is None:
-        stopwords = DEFAULT_STOPWORDS
+def tokenize(text: str) -> list[str]:
+    """Lowercase, split on non-alphanumerics, drop DEFAULT_STOPWORDS, Porter-stem."""
     raw = _TOKEN_SPLIT.split(text.lower())
-    return [porter_stem(t) for t in raw if t and t not in stopwords]
+    return [porter_stem(t) for t in raw if t and t not in DEFAULT_STOPWORDS]
 
 
-def build_matrix(
-    docs: list[Document], stopwords: frozenset[str] | None = None
-) -> TermDocumentMatrix:
+def build_matrix(docs: list[Document]) -> TermDocumentMatrix:
     """Raw term frequencies over the corpus vocabulary, columns L2-normalized."""
     if not docs:
         raise ParameterError("cannot build a matrix from zero documents")
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate document ids")
-    token_lists = [tokenize(d.text, stopwords) for d in docs]
+    token_lists = [tokenize(d.text) for d in docs]
     vocab = sorted({t for tokens in token_lists for t in tokens})
     if not vocab:
         raise EmptyVocabularyError("no terms survive tokenization")
@@ -222,7 +218,7 @@ def load_corpus_dir(path) -> list[Document]:
     topics: dict[str, set[str]] = {}
     tsv = p / "topics.tsv"
     if tsv.exists():
-        for lineno, line in enumerate(tsv.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(matrixio.read_text(tsv).splitlines(), 1):
             if not line.strip():
                 continue
             parts = line.split("\t")
@@ -236,7 +232,7 @@ def load_corpus_dir(path) -> list[Document]:
     return [
         Document(
             id=f.stem,
-            text=f.read_text(encoding="utf-8"),
+            text=matrixio.read_text(f),
             topics=frozenset(topics.get(f.stem, set())),
         )
         for f in txt_files

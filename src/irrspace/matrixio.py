@@ -1,4 +1,6 @@
-"""Matrix and basis serialization.
+"""File formats.  Every input text file is read by ``read_text`` (UTF-8, a
+leading BOM dropped) and every CSV by ``read_csv`` (rows of one length); a file
+they cannot read is a DataError that names it.
 
 Two matrix formats:
 
@@ -14,6 +16,7 @@ sidecar holding method, q, ell, residual_ratios, alpha and beta.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import struct
 from pathlib import Path
@@ -25,6 +28,25 @@ from .errors import DataError, ParameterError
 from .subspace import METHODS, SubspaceBasis
 
 MAGIC = b"SSM1"
+
+
+def read_text(path) -> str:
+    """The file at ``path`` decoded as UTF-8, without a leading BOM."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_csv(path) -> list[list[str]]:
+    """The non-empty rows of the CSV file at ``path``, all of one length."""
+    try:
+        rows = [r for r in csv.reader(io.StringIO(read_text(path))) if r]
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if len({len(r) for r in rows}) > 1:
+        raise DataError(f"{path}: rows have differing lengths")
+    return rows
 
 
 def write_matrix_binary(path, z) -> None:
@@ -64,27 +86,20 @@ def write_matrix_csv(path, z, header: list[str] | None = None) -> None:
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str] | None]:
     """Read a numeric CSV; a non-numeric first line is taken as the header."""
-    p = Path(path)
-    with open(p, encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    rows = read_csv(path)
     if not rows:
-        raise DataError(f"{p}: empty matrix file")
+        raise DataError(f"{path}: empty matrix file")
     header: list[str] | None = None
     try:
         [float(x) for x in rows[0]]
     except ValueError:
-        header = rows[0]
-        rows = rows[1:]
+        header, rows = rows[0], rows[1:]
     if not rows:
-        raise DataError(f"{p}: header but no data rows")
-    if len({len(r) for r in rows}) > 1:
-        raise DataError(f"{p}: rows have differing lengths")
+        raise DataError(f"{path}: header but no data rows")
     try:
         a = np.array([[float(x) for x in r] for r in rows])
     except ValueError as exc:
-        raise DataError(f"{p}: non-numeric entry: {exc}") from exc
-    if header is not None and len(header) != a.shape[1]:
-        raise DataError(f"{p}: {len(header)} header labels for {a.shape[1]} columns")
+        raise DataError(f"{path}: non-numeric entry: {exc}") from exc
     return linalg.as_matrix(a), header
 
 
@@ -110,9 +125,7 @@ def load_basis(path) -> SubspaceBasis:
     side = _sidecar(path)
     try:
         # every JSON number as a float, so an int too large for one reads inf
-        meta = json.loads(side.read_text(encoding="utf-8"), parse_int=float)
-    except OSError as exc:
-        raise DataError(f"missing basis sidecar {side}: {exc}") from exc
+        meta = json.loads(read_text(side), parse_int=float)
     except json.JSONDecodeError as exc:
         raise DataError(f"{side}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):

@@ -136,8 +136,6 @@ def deviation_matrix(s, a, basis=None) -> np.ndarray:
     smat = _check_similarity(s, a.shape[1])
     if basis is None:
         x = a
-    elif getattr(basis, "size", 1) == 0:
-        return smat.copy()
     else:
         x = linalg.project(basis, a)
     return smat - x.T @ x

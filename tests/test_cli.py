@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import math
+import re
+import tempfile
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrspace import cli, corpus, evalmetrics, matrixio, subspace
+from irrspace.errors import DataError
 
 
 def _read_rows(path):
@@ -457,6 +461,79 @@ def test_plotdata_missing_column_is_data_error(tmp_path):
     assert cli.main(["plotdata"]) == 1
 
 
+_CORPUS = {"c/d0.txt": b"alpha beta\n", "c/d1.txt": b"gamma delta\n",
+           "c/topics.tsv": b"d0\tt0\nd1\tt1\n"}
+_REPORT = b"run_id,method,nonuniformity,kappa\na,lsi,1.0,0.5\n"
+_LONG_FIELD = b"1" * 200_000  # csv's field limit is 131,072 characters
+_MATRIX = ["run", "--matrix", "m.csv"]
+_PLOTDATA = ["plotdata", "--report", "r.csv"]
+
+# fault -> (files written, argv, the file the error names); argv None reads
+# the sidecar of a basis b.ssm1 through load_basis, since no command does
+_FILE_FAULTS = {
+    "config.non_utf8": ({"c.cfg": b"seeds = 0\xff\n"},
+                        ["run", "--dist", "3,3", "--config", "c.cfg"], "c.cfg"),
+    "corpus_txt.non_utf8": ({**_CORPUS, "c/d0.txt": b"alpha \xff\n"},
+                            ["run", "--corpus", "c"], "c/d0.txt"),
+    "topics_tsv.non_utf8": ({**_CORPUS, "c/topics.tsv": b"d0\tt0\nd1\tt\xe9\n"},
+                            ["run", "--corpus", "c"], "c/topics.tsv"),
+    "matrix_csv.non_utf8": ({"m.csv": b"1.0,2.0\n3.0,\xff\n"}, _MATRIX, "m.csv"),
+    "matrix_csv.long_field": ({"m.csv": b"1.0," + _LONG_FIELD + b"\n"}, _MATRIX, "m.csv"),
+    "report.non_utf8": ({"r.csv": _REPORT + b"b,irr,\xff,0.5\n"}, _PLOTDATA, "r.csv"),
+    "report.long_field": ({"r.csv": _REPORT + b"b,irr,1.0," + _LONG_FIELD + b"\n"},
+                          _PLOTDATA, "r.csv"),
+    "report.short_row": ({"r.csv": _REPORT + b"b,irr,1.0\n"}, _PLOTDATA, "r.csv"),
+    "report.long_row": ({"r.csv": _REPORT + b"b,irr,1.0,0.5,9\n"}, _PLOTDATA, "r.csv"),
+    "sidecar.non_utf8": ({"b.ssm1.json": b'{"method": "lsi\xff"}'}, None, "b.ssm1.json"),
+}
+
+
+def _write_files(root, files):
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+
+
+@pytest.mark.parametrize(("files", "argv", "named"), _FILE_FAULTS.values(),
+                         ids=_FILE_FAULTS.keys())
+def test_input_file_fault_is_a_data_error(files, argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_files(tmp_path, files)
+    if argv is None:
+        matrixio.write_matrix_binary("b.ssm1", np.eye(2)[:, :1])
+        with pytest.raises(DataError, match=re.escape(named)):
+            matrixio.load_basis("b.ssm1")
+        return
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
+
+
+def test_leading_bom_is_dropped(tmp_path, monkeypatch):
+    # Excel and Notepad start a UTF-8 file with a BOM; it is no part of the
+    # first field, so a numeric first row stays data and a first key matches
+    monkeypatch.chdir(tmp_path)
+    _write_files(tmp_path, {"m.csv": b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n",
+                            "c.cfg": b"\xef\xbb\xbfseeds = 5\n"})
+    z, header = matrixio.read_matrix_csv("m.csv")
+    assert header is None
+    assert np.array_equal(z, [[1.0, 2.0], [3.0, 4.0]])
+    assert cli.main(["run", "--dist", "3,3", "--methods", "vsm", "--metrics", "kappa",
+                     "--config", "c.cfg", "--out", "o.csv"]) == 0
+    assert [r["seed"] for r in _read_rows("o.csv")] == ["5"]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("column", ["nonuniformity", "kappa"])
+def test_plotdata_refuses_a_non_finite_cell(cell, column, tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    cells = {"nonuniformity": "1.0", "kappa": "0.5", column: cell}
+    report.write_text("method,nonuniformity,kappa\nirr,{nonuniformity},{kappa}\n".format(**cells))
+    assert cli.main(["plotdata", "--report", str(report)]) == 2
+    assert f"{column} must be a finite number" in capsys.readouterr().err
+
+
 def test_help_and_version_exit_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["--version"]) == 0
@@ -566,6 +643,40 @@ _VERIFY_FLAGS = {
 )
 def test_verify_flag_fuzz_ends_in_an_exit_code(flags, junk):
     assert _main_quietly(_argv(["verify", "--trials", "1"], flags, junk)) in (0, 1, 2, 3)
+
+
+# Pieces of input files: separators, numbers, names the readers look for,
+# bytes that are not UTF-8, NUL, CR, a BOM, quotes and a field past csv's limit.
+_PIECES = st.sampled_from([
+    b",", b"\t", b"\n", b"\r", b"\r\n", b'"', b"=", b" ", b"#", b"\x00", b"\xff", b"\xe9",
+    b"\xef\xbb\xbf", b"0", b"1.5", b"-2", b"1e400", b"nan", b"x", b"d0", b"t0", b"lsi",
+    b"method", b"nonuniformity", b"kappa", b"seeds", b"methods", b"9" * 140_000,
+])
+_FILE_BYTES = st.one_of(st.binary(max_size=40), st.lists(_PIECES, max_size=24).map(b"".join))
+_FUZZ_RUNS = (
+    ["run", "--dist", "3,3", "--methods", "vsm", "--metrics", "kappa", "--config", "{d}/c.cfg"],
+    ["run", "--corpus", "{d}/c", "--methods", "vsm", "--metrics", "kappa"],
+    ["run", "--matrix", "{d}/m.csv", "--methods", "lsi", "--ell", "1", "--metrics", "none",
+     "--save-basis", "{d}/b.ssm1"],
+    ["plotdata", "--report", "{d}/r.csv"],
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(config=_FILE_BYTES, doc=_FILE_BYTES, topics=_FILE_BYTES,
+       matrix=_FILE_BYTES, report=_FILE_BYTES, header=st.booleans())
+def test_input_file_fuzz_ends_in_an_exit_code(config, doc, topics, matrix, report, header):
+    # warnings stay warnings: overflow at extreme scales is a separate defect
+    files = {"c.cfg": config, "c/d0.txt": doc, "c/d1.txt": b"alpha beta\n",
+             "c/topics.tsv": topics, "m.csv": matrix,
+             "r.csv": (_REPORT if header else b"") + report}
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_files(Path(tmp), files)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for argv in _FUZZ_RUNS:
+                assert cli.main([a.format(d=tmp) for a in argv]) in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("method", ["lsi", "irr"])

@@ -29,11 +29,6 @@ def test_tokenize_keeps_digit_tokens_intact():
     assert corpus.tokenize("t0w003 sw015") == ["t0w003", "sw015"]
 
 
-def test_tokenize_custom_stopwords():
-    got = corpus.tokenize("alpha beta gamma", stopwords=frozenset({"beta"}))
-    assert got == ["alpha", "gamma"]
-
-
 def _docs(*texts, topics=None):
     return [
         corpus.Document(

@@ -156,6 +156,8 @@ _MATRICES = {
     "lsi.z.ragged": lambda: subspace.lsi([[1.0], [1.0, 2.0]], ell=1),
     "irr.z.complex": lambda: subspace.irr(_Z * 1j, subspace.IrrConfig(ell=1)),
     "project.basis.complex": lambda: linalg.project(_BASIS.astype(complex), np.ones((3, 2))),
+    "deviation_matrix.basis.empty": lambda: theory.deviation_matrix(
+        np.eye(6), _Z, np.zeros((8, 0))),
     "rank_pairs.z.string": lambda: evalmetrics.rank_pairs([["x", "y"]]),
     "contingency_score.table.nan": lambda: evalmetrics.contingency_score([[math.nan, 1]]),
     "contingency_score.table.string": lambda: evalmetrics.contingency_score([["x", 1]]),

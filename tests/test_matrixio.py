@@ -64,7 +64,7 @@ def test_csv_round_trip_with_and_without_header(tmp_path):
 
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
-    for text in ("1.0,2.0\n3.0\n", "a,b\n1,2\n3,4,5\n", "1\n2\n3,4\n"):
+    for text in ("1.0,2.0\n3.0\n", "a,b\n1,2\n3,4,5\n", "1\n2\n3,4\n", "a,b,c\n1,2\n3,4\n"):
         path.write_text(text)
         with pytest.raises(DataError, match="rows have differing lengths"):
             matrixio.read_matrix_csv(path)
