@@ -86,9 +86,7 @@ from .theory import (
     construct_ideal_instance,
     deviation_error,
     deviation_matrix,
-    input_error,
     optimum_subspace,
-    s_prime_matrix,
     standard_instance_suite,
     topic_stats,
     verify_cosine_bound,
@@ -138,7 +136,6 @@ __all__ = [
     "deviation_matrix",
     "dimensionality_by_residual_ratio",
     "floor_ceiling",
-    "input_error",
     "intra_topic_pairs",
     "irr",
     "kappa_average_precision",
@@ -154,7 +151,6 @@ __all__ = [
     "read_matrix_csv",
     "represent",
     "rescale",
-    "s_prime_matrix",
     "save_basis",
     "standard_instance_suite",
     "svd",

@@ -300,6 +300,11 @@ def _collect_cells(opts: dict) -> list[tuple]:
                       functools.partial(_load_matrix, path)))
     if not cells:
         raise _UsageError("run requires at least one --dist, --corpus, or --matrix")
+    for dataset, *_ in cells:  # it is written to the UTF-8 CSV
+        try:
+            dataset.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"dataset name {dataset!r} is not UTF-8 text") from None
     return cells
 
 

@@ -191,9 +191,10 @@ def synthesize_collection(spec: SynthSpec) -> tuple[list[Document], TopicModel]:
 
 
 def write_corpus_dir(path, docs: list[Document], manifest: dict) -> None:
-    """Write one .txt per document plus topics.tsv and manifest.json."""
+    """Write one .txt per document plus topics.tsv and manifest.json into the
+    new directory ``path``: an existing one raises FileExistsError."""
     p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
+    p.mkdir(parents=True)
     for d in docs:
         (p / f"{d.id}.txt").write_text(d.text + "\n", encoding="utf-8")
     lines = [

@@ -146,8 +146,8 @@ def _spherical_kmeans(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Lloyd iterations with cosine similarity and renormalized centroids.
 
     Assignment ties go to the lowest cluster index; a cluster left empty is
-    reseeded with the point farthest from its previous centroid.  Stops when
-    assignments are stable or after a fixed iteration cap.
+    reseeded with the point farthest from its previous centroid, the first on
+    a tie.  Stops when assignments are stable or after a fixed iteration cap.
     """
     units = unit_columns(x)
     labels = labels.copy()

@@ -41,15 +41,15 @@ measures.  The subset search probes with the eigenvectors of S~ and the unit
 vectors e_d, so a subset's ||M u||^2 is a sum of rows of (C U)^2; the
 refinement probes with the eigenvectors of the round's deviation
 S~ - M0.T M0, and a candidate's M u is M0 u plus two rank-1 terms.  Either
-costs O(h n) per candidate.  A refine candidate is skipped when
-LB >= eps - 1e-8 + margin (it cannot be accepted), and any candidate when
-LB > (a scored value) + margin (it cannot be the argmin); the candidate with
-the least LB is scored alone first to supply that value.  The margin,
-100 * n * eps * (||S~||_2 + ||C||_F^2), covers the roundoff of both sides:
-each is within a few n * eps * (||S~||_2 + ||M||_2^2) of the exact value and
-||M||_2 <= sigma_1(A) <= ||C||_F.  The candidates left are scored in their
-original order, so the argmin, its first-index tie-break and every returned
-bit are those of scoring them all.
+costs O(h n) per candidate.  Both stages pick by one rule (_least), given
+the value v a candidate must beat (the best subset norm so far; the round's
+norm - 1e-8): skip the candidates with LB >= v + margin, score the one with
+the least LB alone, skip those with LB > min(v, its norm) + margin, score the
+rest in their original order, and take the first argmin if it is < v.  The
+margin, 100 * n * eps * (||S~||_2 + ||C||_F^2), covers the roundoff of both
+sides: each is within a few n * eps * (||S~||_2 + ||M||_2^2) of the exact
+value and ||M||_2 <= sigma_1(A) <= ||C||_F.  So the argmin, its first-index
+tie-break and every returned bit are those of scoring them all.
 
 Spectral norms inside the verifiers are computed by dense decompositions:
 the checks certify theorems at tight slacks and must not inherit
@@ -108,17 +108,6 @@ def topic_stats(tm: TopicModel) -> TopicStats:
     )
 
 
-def s_prime_matrix(tm: TopicModel) -> np.ndarray:
-    """rho @ rho.T zero-padded to docs x docs; shares all singular values
-    with the similarity matrix rho.T @ rho."""
-    k, n = tm.relevance.shape
-    if k > n:
-        raise DimensionError(f"{k} topics cannot be padded into {n} docs")
-    out = np.zeros((n, n))
-    out[:k, :k] = tm.relevance @ tm.relevance.T
-    return out
-
-
 def _sym_spectral_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
@@ -143,11 +132,6 @@ def deviation_matrix(s, a, basis=None) -> np.ndarray:
 
 def deviation_error(s, a, basis=None) -> float:
     return _sym_spectral_norm(deviation_matrix(s, a, basis))
-
-
-def input_error(s, a) -> float:
-    """epsilon_0 = ||S - A.T A||_2, the error of the inputs themselves."""
-    return deviation_error(s, a, basis=None)
 
 
 @dataclass
@@ -229,6 +213,20 @@ def _moved(m0: np.ndarray, c: np.ndarray, moves: tuple, sel=slice(None)) -> np.n
     return out
 
 
+def _least(lb: np.ndarray, bound: float, margin: float, score) -> tuple[int, float] | None:
+    """(index, norm) of the least-norm candidate, the first on a tie, if its
+    norm is < bound, else None; score(sel) gives the norms of candidates sel."""
+    cand = np.flatnonzero(lb < bound + margin)
+    if cand.size == 0:
+        return None
+    i = int(np.argmin(lb[cand]))
+    cap = min(bound, float(score(cand[i : i + 1])[0]))
+    cand = cand[lb[cand] <= cap + margin]
+    eps = score(cand)
+    k = int(np.argmin(eps))
+    return (int(cand[k]), float(eps[k])) if eps[k] < bound else None
+
+
 def _best_subset(
     factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, r: int, h: int
 ) -> tuple[float, np.ndarray]:
@@ -243,16 +241,10 @@ def _best_subset(
     while chunk := list(itertools.islice(combos, _EVAL_CHUNK)):
         idx = np.array(chunk)
         lb = _probe_bounds(s_tilde, probes, sq[idx].sum(axis=1))
-        top = int(np.argmin(lb))
-        if lb[top] > best_eps + margin:
-            continue  # no candidate of this chunk can beat the best so far
-        # scoring the candidate with the least bound alone caps the minimum
-        cap = min(best_eps, float(_eps_of_coords(factor, c[idx[top : top + 1]])[0]))
-        keep = np.flatnonzero(lb <= cap + margin)
-        eps = _eps_of_coords(factor, c[idx[keep]])
-        k = int(np.argmin(eps))
-        if eps[k] < best_eps:
-            best_eps, best_combo = float(eps[k]), chunk[keep[k]]
+        found = _least(lb, best_eps, margin,
+                       lambda sel: _eps_of_coords(factor, c[idx[sel]]))
+        if found is not None:
+            best_eps, best_combo = found[1], chunk[found[0]]
     w = np.zeros((r, h))
     w[list(best_combo), np.arange(h)] = 1.0
     return best_eps, w
@@ -286,17 +278,11 @@ def _refine(
         probes = np.linalg.eigh(s_tilde - m0.T @ m0)[1]
         mu = _moved(m0 @ probes, c @ probes, moves)
         lb = _probe_bounds(s_tilde, probes, np.sum(mu * mu, axis=1))
-        cand = np.flatnonzero(lb < eps - _IMPROVE_TOL + margin)
-        if cand.size == 0:
-            break  # every move is certified not to improve by the tolerance
-        top = cand[np.argmin(lb[cand])]
-        cap = float(_eps_of_coords(factor, _moved(m0, c, moves, [top]))[0])
-        cand = cand[lb[cand] <= cap + margin]
-        eps_all = _eps_of_coords(factor, _moved(m0, c, moves, cand))
-        k = int(np.argmin(eps_all))
-        if eps_all[k] >= eps - _IMPROVE_TOL:
-            break
-        eps, k = float(eps_all[k]), cand[k]
+        found = _least(lb, eps - _IMPROVE_TOL, margin,
+                       lambda sel: _eps_of_coords(factor, _moved(m0, c, moves, sel)))
+        if found is None:
+            break  # no move lowers the norm by more than the tolerance
+        k, eps = found
         w[ki[k]], w[kj[k]] = new_i[k], new_j[k]
     return eps, w
 
@@ -464,7 +450,7 @@ def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
     dhat = _padded_singular_values(basis.T @ a, h)
     dbar = a - basis @ (basis.T @ a)
     eps_tilde = float(np.linalg.svd(dbar, compute_uv=False)[0]) ** 2
-    eps0 = input_error(smat, a)
+    eps0 = deviation_error(smat, a)
     eps_opt = instance.optimum.eps_opt
     sqrt_et = math.sqrt(eps_tilde)
     dhat_max, dhat_min = float(dhat[0]), float(dhat[h - 1])

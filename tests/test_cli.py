@@ -114,6 +114,18 @@ def test_run_clusters_a_one_document_collection(tmp_path):
             assert float(row[name]) == 1.0
 
 
+def test_synth_refuses_an_existing_out_directory(tmp_path, capsys):
+    # rewriting into it would leave the old documents beside the new ones
+    out = tmp_path / "c"
+    assert cli.main(["synth", "--dist", "46,4", "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert cli.main(["synth", "--dist", "3,3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert _tree_bytes(out) == before
+
+
 def test_run_on_corpus_directory(tmp_path):
     corpus_dir = tmp_path / "corp"
     assert cli.main(["synth", "--dist", "6,4", "--seed", "2", "--noise", "0.2",
@@ -251,6 +263,29 @@ def test_run_unlabeled_matrix_without_ell_is_data_error(tmp_path):
     rc = cli.main(["run", "--matrix", str(mat), "--methods", "lsi",
                    "--metrics", "none", "--save-basis", str(tmp_path / "b.ssm1")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--matrix"])
+def test_dataset_name_that_is_not_utf8_is_data_error(flag, tmp_path, capsys):
+    # the file name b"caf\xe9" decodes with surrogateescape to "caf\udce9",
+    # which the UTF-8 CSV cannot hold
+    name = tmp_path / "caf\udce9"
+    if flag == "--corpus":
+        assert cli.main(["synth", "--dist", "3,3", "--out", str(tmp_path / "c")]) == 0
+        (tmp_path / "c").rename(name)
+    else:
+        name = name.with_suffix(".csv")
+        name.write_bytes(b"1,0\n0,1\n")
+    out = tmp_path / "o.csv"
+    out.write_text("old\n")
+    capsys.readouterr()
+    rc = cli.main(["run", flag, str(name), "--methods", "lsi", "--ell", "1",
+                   "--metrics", "none", "--save-basis", str(tmp_path / "b.ssm1"),
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: dataset name ")
+    assert out.read_text() == "old\n"
+    assert not (tmp_path / "b.ssm1").exists()
 
 
 def test_run_missing_corpus_is_data_error(tmp_path):

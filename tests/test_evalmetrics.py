@@ -419,3 +419,14 @@ def test_kmeans_refinement_recorded_against_seed_partition():
         print(f"{base}: linkage={s_base:.3f} refined={s_ref:.3f}")
         again = evalmetrics.cluster(z, 2, f"kmeans_{base}")
         assert np.array_equal(refined, again)
+
+
+@pytest.mark.parametrize("base", ["single_link", "complete_link", "group_average"])
+def test_kmeans_reseeds_the_cluster_a_zero_column_empties(base):
+    # each linkage puts the zero column (a document with no indexed terms) in
+    # a cluster of its own, whose centroid is then zero; the column moves to
+    # cluster 0, and the emptied cluster 2 is reseeded with the point least
+    # similar to its stale centroid: all tie at 0, so the lowest index
+    x = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.0, 0.95], [0.0, 0.0]]).T
+    assert evalmetrics.cluster(x, 3, base).tolist() == [0, 0, 1, 1, 2]
+    assert evalmetrics.cluster(x, 3, f"kmeans_{base}").tolist() == [2, 0, 1, 1, 0]

@@ -91,6 +91,13 @@ def test_classic_vocabulary(word, expected):
     assert porter_stem(word) == expected
 
 
+@pytest.mark.parametrize("word,expected", [
+    ("opinion", "opinion"), ("communion", "communion"), ("adoption", "adopt"),
+])
+def test_step4_ion_is_removed_only_after_s_or_t(word, expected):
+    assert porter_stem(word) == expected
+
+
 def test_short_words_pass_through():
     assert porter_stem("at") == "at"
     assert porter_stem("be") == "be"

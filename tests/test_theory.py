@@ -51,31 +51,12 @@ def test_squared_dominances_sum_to_doc_count():
         assert float((stats.dominances**2).sum()) == pytest.approx(n, abs=1e-9)
 
 
-def test_s_prime_shares_spectrum_with_similarity_matrix():
-    rng = np.random.default_rng(1)
-    raw = rng.random((3, 7)) + 1e-3
-    rho = raw / np.linalg.norm(raw, axis=0)
-    tm = TopicModel(relevance=rho, topic_ids=("a", "b", "c"))
-    sp = theory.s_prime_matrix(tm)
-    assert sp.shape == (7, 7)
-    ev1 = np.sort(np.linalg.eigvalsh(sp))
-    ev2 = np.sort(np.linalg.eigvalsh(rho.T @ rho))
-    assert np.allclose(ev1, ev2, atol=1e-10)
-
-
-def test_s_prime_rejects_more_topics_than_docs():
-    rho = np.eye(3)[:, :2]
-    tm = TopicModel(relevance=rho, topic_ids=("a", "b", "c"))
-    with pytest.raises(DimensionError):
-        theory.s_prime_matrix(tm)
-
-
 def test_deviation_matrix_identity_cases():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((6, 4))
     s = np.eye(4)
     assert np.allclose(theory.deviation_matrix(s, a), s - a.T @ a, atol=1e-14)
-    assert theory.input_error(a.T @ a, a) == pytest.approx(0.0, abs=1e-10)
+    assert theory.deviation_error(a.T @ a, a) == pytest.approx(0.0, abs=1e-10)
 
 
 def _random_instance(seed, k=2, n=6, m=8):
@@ -243,6 +224,32 @@ def test_probe_bound_never_exceeds_deviation_norm(seed, n, h, s_scale, c_scale):
         sq_norms = np.sum((m_stack @ probes) ** 2, axis=1)
         lb = theory._probe_bounds(s_tilde, probes, sq_norms)
         assert np.all(lb <= eps + margin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cases=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1,
+                   max_size=30),
+    margin=st.integers(0, 4),
+    bound=st.one_of(st.just(math.inf), st.integers(0, 13)),
+)
+def test_least_matches_scoring_every_candidate(cases, margin, bound):
+    """The pruned argmin equals brute force whenever each bound is valid,
+    lb <= eps + margin.  Values are eighths, so every sum is exact and ties
+    are common."""
+    eps = np.array([e for e, _ in cases]) / 8.0
+    lb = eps + (margin - np.array([d for _, d in cases])) / 8.0
+    margin, bound = margin / 8.0, bound / 8.0
+    scored = []
+
+    def score(sel):
+        scored.append(np.array(sel))
+        return eps[sel]
+
+    k = int(np.argmin(eps))
+    want = (k, float(eps[k])) if eps[k] < bound else None
+    assert theory._least(lb, bound, margin, score) == want
+    assert len(scored) in (0, 2)
 
 
 def test_optimum_subspace_beats_random_subspaces():
