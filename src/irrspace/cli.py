@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -257,7 +258,9 @@ def cmd_synth(opts: dict) -> int:
                             **_spec_kwargs(opts))
     docs, _ = corpus.synthesize_collection(spec)
     corpus.write_corpus_dir(opts["out"], docs, asdict(spec))
-    print(f"wrote {len(docs)} documents to {opts['out']}")
+    # a name that is not UTF-8 is printed with its undecodable bytes escaped
+    shown = os.fsencode(opts["out"]).decode("utf-8", "backslashreplace")
+    print(f"wrote {len(docs)} documents to {shown}")
     return EXIT_OK
 
 

@@ -103,10 +103,12 @@ def build_matrix(docs: list[Document]) -> TermDocumentMatrix:
     if not vocab:
         raise EmptyVocabularyError("no terms survive tokenization")
     index = {t: i for i, t in enumerate(vocab)}
-    a = np.zeros((len(vocab), len(docs)))
-    for j, tokens in enumerate(token_lists):
-        for t in tokens:
-            a[index[t], j] += 1.0
+    n = len(docs)
+    rows = np.array([index[t] for tokens in token_lists for t in tokens], dtype=np.intp)
+    cols = np.repeat(np.arange(n), [len(tokens) for tokens in token_lists])
+    # integer counts are exact, so this equals adding 1.0 per token
+    a = np.bincount(rows * n + cols, minlength=len(vocab) * n)
+    a = a.reshape(len(vocab), n).astype(np.float64)
     norms = np.linalg.norm(a, axis=0)
     empty = [ids[j] for j in range(len(docs)) if norms[j] == 0.0]
     if empty:
@@ -168,24 +170,26 @@ class SynthSpec:
 
 
 def synthesize_collection(spec: SynthSpec) -> tuple[list[Document], TopicModel]:
-    """Deterministic synthetic collection; identical for identical specs."""
+    """Deterministic synthetic collection; identical for identical specs.
+
+    Document ids are ``d`` plus the running index, zero-padded to at least
+    three digits and to the width of the last index, so that ids sort in
+    synthesis order."""
     rng = np.random.default_rng(spec.rng_seed)
+    width = max(3, len(str(sum(spec.distribution) - 1)))
+    shared_names = [f"sw{w:03d}" for w in range(spec.shared_vocab)]
     docs: list[Document] = []
-    d = 0
     for ti, count in enumerate(spec.distribution):
-        topic = f"t{ti}"
+        topics = frozenset({f"t{ti}"})
+        # the topic's own terms, then the shared ones at offset vocab_per_topic
+        names = [f"t{ti}w{w:03d}" for w in range(spec.vocab_per_topic)] + shared_names
         for _ in range(count):
             noise = rng.random(spec.doc_length) < spec.noise_rate
             primary = rng.integers(0, spec.vocab_per_topic, spec.doc_length)
             shared = rng.integers(0, spec.shared_vocab, spec.doc_length)
-            tokens = [
-                f"sw{shared[p]:03d}" if noise[p] else f"t{ti}w{primary[p]:03d}"
-                for p in range(spec.doc_length)
-            ]
-            docs.append(
-                Document(id=f"d{d:03d}", text=" ".join(tokens), topics=frozenset({topic}))
-            )
-            d += 1
+            picks = np.where(noise, shared + spec.vocab_per_topic, primary).tolist()
+            text = " ".join([names[w] for w in picks])
+            docs.append(Document(id=f"d{len(docs):0{width}d}", text=text, topics=topics))
     tm = topic_model_from_docs(docs)
     return docs, tm
 

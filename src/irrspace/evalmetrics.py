@@ -69,8 +69,18 @@ def rank_pairs(z) -> RankedPairs:
         raise ParameterError("need at least two documents to rank pairs")
     i, j = np.triu_indices(n, 1)
     cos = cosine_matrix(a)[i, j]
-    # triu order is (i, j) order, so the stable sort breaks ties by pair
-    order = np.argsort(-cos, kind="stable")
+    # triu order is (i, j) order, so ties must keep their triu order
+    order = np.argsort(-cos)
+    ranked = cos[order]
+    tied = ranked[1:] == ranked[:-1]
+    if tied.any():
+        # rank each pair by the first sorted position of its value, then sort
+        # the unique keys rank * N + index: the stable order.  The key fits in
+        # int64 for N < 3e9 pairs (about 77k documents), far beyond what a
+        # dense n x n cosine matrix allows.
+        pos = np.arange(cos.size)
+        rank = np.maximum.accumulate(np.where(np.r_[False, tied], 0, pos))
+        order = np.sort(rank * cos.size + order) % cos.size
     return RankedPairs(i=i[order], j=j[order], cosine=cos[order], n_docs=n)
 
 
@@ -119,19 +129,24 @@ def cut_tree(z: np.ndarray, n_clusters: int) -> np.ndarray:
     are relabelled 0, 1, ... by first appearance among the leaves.
     """
     n = z.shape[0] + 1
-    children = z[:, :2].astype(np.intp)
+    children = z[:, :2].astype(np.intp).tolist()
     # breadth-first position of each merge; the queue grows as it is walked
-    bfs = np.empty(n - 1, np.intp)
+    bfs = [0] * (n - 1)
     queue = [2 * n - 2]
     for pos, node in enumerate(queue):
         bfs[node - n] = pos
-        queue.extend(c for c in children[node - n, ::-1] if c >= n)
-    kept = np.lexsort((-bfs, z[:, 2]))[: n - n_clusters]
+        left, right = children[node - n]
+        if right >= n:
+            queue.append(right)
+        if left >= n:
+            queue.append(left)
+    kept = np.lexsort((np.negative(bfs), z[:, 2]))[: n - n_clusters]
     # a merge's children are ids below its own, so a descending sweep pushes
     # every root down to its leaves
-    root = np.arange(2 * n - 1)
-    for row in np.sort(kept)[::-1]:
-        root[children[row]] = root[n + row]
+    root = list(range(2 * n - 1))
+    for row in sorted(kept.tolist(), reverse=True):
+        left, right = children[row]
+        root[left] = root[right] = root[n + row]
     _, first, inverse = np.unique(root[:n], return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse]
 

@@ -7,6 +7,11 @@ digits fall through unchanged, which keeps synthetic vocabularies stable.
 
 from __future__ import annotations
 
+import functools
+
+# distinct words remembered by porter_stem
+_CACHE_SIZE = 1 << 16
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -83,6 +88,7 @@ _STEP4 = (
 )
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def porter_stem(word: str) -> str:
     if len(word) <= 2 or any(ch.isdigit() for ch in word):
         return word

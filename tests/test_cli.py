@@ -288,6 +288,27 @@ def test_dataset_name_that_is_not_utf8_is_data_error(flag, tmp_path, capsys):
     assert not (tmp_path / "b.ssm1").exists()
 
 
+def test_synth_to_a_name_that_is_not_utf8_escapes_it(tmp_path, capsys):
+    # pytest's capture encodes stdout as strict UTF-8, as a UTF-8 locale does
+    out = tmp_path / "caf\udce9"
+    assert cli.main(["synth", "--dist", "3,2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 5 documents to {tmp_path}/caf\\xe9\n"
+    assert len(list(out.glob("*.txt"))) == 5
+
+
+def test_run_reads_a_synth_directory_of_1000_documents_in_order(tmp_path):
+    shape = ["--noise", "0.3", "--doc-length", "8"]
+    assert cli.main(["synth", "--dist", "990,12", "--out", str(tmp_path / "c"), *shape]) == 0
+    rows = {}
+    for key, source in (("dist", ["--dist", "990,12", "--seeds", "0"]),
+                        ("corpus", ["--corpus", str(tmp_path / "c")])):
+        out = tmp_path / f"{key}.csv"
+        assert cli.main(["run", *source, *shape, "--methods", "vsm",
+                         "--metrics", "kappa", "--out", str(out)]) == 0
+        rows[key] = next(csv.DictReader(out.open()))
+    assert rows["corpus"]["kappa"] == rows["dist"]["kappa"]
+
+
 def test_run_missing_corpus_is_data_error(tmp_path):
     rc = cli.main(["run", "--corpus", str(tmp_path / "nope"), "--methods", "lsi",
                    "--metrics", "kappa"])

@@ -1,5 +1,6 @@
 """Text pipeline, topic models, synthetic collections, and corpus I/O."""
 
+import hashlib
 import math
 import warnings
 
@@ -210,3 +211,63 @@ def test_topic_model_validation():
         corpus.TopicModel(relevance=np.array([[0.5], [0.5]]), topic_ids=("a", "b"))
     with pytest.raises(DataError):
         corpus.TopicModel(relevance=np.array([[-1.0], [0.0]]), topic_ids=("a", "b"))
+
+
+@pytest.mark.parametrize("spec,digest", [
+    (corpus.SynthSpec((46, 4), noise_rate=0.3),
+     "52c2c5b999985a9ceadaa06105f3331e9f108ca96d02f7319d5b3c67b32064ae"),
+    # the benchmark's w4 corpus at seed 0
+    (corpus.SynthSpec((200, 60, 30, 15, 10, 5), vocab_per_topic=120, shared_vocab=400,
+                      doc_length=60, noise_rate=0.3),
+     "9f59d2b7f25e7cad5838deb3d4272768e013f3155aeb0c37c0a6c05902935b92"),
+])
+def test_synthesize_collection_is_pinned(spec, digest):
+    docs, _ = corpus.synthesize_collection(spec)
+    h = hashlib.sha256()
+    for d in docs:
+        h.update(f"{d.id}\t{d.text}\n".encode())
+    assert h.hexdigest() == digest
+
+
+def test_synth_ids_sort_in_synthesis_order(tmp_path):
+    docs, _ = corpus.synthesize_collection(corpus.SynthSpec((600, 401), doc_length=3))
+    assert (docs[0].id, docs[-1].id) == ("d0000", "d1000")
+    corpus.write_corpus_dir(tmp_path / "c", docs, manifest={})
+    loaded = corpus.load_corpus_dir(tmp_path / "c")
+    assert [d.id for d in loaded] == [d.id for d in docs]
+    assert [d.text.strip() for d in loaded] == [d.text for d in docs]
+    small, _ = corpus.synthesize_collection(corpus.SynthSpec((999,), doc_length=1))
+    assert (small[0].id, small[-1].id) == ("d000", "d998")
+
+
+def _counts_oracle(docs):
+    """Per-token ``+= 1.0`` counts over the sorted vocabulary, columns unscaled."""
+    token_lists = [corpus.tokenize(d.text) for d in docs]
+    vocab = sorted({t for tokens in token_lists for t in tokens})
+    a = np.zeros((len(vocab), len(docs)))
+    for j, tokens in enumerate(token_lists):
+        for t in tokens:
+            a[vocab.index(t), j] += 1.0
+    return vocab, a
+
+
+def test_build_matrix_matches_per_token_counts():
+    docs = _docs(
+        "Connections connected connecting; the CONNECTION!",
+        "t0w003 t0w003 sw015 42 42 42 route66",
+        "the and of in",  # every token a stopword: a zero column
+        "running runs ran runner running running",
+        "happiness happy happily, and the generalizations",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tdm = corpus.build_matrix(docs)
+    assert [str(w.message) for w in caught] == [
+        "documents with no indexed terms kept as zero columns: ['d2']"
+    ]
+    vocab, counts = _counts_oracle(docs)
+    assert tdm.terms == tuple(vocab)
+    norms = np.linalg.norm(counts, axis=0)
+    np.divide(counts, norms, out=counts, where=norms > 0.0)
+    assert tdm.matrix.tobytes() == counts.tobytes()
+    assert np.all(tdm.matrix[:, 2] == 0.0)

@@ -199,6 +199,35 @@ def test_array_ranking_and_kappa_match_tuple_oracle(docs):
     assert evalmetrics.kappa_average_precision(ranked, mask) == _oracle_kappa(oracle, intra)
 
 
+@st.composite
+def _many_docs(draw):
+    """100-400 documents: tie-free Gaussian columns, or columns drawn from a
+    pool of small-integer columns, their negations (whose zeros are -0.0)
+    and a zero column, so exact ties and duplicates are common."""
+    n = draw(st.integers(100, 400))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.standard_normal((m, n))
+    pool = rng.integers(-2, 3, size=(m, draw(st.integers(1, 8)))).astype(np.float64)
+    pool = np.hstack([pool, -pool, np.zeros((m, 1))])
+    return pool[:, rng.integers(0, pool.shape[1], n)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_many_docs())
+def test_rank_pairs_is_the_stable_order_at_simd_sizes(z):
+    # n >= 100 puts numpy's default sort on its vectorized path
+    n = z.shape[1]
+    i, j = np.triu_indices(n, 1)
+    cos = evalmetrics.cosine_matrix(z)[i, j]
+    order = np.argsort(-cos, kind="stable")
+    ranked = evalmetrics.rank_pairs(z)
+    assert np.array_equal(ranked.i, i[order])
+    assert np.array_equal(ranked.j, j[order])
+    assert ranked.cosine.tobytes() == cos[order].tobytes()
+
+
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -114,3 +114,11 @@ def test_idempotent_on_common_words():
     for w in ("running", "connections", "argued", "happiness"):
         once = porter_stem(w)
         assert porter_stem(once) == once
+
+
+def test_cached_stem_equals_uncached():
+    words = [w for pair in CLASSIC for w in pair]
+    words += ["opinion", "communion", "at", "be", "a", "t0w015", "sw003",
+              "running", "connections", "argued", "happiness"]
+    for w in words + words:  # the second pass reads the cache
+        assert porter_stem(w) == porter_stem.__wrapped__(w)
