@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
 
 from . import linalg
 from .corpus import TopicModel
@@ -116,6 +115,18 @@ def kappa_average_precision(ranked: RankedPairs, intra: np.ndarray) -> float:
     if chance == 1.0:
         raise UndefinedMetricError("every pair is intra-topic; kappa is undefined")
     return (pap - chance) / (1.0 - chance)
+
+
+def linkage(y: np.ndarray, method: str) -> np.ndarray:
+    """scipy's ``linkage(y, method=method)``, unchanged.
+
+    scipy is imported on the first call rather than with this module, so
+    only a clustering loads it.  ``_hierarchical`` looks this name up at
+    call time, so a wrapper bound over the module attribute sees every call.
+    """
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+
+    return scipy_linkage(y, method=method)
 
 
 def cut_tree(z: np.ndarray, n_clusters: int) -> np.ndarray:

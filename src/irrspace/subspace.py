@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import ParameterError, as_integer, as_real
@@ -133,7 +132,11 @@ def _leading_left_vector(r: np.ndarray, w: np.ndarray) -> np.ndarray:
     the direction it returns is accurate only to about machine precision
     times lambda_1 / (lambda_1 - lambda_2): when the top two eigenvalues
     nearly coincide, the direction is not determined.
+
+    scipy is imported here, not at module level, so that only irr loads it.
     """
+    import scipy.linalg
+
     m = r.shape[0]
     rw = r * w
     _, vec = scipy.linalg.eigh(rw @ rw.T, subset_by_index=[m - 1, m - 1], driver="evr")

@@ -381,6 +381,17 @@ def test_one_cluster_is_all_zeros_even_for_one_document(algorithm):
     assert labels.dtype == np.intp and np.array_equal(labels, np.zeros(12))
 
 
+@pytest.mark.parametrize("method", ["single", "complete", "average"])
+def test_linkage_is_scipys_bit_for_bit(method):
+    # distances 1 - cos with cosines in quarters: most merge heights tie
+    rng = np.random.default_rng(20010909)
+    d = 1.0 - rng.integers(0, 5, 40 * 39 // 2) / 4.0
+    got = evalmetrics.linkage(d, method=method)
+    want = linkage(d, method=method)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cut_tree_matches_scipy_on_every_k_with_ties():
     # coordinates rounded to 0 or 1 decimals give many equal merge heights
     rng = np.random.default_rng(20010909)
