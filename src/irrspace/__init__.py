@@ -63,7 +63,6 @@ from .matrixio import (
     read_matrix_csv,
     save_basis,
     write_matrix_binary,
-    write_matrix_csv,
 )
 from .stemming import porter_stem
 from .stopwords import DEFAULT_STOPWORDS
@@ -164,5 +163,4 @@ __all__ = [
     "verify_truncation_angle",
     "write_corpus_dir",
     "write_matrix_binary",
-    "write_matrix_csv",
 ]

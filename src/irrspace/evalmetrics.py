@@ -163,8 +163,9 @@ def cut_tree(z: np.ndarray, n_clusters: int) -> np.ndarray:
 
 
 def _hierarchical(x: np.ndarray, k: int, algorithm: str) -> np.ndarray:
-    # condensed cosine distances: the pairs i < j in row order
-    d = np.maximum(1.0 - cosine_matrix(x)[np.triu_indices(x.shape[1], 1)], 0.0)
+    # condensed cosine distances: the pairs i < j in row order; cosine_matrix
+    # clips to [-1, 1], so none is negative
+    d = 1.0 - cosine_matrix(x)[np.triu_indices(x.shape[1], 1)]
     return cut_tree(linkage(d, method=_LINKAGE[algorithm]), k)
 
 

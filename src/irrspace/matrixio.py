@@ -2,7 +2,7 @@
 leading BOM dropped) and every CSV by ``read_csv`` (rows of one length); a file
 they cannot read is a DataError that names it.
 
-Two matrix formats:
+Two matrix formats are read, and only the packed one is written:
 
 * CSV, one row per line, with an optional header line of column labels.
 * Packed binary: magic ``SSM1``, row and column counts as 64-bit
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DataError, ParameterError
-from .subspace import METHODS, SubspaceBasis
+from .subspace import SubspaceBasis
 
 MAGIC = b"SSM1"
 
@@ -70,18 +70,6 @@ def read_matrix_binary(path) -> np.ndarray:
         raise DataError(f"{p}: expected {want} bytes for {rows}x{cols}, got {len(blob)}")
     a = np.frombuffer(blob[20:], dtype="<f8").reshape(rows, cols)
     return linalg.as_matrix(a)
-
-
-def write_matrix_csv(path, z, header: list[str] | None = None) -> None:
-    a = linalg.as_matrix(z)
-    if header is not None and len(header) != a.shape[1]:
-        raise DataError(f"{len(header)} header labels for {a.shape[1]} columns")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        for row in a:
-            writer.writerow([repr(float(x)) for x in row])
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str] | None]:
@@ -130,9 +118,6 @@ def load_basis(path) -> SubspaceBasis:
         raise DataError(f"{side}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise DataError(f"{side}: expected a JSON object")
-    method = meta.get("method")
-    if method not in METHODS:
-        raise DataError(f"{side}: unknown method {method!r}")
     # type() keeps out JSON true, which equals 1
     if not (type(meta.get("ell")) is float and meta["ell"] == mat.shape[1]):
         raise DataError(f"{side}: ell does not match the stored basis")
@@ -142,7 +127,7 @@ def load_basis(path) -> SubspaceBasis:
     try:
         return SubspaceBasis(
             basis=mat,
-            method=method,
+            method=meta.get("method"),
             q=meta.get("q"),
             residual_ratios=tuple(ratios),
             alpha=meta.get("alpha"),

@@ -74,8 +74,8 @@ class SubspaceBasis:
     exhausted: bool = False
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ParameterError(f"method must be one of {METHODS}")
+        if self.method not in ("lsi", "irr"):
+            raise ParameterError("method must be 'lsi' or 'irr'")
         self.basis = linalg.as_matrix(self.basis, "basis")
         linalg.require_orthonormal(self.basis)
         for name, low in (("q", 0), ("alpha", None), ("beta", None)):

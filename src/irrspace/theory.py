@@ -23,7 +23,8 @@ the angle between the truncation subspace and the optimum, the
 singular-value perturbation inequality, and the projected-cosine envelope,
 each as ``x <= bound + slack`` at a fixed slack: 1e-8 for the dominance
 interval, 1e-6 for the truncation angle, 1e-10 for the singular-value
-perturbation and 1e-9 for the cosine envelope.
+perturbation and 1e-9 for the cosine envelope.  The truncation check reads
+sigma_{h+1}(A) and the rank-h truncation subspace off one SVD of A.
 
 The search scores each candidate through a low-rank identity rather than the
 n x n deviation: S is factored once as S ~= F.T J_S F (F = sqrt|lambda| V.T
@@ -65,7 +66,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import linalg, subspace
+from . import linalg
 from .corpus import TopicModel
 from .errors import DimensionError, ParameterError, as_integer, as_real
 
@@ -385,7 +386,8 @@ class TheoremRecord:
     """Outcome of one verification check on one instance.
 
     ``instance`` names the input checked (``verify`` sets it); a record
-    without one serializes without the key.
+    without one serializes without the key.  A quantity that is not finite
+    (a bound whose precondition failed) serializes as null.
     """
 
     check: str
@@ -398,7 +400,9 @@ class TheoremRecord:
         fields = asdict(self)
         if self.instance is None:
             del fields["instance"]
-        return json.dumps(fields, sort_keys=True)
+        for k, v in fields["quantities"].items():
+            fields["quantities"][k] = v if math.isfinite(v) else None
+        return json.dumps(fields, sort_keys=True, allow_nan=False)
 
 
 def _padded_singular_values(a: np.ndarray, count: int) -> np.ndarray:
@@ -447,8 +451,9 @@ def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
     basis = instance.optimum.basis
     h = instance.optimum.h
     smat = instance.similarity
-    dhat = _padded_singular_values(basis.T @ a, h)
-    dbar = a - basis @ (basis.T @ a)
+    coords = basis.T @ a
+    dhat = _padded_singular_values(coords, h)
+    dbar = a - basis @ coords
     eps_tilde = float(np.linalg.svd(dbar, compute_uv=False)[0]) ** 2
     eps0 = deviation_error(smat, a)
     eps_opt = instance.optimum.eps_opt
@@ -456,11 +461,9 @@ def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
     dhat_max, dhat_min = float(dhat[0]), float(dhat[h - 1])
     condition = dhat_min > sqrt_et
 
-    full_s = _padded_singular_values(a, h + 1)
-    sigma_next = float(full_s[h])
-
-    lsi_basis = subspace.lsi(a, ell=h).basis
-    tan_measured = linalg.canonical_angles(lsi_basis, basis).tan_norm
+    res = linalg.svd(a)
+    sigma_next = float(res.s[h]) if h < len(res.s) else 0.0
+    tan_measured = linalg.canonical_angles(res.u[:, :h], basis).tan_norm
     if condition:
         x = sqrt_et / dhat_min
         tan_bound = (dhat_max / dhat_min) * x / (1.0 - x * x)

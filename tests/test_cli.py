@@ -33,6 +33,10 @@ def _tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
+def _write_csv_matrix(path, z):
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in z.tolist()))
+
+
 def test_synth_writes_expected_corpus(tmp_path, capsys):
     out = tmp_path / "c"
     rc = cli.main(["synth", "--dist", "25,25", "--seed", "1", "--out", str(out)])
@@ -185,7 +189,7 @@ def test_run_metrics_on_unlabeled_matrix_is_data_error(tmp_path):
     z = rng.standard_normal((8, 4))
     z /= np.linalg.norm(z, axis=0)
     mat = tmp_path / "m.csv"
-    matrixio.write_matrix_csv(mat, z)
+    _write_csv_matrix(mat, z)
     rc = cli.main(["run", "--matrix", str(mat), "--methods", "lsi", "--ell", "2",
                    "--metrics", "kappa", "--out", str(tmp_path / "o.csv")])
     assert rc == 2
@@ -259,7 +263,7 @@ def test_run_unlabeled_matrix_without_ell_is_data_error(tmp_path):
     z = rng.standard_normal((8, 4))
     z /= np.linalg.norm(z, axis=0)
     mat = tmp_path / "m.csv"
-    matrixio.write_matrix_csv(mat, z)
+    _write_csv_matrix(mat, z)
     rc = cli.main(["run", "--matrix", str(mat), "--methods", "lsi",
                    "--metrics", "none", "--save-basis", str(tmp_path / "b.ssm1")])
     assert rc == 2
@@ -476,6 +480,42 @@ def test_verify_emits_parseable_records(tmp_path):
     assert checks[3]["instance"]["topics"] == 5
 
 
+def _strict_json(line):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_verify_writes_null_where_a_precondition_fails(tmp_path):
+    # at noise 5 neither the tangent bound nor the cosine envelope applies:
+    # the bound is inf and the violations nan, which JSON cannot hold
+    out = tmp_path / "checks.jsonl"
+    assert cli.main(["verify", "--trials", "2", "--noise", "5", "--out", str(out)]) == 0
+    records = [_strict_json(ln) for ln in out.read_text().splitlines()][:-1]
+    angle = [r for r in records if r["check"] == "truncation_angle"]
+    cosine = [r for r in records if r["check"] == "cosine_bound"]
+    assert len(angle) == len(cosine) == 2
+    for r in angle + cosine:
+        assert r["condition_met"] is False and r["holds"] is True
+    for r in angle:
+        assert r["quantities"]["tan_bound"] is None
+        assert math.isfinite(r["quantities"]["tan_measured"])
+    for r in cosine:
+        assert r["quantities"]["lower_violation"] is None
+        assert r["quantities"]["upper_violation"] is None
+        assert r["quantities"]["eps"] >= 1.0
+
+
+def test_verify_noise_off_the_table_sizes_terms_by_formula(tmp_path):
+    # 0.3 is not a tabled noise level: m = round(84 / 0.3^2) = 933
+    out = tmp_path / "checks.jsonl"
+    assert cli.main(["verify", "--trials", "1", "--noise", "0.3", "--out", str(out)]) == 0
+    records = [_strict_json(ln) for ln in out.read_text().splitlines()][1:-1]
+    assert len(records) == 3
+    assert {r["instance"]["terms"] for r in records} == {933}
+    assert all(r["holds"] for r in records)
+
+
 def test_verify_inject_bug_exits_nonzero(tmp_path, capsys):
     rc = cli.main(["verify", "--trials", "1", "--inject-bug",
                    "--out", str(tmp_path / "x.jsonl")])
@@ -510,6 +550,37 @@ def test_plotdata_aggregates_means(tmp_path):
         assert float(pr["nonuniformity"]) == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
 
+def test_plotdata_skips_rows_with_an_empty_cell(tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    report.write_text("method,nonuniformity,kappa\n"
+                      "irr,1.0,0.5\nirr,1.0,\nirr,,0.9\nirr,1.0,0.7\n")
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plotdata", "--report", str(report), "--out", str(out)]) == 0
+    [row] = _read_rows(out)
+    assert row["n"] == "2" and float(row["kappa_mean"]) == pytest.approx(0.6)
+
+    report.write_text("method,nonuniformity,kappa\nirr,1.0,\nlsi,,0.5\n")
+    capsys.readouterr()
+    assert cli.main(["plotdata", "--report", str(report), "--out", str(out)]) == 2
+    assert "no rows with both 'nonuniformity' and 'kappa' present" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--methods", "lsi", "--metrics", "none"], "--metrics none is only valid"),
+        (["--methods", ","], "at least one method is required"),
+        (["--methods", "lsi", "--dist", ","], "bad distribution"),
+    ],
+)
+def test_run_plan_faults_are_usage_errors(argv, message, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert cli.main(["run", "--dist", "3,3", "--topics", "2", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_plotdata_missing_column_is_data_error(tmp_path):
     report = tmp_path / "r.csv"
     report.write_text("a,b\n1,2\n")
@@ -541,6 +612,7 @@ _FILE_FAULTS = {
     "report.short_row": ({"r.csv": _REPORT + b"b,irr,1.0\n"}, _PLOTDATA, "r.csv"),
     "report.long_row": ({"r.csv": _REPORT + b"b,irr,1.0,0.5,9\n"}, _PLOTDATA, "r.csv"),
     "sidecar.non_utf8": ({"b.ssm1.json": b'{"method": "lsi\xff"}'}, None, "b.ssm1.json"),
+    "sidecar.not_json": ({"b.ssm1.json": b"{method: lsi"}, None, "b.ssm1.json"),
 }
 
 

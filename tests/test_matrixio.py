@@ -26,6 +26,13 @@ def test_binary_rejects_wrong_magic(tmp_path):
         matrixio.read_matrix_binary(path)
 
 
+def test_binary_rejects_magic_without_header(tmp_path):
+    path = tmp_path / "short.ssm1"
+    path.write_bytes(b"SSM1")
+    with pytest.raises(DataError, match="truncated header"):
+        matrixio.read_matrix_binary(path)
+
+
 def test_binary_rejects_truncated_payload(tmp_path):
     z = np.ones((3, 3))
     path = tmp_path / "trunc.ssm1"
@@ -49,14 +56,15 @@ def test_binary_rejects_nonfinite_payload(tmp_path):
 def test_csv_round_trip_with_and_without_header(tmp_path):
     rng = np.random.default_rng(1)
     z = rng.standard_normal((5, 3))
+    body = "".join(",".join(map(repr, row)) + "\n" for row in z.tolist())
     bare = tmp_path / "bare.csv"
-    matrixio.write_matrix_csv(bare, z)
+    bare.write_text(body)
     back, header = matrixio.read_matrix_csv(bare)
     assert header is None
     assert np.array_equal(back, z)  # repr round-trips doubles exactly
 
     with_h = tmp_path / "withh.csv"
-    matrixio.write_matrix_csv(with_h, z, header=["a", "b", "c"])
+    with_h.write_text("a,b,c\n" + body)
     back2, header2 = matrixio.read_matrix_csv(with_h)
     assert header2 == ["a", "b", "c"]
     assert np.array_equal(back2, z)
@@ -113,6 +121,7 @@ _SIDECAR_FAULTS = {
     "array": lambda meta: [meta],
     "string": lambda meta: "lsi",
     "null": lambda meta: None,
+    "method_vsm": lambda meta: {**meta, "method": "vsm"},  # vsm builds no basis
     "ratios_string": lambda meta: {**meta, "residual_ratios": "xy"},
     "ratios_of_strings": lambda meta: {**meta, "residual_ratios": ["1", "0.5", "0.1"]},
     "ratios_of_bools": lambda meta: {**meta, "residual_ratios": [True, False, False]},

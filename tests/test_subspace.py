@@ -276,6 +276,12 @@ def test_subspace_basis_validates_orthonormality():
         )
 
 
+@pytest.mark.parametrize("method", ["vsm", "bogus", None])
+def test_subspace_basis_is_built_by_lsi_or_irr_only(method):
+    with pytest.raises(ParameterError, match="method must be 'lsi' or 'irr'"):
+        subspace.SubspaceBasis(basis=np.eye(3)[:, :2], method=method)
+
+
 def test_zero_matrix_rejected_in_theta_mode():
     with pytest.raises(ParameterError):
         subspace.irr(np.zeros((3, 3)), subspace.IrrConfig(q=0.0, theta=0.5))

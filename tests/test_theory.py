@@ -374,7 +374,7 @@ def test_theorem_record_serializes_to_json():
     parsed = json.loads(rec.to_json())
     assert parsed["check"] == "demo"
     assert parsed["quantities"]["x"] == 1.5
-    assert parsed["quantities"]["y"] == math.inf
+    assert parsed["quantities"]["y"] is None  # JSON has no Infinity
     assert "instance" not in parsed  # only verify's records name an instance
     rec.instance = {"index": 3}
     assert json.loads(rec.to_json())["instance"] == {"index": 3}
