@@ -17,6 +17,7 @@ command line flags win.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
@@ -286,20 +287,20 @@ def _load_matrix(path):
 
 
 def _collect_cells(opts: dict) -> list[tuple]:
-    """One (dataset, dist label, seed, load) per dataset x seed; ``load()``
-    builds the cell's matrix and topic model."""
+    """One (dataset, dist label, seed text or '-', load) per dataset x seed;
+    ``load()`` builds the cell's matrix and topic model."""
     spec_kwargs = _spec_kwargs(opts)
     cells = []
     for dist in opts["dist"]:
         label = ",".join(str(c) for c in dist)
         for seed in opts["seeds"]:
-            cells.append((f"synth:{label}", label, seed,
+            cells.append((f"synth:{label}", label, str(seed),
                           functools.partial(_load_synth, dist, spec_kwargs, seed)))
     for path in opts["corpus"]:
-        cells.append((f"corpus:{Path(path).name}", "", None,
+        cells.append((f"corpus:{Path(path).name}", "", "-",
                       functools.partial(_load_corpus, path)))
     for path in opts["matrix"]:
-        cells.append((f"matrix:{Path(path).stem}", "", None,
+        cells.append((f"matrix:{Path(path).stem}", "", "-",
                       functools.partial(_load_matrix, path)))
     if not cells:
         raise _UsageError("run requires at least one --dist, --corpus, or --matrix")
@@ -311,7 +312,11 @@ def _collect_cells(opts: dict) -> list[tuple]:
     return cells
 
 
-def _run_cell(dataset: str, dist_label: str, seed: int | None, load, opts: dict,
+def _run_id(dataset: str, seed: str, method: str) -> str:
+    return f"{dataset}:s{seed}:{method}"
+
+
+def _run_cell(dataset: str, dist_label: str, seed: str, load, opts: dict,
               metrics: frozenset[str]):
     """The cell's CSV rows and the last subspace basis it built; without
     --ell, ell is --topics or the cell's topic count."""
@@ -323,7 +328,6 @@ def _run_cell(dataset: str, dist_label: str, seed: int | None, load, opts: dict,
     intra = corpus.intra_topic_pairs(tm) if "kappa" in metrics else None
 
     stats = theory.topic_stats(tm) if tm is not None else None
-    seed_text = str(seed) if seed is not None else "-"
     rows = []
     built = None
     for method in opts["methods"]:
@@ -347,10 +351,10 @@ def _run_cell(dataset: str, dist_label: str, seed: int | None, load, opts: dict,
 
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(
-            run_id=f"{dataset}:s{seed_text}:{method}",
+            run_id=_run_id(dataset, seed, method),
             dataset=dataset,
             dist=dist_label,
-            seed=seed_text,
+            seed=seed,
             method=method,
             q=_fmt(q_out),
             ell=_fmt(ell_out),
@@ -377,15 +381,20 @@ def _run_cell(dataset: str, dist_label: str, seed: int | None, load, opts: dict,
     return rows, built
 
 
-def _plan_run(opts: dict, n_cells: int) -> frozenset[str]:
-    """Check methods, metrics and --save-basis before any cell is built;
-    return the metrics to compute."""
+def _plan_run(opts: dict, cells: list[tuple]) -> frozenset[str]:
+    """Check methods, metrics, run_ids and --save-basis before any cell is
+    built; return the metrics to compute."""
     methods, metrics = opts["methods"], opts["metrics"]
     if not methods:
         raise _UsageError("at least one method is required")
     unknown_methods = [m for m in methods if m not in subspace.METHODS]
     if unknown_methods:
         raise _UsageError(f"unknown methods: {unknown_methods}")
+    run_ids = collections.Counter(_run_id(d, seed, m) for d, _, seed, _ in cells for m in methods)
+    repeated = [run_id for run_id, count in run_ids.items() if count > 1]
+    if repeated:
+        raise _UsageError(f"run_id {repeated[0]!r} would be written more than once: "
+                          "give each dataset, seed and method once")
     if metrics == ("none",):
         if not opts["save_basis"]:
             raise _UsageError("--metrics none is only valid with --save-basis")
@@ -393,14 +402,14 @@ def _plan_run(opts: dict, n_cells: int) -> frozenset[str]:
     bad = set(metrics) - {"kappa", "cluster"}
     if bad:
         raise _UsageError(f"unknown metrics: {sorted(bad)}")
-    if opts["save_basis"] and (n_cells != 1 or len(set(methods) - {"vsm"}) != 1):
+    if opts["save_basis"] and (len(cells) != 1 or len(set(methods) - {"vsm"}) != 1):
         raise _UsageError("--save-basis needs exactly one dataset and one subspace method")
     return frozenset(metrics)
 
 
 def cmd_run(opts: dict) -> int:
     cells = _collect_cells(opts)
-    metrics = _plan_run(opts, len(cells))
+    metrics = _plan_run(opts, cells)
     all_rows: list[dict] = []
     for cell in cells:
         rows, basis = _run_cell(*cell, opts, metrics)
@@ -513,19 +522,12 @@ def main(argv: list[str] | None = None) -> int:
         if any(a.startswith("--") and a.endswith("=--") for a in argv):
             raise _UsageError("'--' is not a flag value")
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _COMMANDS[args.command][0](_merge(args))
     except SystemExit as exc:  # --help / --version
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command][0](_merge(args))
-    except _UsageError as exc:
+    except (_UsageError, IrrspaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (IrrspaceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

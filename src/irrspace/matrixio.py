@@ -10,7 +10,7 @@ Two matrix formats are read, and only the packed one is written:
   row-major order.
 
 A basis saved with save_basis is the binary matrix plus a ``<path>.json``
-sidecar holding method, q, ell, residual_ratios, alpha and beta.
+sidecar holding ``ell`` and every ``SubspaceBasis`` field but the matrix.
 """
 
 from __future__ import annotations
@@ -95,16 +95,13 @@ def _sidecar(path) -> Path:
     return Path(str(path) + ".json")
 
 
+# ell and each SubspaceBasis field but the matrix, in the order they are written
+_SIDECAR_KEYS = ("method", "q", "ell", "residual_ratios", "alpha", "beta", "exhausted")
+
+
 def save_basis(path, basis: SubspaceBasis) -> None:
     write_matrix_binary(path, basis.basis)
-    meta = {
-        "method": basis.method,
-        "q": basis.q,
-        "ell": basis.ell,
-        "residual_ratios": list(basis.residual_ratios),
-        "alpha": basis.alpha,
-        "beta": basis.beta,
-    }
+    meta = {key: getattr(basis, key) for key in _SIDECAR_KEYS}
     _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
@@ -121,17 +118,9 @@ def load_basis(path) -> SubspaceBasis:
     # type() keeps out JSON true, which equals 1
     if not (type(meta.get("ell")) is float and meta["ell"] == mat.shape[1]):
         raise DataError(f"{side}: ell does not match the stored basis")
-    ratios = meta.get("residual_ratios", [])
-    if not isinstance(ratios, list):
-        raise DataError(f"{side}: residual_ratios must be a list")
+    # a missing key takes the field's default: an older sidecar has no exhausted
+    fields = {"method": None, **{k: meta[k] for k in _SIDECAR_KEYS if k in meta and k != "ell"}}
     try:
-        return SubspaceBasis(
-            basis=mat,
-            method=meta.get("method"),
-            q=meta.get("q"),
-            residual_ratios=tuple(ratios),
-            alpha=meta.get("alpha"),
-            beta=meta.get("beta"),
-        )
+        return SubspaceBasis(basis=mat, **fields)
     except ParameterError as exc:
         raise DataError(f"{side}: {exc}") from exc

@@ -81,7 +81,13 @@ class SubspaceBasis:
         for name, low in (("q", 0), ("alpha", None), ("beta", None)):
             if getattr(self, name) is not None:
                 as_real(name, getattr(self, name), low)
-        ratios = tuple(as_real("residual_ratios", r, 0) for r in self.residual_ratios)
+        if not isinstance(self.exhausted, (bool, np.bool_)):
+            raise ParameterError(f"exhausted must be a bool, got {self.exhausted!r}")
+        self.exhausted = bool(self.exhausted)
+        ratios = self.residual_ratios
+        if not isinstance(ratios, (list, tuple)):
+            raise ParameterError(f"residual_ratios must be a list or tuple, got {ratios!r}")
+        ratios = tuple(as_real("residual_ratios", r, 0) for r in ratios)
         if ratios:
             if len(ratios) != self.ell + 1:
                 raise ParameterError("need ell + 1 residual ratios")

@@ -258,6 +258,29 @@ def test_save_basis_shape_checked_before_any_cell_is_built(monkeypatch, tmp_path
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    ("argv", "run_id"),
+    [
+        (["--dist", "6,4", "--seeds", "0,0", "--methods", "lsi,irr"], "synth:6,4:s0:lsi"),
+        (["--dist", "6,4", "--dist", "6, 4", "--methods", "lsi"], "synth:6,4:s0:lsi"),
+        (["--dist", "6,4", "--seeds", "0,1", "--methods", "lsi,lsi"], "synth:6,4:s0:lsi"),
+        (["--corpus", "a/c", "--corpus", "b/c", "--methods", "vsm"], "corpus:c:s-:vsm"),
+    ],
+)
+def test_rows_that_would_share_a_run_id_are_a_usage_error(argv, run_id, monkeypatch,
+                                                           tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(cli.corpus, "synthesize_collection", fail)
+    monkeypatch.setattr(cli.corpus, "load_corpus_dir", fail)
+    out = tmp_path / "o.csv"
+    assert cli.main(["run", *argv, "--topics", "2", "--metrics", "kappa",
+                     "--out", str(out)]) == 1
+    assert f"error: run_id {run_id!r} would be written more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_unlabeled_matrix_without_ell_is_data_error(tmp_path):
     rng = np.random.default_rng(2)
     z = rng.standard_normal((8, 4))

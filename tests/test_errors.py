@@ -89,6 +89,18 @@ _CALLS = {
     "standard_instance_suite.count.zero": lambda: theory.standard_instance_suite(0),
     "standard_instance_suite.count.bool": lambda: theory.standard_instance_suite(True),
     "standard_instance_suite.seed.negative": lambda: theory.standard_instance_suite(1, -1),
+    # a basis's ratios must be a list or tuple, and exhausted a bool
+    "SubspaceBasis.residual_ratios.bare_none": lambda: subspace.SubspaceBasis(
+        _BASIS, "lsi", residual_ratios=None),
+    "SubspaceBasis.residual_ratios.bare_number": lambda: subspace.SubspaceBasis(
+        _BASIS, "lsi", residual_ratios=5.0),
+    "SubspaceBasis.residual_ratios.bare_string": lambda: subspace.SubspaceBasis(
+        _BASIS, "lsi", residual_ratios=""),
+    "SubspaceBasis.exhausted.number": lambda: subspace.SubspaceBasis(_BASIS, "lsi", exhausted=1),
+    "SubspaceBasis.exhausted.string": lambda: subspace.SubspaceBasis(
+        _BASIS, "lsi", exhausted="yes"),
+    "SubspaceBasis.exhausted.none": lambda: subspace.SubspaceBasis(
+        _BASIS, "lsi", exhausted=None),
 }
 
 # every real parameter gets each of these, and its out-of-range values below
@@ -234,6 +246,7 @@ def test_valid_values_are_stored_as_given():
     assert type(theory.construct_ideal_instance(_TM, 8, 0, 0).noise) is int
     basis = subspace.SubspaceBasis(_BASIS, "lsi", q=0.0, residual_ratios=(1, 0.5, 0))
     assert [type(r) for r in basis.residual_ratios] == [float] * 3
+    assert subspace.SubspaceBasis(_BASIS, "lsi", exhausted=np.True_).exhausted is True
 
 
 def test_every_numeric_parameter_has_a_bad_input_case():

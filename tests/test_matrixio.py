@@ -1,5 +1,6 @@
 """Binary/CSV matrix serialization and basis persistence."""
 
+import dataclasses
 import json
 import math
 
@@ -93,6 +94,48 @@ def test_basis_round_trip(tmp_path):
     assert back.alpha == basis.alpha and back.beta == basis.beta
 
 
+def _rank_two(rng):
+    return rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
+
+
+# built by each method, with exhausted set and not, and irr with auto q so
+# that alpha and beta are set
+_SAVED_BASES = {
+    "irr_auto_q_exhausted": lambda rng: subspace.irr(_rank_two(rng), subspace.IrrConfig(ell=4)),
+    "lsi_exhausted": lambda rng: subspace.lsi(_rank_two(rng), 4),
+    "lsi_full": lambda rng: subspace.lsi(rng.standard_normal((10, 6)), 3),
+}
+
+
+@pytest.mark.parametrize("build", _SAVED_BASES.values(), ids=_SAVED_BASES.keys())
+def test_basis_round_trip_keeps_every_field(tmp_path, build):
+    basis = build(np.random.default_rng(5))
+    path = tmp_path / "basis.ssm1"
+    matrixio.save_basis(path, basis)
+    meta = json.loads(path.with_name(path.name + ".json").read_text())
+    fields = [f.name for f in dataclasses.fields(subspace.SubspaceBasis)]
+    # a field added to the type but not to the sidecar fails here
+    assert set(meta) == {"ell", *fields} - {"basis"}
+    back = matrixio.load_basis(path)
+    assert np.array_equal(back.basis, basis.basis)
+    for name in fields[1:]:
+        assert getattr(back, name) == getattr(basis, name), name
+    if basis.method == "irr":
+        assert basis.exhausted and basis.alpha is not None and basis.beta is not None
+
+
+def test_sidecar_without_exhausted_reads_false(tmp_path):
+    basis = _SAVED_BASES["lsi_exhausted"](np.random.default_rng(5))
+    assert basis.exhausted
+    path = tmp_path / "basis.ssm1"
+    matrixio.save_basis(path, basis)
+    sidecar = path.with_name(path.name + ".json")
+    meta = json.loads(sidecar.read_text())
+    assert meta.pop("exhausted") is True
+    sidecar.write_text(json.dumps(meta))
+    assert matrixio.load_basis(path).exhausted is False
+
+
 def test_load_basis_rejects_tampered_sidecar(tmp_path):
     rng = np.random.default_rng(3)
     basis = subspace.lsi(rng.standard_normal((8, 5)), 2)
@@ -138,6 +181,9 @@ _SIDECAR_FAULTS = {
     "ratios_negative": lambda meta: {**meta, "residual_ratios": [1.0, 0.5, -0.1]},
     "ratios_too_few": lambda meta: {**meta, "residual_ratios": [1.0, 0.5]},
     "ratios_increasing": lambda meta: {**meta, "residual_ratios": [0.1, 0.5, 1.0]},
+    "exhausted_number": lambda meta: {**meta, "exhausted": 1},  # reads as 1.0
+    "exhausted_string": lambda meta: {**meta, "exhausted": "yes"},
+    "exhausted_null": lambda meta: {**meta, "exhausted": None},
 }
 
 
