@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg, matrixio
 from .errors import DataError, DimensionError, EmptyVocabularyError, ParameterError
-from .errors import as_integer, as_real
+from .errors import as_integer, as_python, as_real
 from .stemming import porter_stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -166,6 +166,7 @@ class SynthSpec:
         minima = {"vocab_per_topic": 1, "shared_vocab": 1, "doc_length": 1, "rng_seed": 0}
         for name, low in minima.items():
             object.__setattr__(self, name, as_integer(name, getattr(self, name), low))
+        object.__setattr__(self, "noise_rate", as_python(self.noise_rate))
         as_real("noise_rate", self.noise_rate, 0, 1)
 
 

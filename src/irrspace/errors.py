@@ -4,11 +4,14 @@ Everything derives from ValueError so callers that do not care about the
 distinction can catch the usual thing; the CLI maps IrrspaceError to its
 data-error exit code.  Counts and seeds are checked by ``as_integer``, real
 parameters by ``as_real`` and arrays by ``linalg.as_matrix``, and nowhere else.
+A parameter type stores a numpy scalar through ``as_python``.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class IrrspaceError(ValueError):
@@ -73,3 +76,9 @@ def as_real(name: str, value, low=None, high=None, *, open_low: bool = False) ->
     except OverflowError:  # an int past the float range
         number = None
     return _checked(name, "a finite number", value, number, low, high, open_low)
+
+
+def as_python(value):
+    """A numpy scalar as its Python equivalent (``value.item()``), so that it
+    saves as JSON; any other value as given."""
+    return value.item() if isinstance(value, np.generic) else value

@@ -259,8 +259,9 @@ class ClusteringOutcome:
     ceiling: float
 
 
-def floor_ceiling(z, tm: TopicModel, k: int) -> ClusteringOutcome:
-    """Contingency scores of all six algorithms plus their min and max.
+def floor_ceiling(z, tm: TopicModel) -> ClusteringOutcome:
+    """Contingency scores of all six algorithms, each clustering into the
+    model's topic count, plus their min and max.
 
     Requires a single-topic model: documents relevant to several topics have
     no unique true class to count against.
@@ -271,11 +272,9 @@ def floor_ceiling(z, tm: TopicModel, k: int) -> ClusteringOutcome:
     positives = (tm.relevance > 0.0).sum(axis=0)
     if (positives != 1).any():
         raise ParameterError("floor_ceiling needs single-topic documents")
-    truth = np.argmax(tm.relevance, axis=0)
+    truth, k = np.argmax(tm.relevance, axis=0), tm.n_topics
     scores = {
-        name: contingency_score(
-            contingency_table(cluster(x, k, name), truth, k, tm.n_topics)
-        )
+        name: contingency_score(contingency_table(cluster(x, k, name), truth, k, k))
         for name in ALGORITHMS
     }
     return ClusteringOutcome(

@@ -1,5 +1,5 @@
-"""Default English stopword list; tokenize and build_matrix take another
-frozenset through their ``stopwords`` argument."""
+"""The fixed English stopword list: ``corpus.tokenize``, and so
+``build_matrix``, drops every token in ``DEFAULT_STOPWORDS`` before stemming."""
 
 from __future__ import annotations
 

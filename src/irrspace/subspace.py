@@ -17,12 +17,12 @@ stable and moves the basis only by roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import linalg
-from .errors import ParameterError, as_integer, as_real
+from .errors import ParameterError, as_integer, as_python, as_real
 
 METHODS = ("vsm", "lsi", "irr")
 
@@ -43,6 +43,8 @@ class IrrConfig:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_python(getattr(self, f.name)))
         if (self.ell is None) == (self.theta is None):
             raise ParameterError("set exactly one of ell and theta")
         if self.theta is None:
@@ -79,11 +81,13 @@ class SubspaceBasis:
         self.basis = linalg.as_matrix(self.basis, "basis")
         linalg.require_orthonormal(self.basis)
         for name, low in (("q", 0), ("alpha", None), ("beta", None)):
-            if getattr(self, name) is not None:
-                as_real(name, getattr(self, name), low)
-        if not isinstance(self.exhausted, (bool, np.bool_)):
+            value = as_python(getattr(self, name))
+            if value is not None:
+                as_real(name, value, low)
+            setattr(self, name, value)
+        self.exhausted = as_python(self.exhausted)
+        if not isinstance(self.exhausted, bool):
             raise ParameterError(f"exhausted must be a bool, got {self.exhausted!r}")
-        self.exhausted = bool(self.exhausted)
         ratios = self.residual_ratios
         if not isinstance(ratios, (list, tuple)):
             raise ParameterError(f"residual_ratios must be a list or tuple, got {ratios!r}")

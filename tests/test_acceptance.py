@@ -56,7 +56,7 @@ def _sweep_args(out_path):
         args += ["--dist", f"{counts[0]},{counts[1]}"]
     args += [
         "--seeds", "0:10", "--methods", "vsm,lsi,irr", "--q", "auto",
-        "--topics", "2", "--noise", "0.3", "--metrics", "kappa,cluster",
+        "--noise", "0.3", "--metrics", "kappa,cluster",
         "--out", str(out_path),
     ]
     return args

@@ -67,7 +67,7 @@ def test_run_row_accounting_and_method_fields(tmp_path):
     rc = cli.main(
         [
             "run", "--dist", "8,4", "--dist", "6,6", "--seeds", "0,1",
-            "--methods", "vsm,lsi,irr", "--topics", "2", "--noise", "0.2",
+            "--methods", "vsm,lsi,irr", "--noise", "0.2",
             "--metrics", "kappa", "--out", str(out),
         ]
     )
@@ -91,7 +91,7 @@ def test_run_row_accounting_and_method_fields(tmp_path):
 def test_run_is_deterministic_modulo_timing(tmp_path):
     args = [
         "run", "--dist", "10,4", "--seeds", "0:3", "--methods", "lsi,irr",
-        "--topics", "2", "--noise", "0.3", "--metrics", "kappa,cluster",
+        "--noise", "0.3", "--metrics", "kappa,cluster",
     ]
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert cli.main(args + ["--out", str(out1)]) == 0
@@ -207,18 +207,35 @@ def test_run_theta_mode_records_selected_ell(tmp_path):
 
 def test_run_usage_errors(tmp_path):
     assert cli.main(["run", "--methods", "lsi"]) == 1  # no input source
-    assert cli.main(["run", "--dist", "4,4", "--methods", "bogus",
-                     "--topics", "2"]) == 1
-    assert cli.main(["run", "--dist", "4,4", "--methods", "lsi", "--topics", "2",
-                     "--metrics", "wrong"]) == 1
-    assert cli.main(["run", "--dist", "4,4", "--methods", "lsi", "--topics", "2",
-                     "--q", "fast"]) == 1
-    assert cli.main(["run", "--dist", "nope", "--methods", "lsi",
-                     "--topics", "2"]) == 1
+    assert cli.main(["run", "--dist", "4,4", "--methods", "bogus"]) == 1
+    assert cli.main(["run", "--dist", "4,4", "--methods", "lsi", "--metrics", "wrong"]) == 1
+    assert cli.main(["run", "--dist", "4,4", "--methods", "lsi", "--q", "fast"]) == 1
+    assert cli.main(["run", "--dist", "nope", "--methods", "lsi"]) == 1
 
 
-_RUN = ["run", "--dist", "4,4", "--methods", "lsi", "--topics", "2", "--metrics", "kappa"]
+_RUN = ["run", "--dist", "4,4", "--methods", "lsi", "--metrics", "kappa"]
 _SYNTH = ["synth", "--dist", "4,4"]
+
+
+def test_run_takes_ell_and_clusters_from_the_topic_count(tmp_path):
+    out = tmp_path / "rows.csv"
+    assert cli.main(["run", "--dist", "6,4,3", "--methods", "vsm,lsi,irr",
+                     "--metrics", "cluster", "--out", str(out)]) == 0
+    rows = _read_rows(out)
+    assert [r["ell"] for r in rows] == ["3", "3", ""]  # irr, lsi, vsm
+    assert {r["clusters"] for r in rows} == {"3"}
+
+
+@pytest.mark.parametrize("flag", ["--topics", "--clusters"])
+def test_topic_count_flags_are_gone(flag, tmp_path, capsys):
+    # the topic count comes from the data: a flag or config key for it is refused
+    assert cli.main(_RUN + [flag, "2", "--out", str(tmp_path / "o.csv")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{flag[2:]} = 2\n")
+    assert cli.main(_RUN + ["--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: config keys not recognized")
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -226,10 +243,8 @@ _SYNTH = ["synth", "--dist", "4,4"]
     [
         _RUN + ["--jobs", "x"],
         _RUN + ["--noise", "abc"],
-        _RUN + ["--clusters", "two"],
         _RUN + ["--alpha", "q"],
         _RUN + ["--beta", "b"],
-        _RUN + ["--topics", "x"],
         _RUN + ["--vocab-per-topic", "x"],
         _RUN + ["--ell", "ratio:half"],
         _RUN + ["--seeds", "a:b"],
@@ -253,7 +268,7 @@ def test_save_basis_shape_checked_before_any_cell_is_built(monkeypatch, tmp_path
         raise AssertionError("a cell was built")
 
     monkeypatch.setattr(cli.corpus, "synthesize_collection", fail)
-    rc = cli.main(["run", "--dist", "4,4", "--methods", "lsi,irr", "--topics", "2",
+    rc = cli.main(["run", "--dist", "4,4", "--methods", "lsi,irr",
                    "--metrics", "none", "--save-basis", str(tmp_path / "b.ssm1")])
     assert rc == 1
 
@@ -275,13 +290,12 @@ def test_rows_that_would_share_a_run_id_are_a_usage_error(argv, run_id, monkeypa
     monkeypatch.setattr(cli.corpus, "synthesize_collection", fail)
     monkeypatch.setattr(cli.corpus, "load_corpus_dir", fail)
     out = tmp_path / "o.csv"
-    assert cli.main(["run", *argv, "--topics", "2", "--metrics", "kappa",
-                     "--out", str(out)]) == 1
+    assert cli.main(["run", *argv, "--metrics", "kappa", "--out", str(out)]) == 1
     assert f"error: run_id {run_id!r} would be written more than once" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_run_unlabeled_matrix_without_ell_is_data_error(tmp_path):
+def test_run_unlabeled_matrix_without_ell_is_data_error(tmp_path, capsys):
     rng = np.random.default_rng(2)
     z = rng.standard_normal((8, 4))
     z /= np.linalg.norm(z, axis=0)
@@ -290,6 +304,7 @@ def test_run_unlabeled_matrix_without_ell_is_data_error(tmp_path):
     rc = cli.main(["run", "--matrix", str(mat), "--methods", "lsi",
                    "--metrics", "none", "--save-basis", str(tmp_path / "b.ssm1")])
     assert rc == 2
+    assert capsys.readouterr().err == "error: no dimensionality: give --ell\n"
 
 
 @pytest.mark.parametrize("flag", ["--corpus", "--matrix"])
@@ -349,7 +364,6 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
         "dist = 6,4;8,2\n"
         "seeds = 0:2\n"
         "methods = lsi\n"
-        "topics = 2\n"
         "noise = 0.2\n"
         "metrics = kappa\n"
     )
@@ -366,14 +380,11 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("methods lsi\n")
-    assert cli.main(["run", "--dist", "4,4", "--topics", "2",
-                     "--config", str(bad)]) == 2
+    assert cli.main(["run", "--dist", "4,4", "--config", str(bad)]) == 2
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("warp_drive = on\n")
-    assert cli.main(["run", "--dist", "4,4", "--topics", "2",
-                     "--config", str(unknown)]) == 2
-    assert cli.main(["run", "--dist", "4,4", "--topics", "2",
-                     "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert cli.main(["run", "--dist", "4,4", "--config", str(unknown)]) == 2
+    assert cli.main(["run", "--dist", "4,4", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
 def test_config_jobs_key_is_data_error(tmp_path):
@@ -406,8 +417,8 @@ def test_config_key_that_names_no_value_flag_is_data_error(argv, config, tmp_pat
     ("argv", "key", "value"),
     [
         (_RUN, "alpha", "x"),
-        (["run", "--methods", "lsi", "--topics", "2"], "dist", "4,x"),
-        (["run", "--methods", "lsi", "--topics", "2"], "dist", "4,4;4,x"),
+        (["run", "--methods", "lsi"], "dist", "4,x"),
+        (["run", "--methods", "lsi"], "dist", "4,4;4,x"),
         (_RUN, "ell", "ratio:half"),
         (_RUN, "q", "fast"),
         (_SYNTH, "doc_length", "long"),
@@ -433,7 +444,7 @@ def test_defaults_come_from_the_library(tmp_path):
     assert manifest == json.loads(json.dumps(asdict(corpus.SynthSpec(distribution=(4, 4)))))
 
     out = tmp_path / "rows.csv"
-    assert cli.main(["run", "--dist", "8,4", "--methods", "irr", "--topics", "2",
+    assert cli.main(["run", "--dist", "8,4", "--methods", "irr",
                      "--metrics", "kappa", "--out", str(out)]) == 0
     (row,) = _read_rows(out)
     z, _ = cli._load_synth((8, 4), {}, 0)
@@ -445,8 +456,7 @@ def test_defaults_come_from_the_library(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["run", "--dist", "4,4", "--seeds", "-1", "--methods", "lsi", "--topics", "2",
-         "--metrics", "kappa"],
+        ["run", "--dist", "4,4", "--seeds", "-1", "--methods", "lsi", "--metrics", "kappa"],
         ["synth", "--dist", "4,4", "--seed", "-1"],
     ],
 )
@@ -466,7 +476,7 @@ def test_ratio_that_is_not_a_positive_finite_number_is_data_error(theta, tmp_pat
 @pytest.mark.parametrize("seeds", [",", "3:3"])
 @pytest.mark.parametrize("with_corpus", [False, True])
 def test_seeds_naming_no_seed_is_usage_error(seeds, with_corpus, tmp_path, capsys):
-    argv = ["run", "--dist", "5,5", "--seeds", seeds, "--methods", "lsi", "--topics", "2",
+    argv = ["run", "--dist", "5,5", "--seeds", seeds, "--methods", "lsi",
             "--metrics", "kappa", "--out", str(tmp_path / "o.csv")]
     if with_corpus:
         assert cli.main(["synth", "--dist", "3,3", "--out", str(tmp_path / "c")]) == 0
@@ -545,6 +555,22 @@ def test_verify_inject_bug_exits_nonzero(tmp_path, capsys):
     assert rc == 3
 
 
+def test_verify_inject_bug_fails_through_the_dominance_check(tmp_path):
+    # --inject-bug understates each eps_opt before the verifiers run
+    clean, bugged = tmp_path / "clean.jsonl", tmp_path / "bugged.jsonl"
+    assert cli.main(["verify", "--trials", "2", "--out", str(clean)]) == 0
+    assert cli.main(["verify", "--trials", "2", "--inject-bug", "--out", str(bugged)]) == 3
+    records = [json.loads(ln) for ln in bugged.read_text().splitlines()][:-1]
+    failed = [r for r in records if not r["holds"]]
+    assert failed and {r["check"] for r in failed} == {"dominance_interval"}
+    assert all(r["holds"] for r in records if r["check"] == "sv_perturbation")
+    first = next(r for r in records if r["check"] == "dominance_interval")
+    assert not first["holds"] and first["instance"]["index"] == 0
+    original = next(json.loads(ln) for ln in clean.read_text().splitlines()
+                    if '"dominance_interval"' in ln)
+    assert first["quantities"]["eps_opt"] == original["quantities"]["eps_opt"] * 0.9
+
+
 def test_verify_noise_zero_reports_exact_quantities(tmp_path):
     out = tmp_path / "exact.jsonl"
     assert cli.main(["verify", "--trials", "1", "--noise", "0",
@@ -557,8 +583,7 @@ def test_verify_noise_zero_reports_exact_quantities(tmp_path):
 def test_plotdata_aggregates_means(tmp_path):
     report = tmp_path / "rows.csv"
     rc = cli.main(["run", "--dist", "9,3", "--seeds", "0:3", "--methods", "lsi,irr",
-                   "--topics", "2", "--noise", "0.3", "--metrics", "kappa",
-                   "--out", str(report)])
+                   "--noise", "0.3", "--metrics", "kappa", "--out", str(report)])
     assert rc == 0
     out = tmp_path / "plot.csv"
     assert cli.main(["plotdata", "--report", str(report), "--out", str(out)]) == 0
@@ -598,7 +623,7 @@ def test_plotdata_skips_rows_with_an_empty_cell(tmp_path, capsys):
 )
 def test_run_plan_faults_are_usage_errors(argv, message, tmp_path, capsys):
     out = tmp_path / "o.csv"
-    assert cli.main(["run", "--dist", "3,3", "--topics", "2", *argv, "--out", str(out)]) == 1
+    assert cli.main(["run", "--dist", "3,3", *argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
@@ -742,8 +767,6 @@ _RUN_FLAGS = {
     "--q": st.one_of(_FLOATS, st.just("auto")),
     "--alpha": _FLOATS,
     "--beta": _FLOATS,
-    "--topics": _INTS,
-    "--clusters": _INTS,
     "--noise": _FLOATS,
     "--doc-length": st.integers(-(10**30), 300).map(str),
 }
@@ -846,7 +869,7 @@ def test_subspace_rows_score_as_the_projection(method, tmp_path):
     ranked = evalmetrics.rank_pairs(x)
     intra = corpus.intra_topic_pairs(tm)
     assert float(row["kappa"]) == evalmetrics.kappa_average_precision(ranked, intra)
-    outcome = evalmetrics.floor_ceiling(x, tm, 4)
+    outcome = evalmetrics.floor_ceiling(x, tm)
     for name in evalmetrics.ALGORITHMS:
         assert float(row[name]) == outcome.scores[name]
     assert (float(row["floor"]), float(row["ceiling"])) == (outcome.floor, outcome.ceiling)

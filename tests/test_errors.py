@@ -2,22 +2,27 @@
 
 ``as_integer`` checks every count and seed, ``as_real`` every real-valued
 parameter and ``linalg.as_matrix`` every array.  The tables below feed each
-rule bad values through the public entry points.  A key of the form
+rule bad values through the public entry points; ``_FAULTS`` holds the shape
+and data faults, each with its own error.  A key of the form
 ``<callable>.<parameter>.<case>`` names the argument it covers, and the guard
 test at the end asks for one such key per int- or float-annotated parameter of
 every public callable.
 """
 
 import inspect
+import json
 import math
 import re
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import irrspace
-from irrspace import corpus, evalmetrics, linalg, subspace, theory
-from irrspace.errors import InvalidInputError, ParameterError
+from irrspace import cli, corpus, evalmetrics, linalg, matrixio, subspace, theory
+from irrspace.errors import (DataError, DimensionError, InvalidInputError, ParameterError,
+                             UndefinedMetricError)
 
 _TM = corpus.TopicModel(relevance=np.repeat(np.eye(2), 3, axis=1), topic_ids=("a", "b"))
 _Z = theory.construct_ideal_instance(_TM, m=8, noise=0.1, seed=0).matrix
@@ -30,7 +35,6 @@ _CALLS = {
     "cluster_fractional_k": lambda: evalmetrics.cluster(_Z, 2.5, "single_link"),
     "kmeans_fractional_k": lambda: evalmetrics.cluster(_Z, 2.5, "kmeans_single_link"),
     "cluster_bool_k": lambda: evalmetrics.cluster(_Z, True, "single_link"),
-    "floor_ceiling_fractional_k": lambda: evalmetrics.floor_ceiling(_Z, _TM, 2.5),
     "optimum_fractional_h_max": lambda: theory.optimum_subspace(np.eye(6), _Z, 1.5),
     "instance_fractional_m": lambda: theory.construct_ideal_instance(_TM, 2.5, 0.1, 0),
     "instance_negative_seed": lambda: theory.construct_ideal_instance(_TM, 8, 0.1, -1),
@@ -62,8 +66,10 @@ _CALLS = {
     "cluster.k.zero": lambda: evalmetrics.cluster(_Z, 0, "single_link"),
     "cluster.k.above_n": lambda: evalmetrics.cluster(_Z, 7, "group_average"),
     "cluster.k.string": lambda: evalmetrics.cluster(_Z, "2", "single_link"),
-    "floor_ceiling.k.zero": lambda: evalmetrics.floor_ceiling(_Z, _TM, 0),
-    "floor_ceiling.k.string": lambda: evalmetrics.floor_ceiling(_Z, _TM, "2"),
+    "build_matrix.docs.empty": lambda: corpus.build_matrix([]),
+    "rank_pairs.z.one_doc": lambda: evalmetrics.rank_pairs(np.ones((3, 1))),
+    "contingency_table.labels.text": lambda: evalmetrics.contingency_table(
+        np.array(["a", "b", "b"]), _LABELS, 2, 2),
     "contingency_table.n_clusters.float": lambda: evalmetrics.contingency_table(
         _LABELS, _LABELS, 2.0, 2),
     "contingency_table.n_clusters.negative": lambda: evalmetrics.contingency_table(
@@ -183,6 +189,41 @@ _MATRICES = {
     "TopicModel.relevance.string": lambda: corpus.TopicModel([["x"]], ("a",)),
 }
 
+
+def _written(name: str, text: str) -> str:
+    Path(name).write_text(text, encoding="utf-8")
+    return name
+
+
+# (error, message, call): the shape and data faults, each with its documented
+# error; the test runs in an empty working directory
+_FAULTS = {
+    "_load_config.path.empty_key": (
+        DataError, "c.cfg:2: empty key",
+        lambda: cli._load_config(_written("c.cfg", "seeds = 0\n = 1\n"))),
+    "read_matrix_csv.path.non_numeric": (
+        DataError, "m.csv: non-numeric entry",
+        lambda: matrixio.read_matrix_csv(_written("m.csv", "1,2\n3,x\n"))),
+    "TermDocumentMatrix.doc_ids.count": (
+        DimensionError, "1 doc ids for 2 columns",
+        lambda: corpus.TermDocumentMatrix(np.eye(2), ("s", "t"), ("d",))),
+    "TopicModel.topic_ids.count": (
+        DimensionError, "topic id count does not match",
+        lambda: corpus.TopicModel(np.eye(2), ("a",))),
+    "contingency_table.topic_index.length": (
+        DimensionError, "differ in length",
+        lambda: evalmetrics.contingency_table(_LABELS, _LABELS[:2], 2, 2)),
+    "contingency_score.table.empty": (
+        UndefinedMetricError, "empty contingency table",
+        lambda: evalmetrics.contingency_score([[0, 0], [0, 0]])),
+    "floor_ceiling.z.doc_count": (
+        DimensionError, "differ in doc count",
+        lambda: evalmetrics.floor_ceiling(_Z[:, :5], _TM)),
+    "canonical_angles.b2.rows": (
+        DimensionError, "3 vs 4 rows",
+        lambda: linalg.canonical_angles(np.eye(3)[:, :2], np.eye(4)[:, :2])),
+}
+
 # public classes that only carry results; their fields are not arguments
 _RESULT_CONTAINERS = {
     "CanonicalAngles",
@@ -210,6 +251,14 @@ def test_real_arguments_must_be_finite_numbers_in_range(call):
 @pytest.mark.parametrize("call", _MATRICES.values(), ids=_MATRICES.keys())
 def test_matrix_arguments_must_be_real_and_finite(call):
     with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize(("error", "message", "call"), _FAULTS.values(), ids=_FAULTS.keys())
+def test_shape_and_data_faults_raise_their_documented_error(error, message, call,
+                                                            tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error, match=re.escape(message)):
         call()
 
 
@@ -249,8 +298,27 @@ def test_valid_values_are_stored_as_given():
     assert subspace.SubspaceBasis(_BASIS, "lsi", exhausted=np.True_).exhausted is True
 
 
+def test_numpy_scalars_are_stored_as_python_values(tmp_path):
+    # a numpy scalar is stored as its .item(), so the basis and the manifest save as JSON
+    config = subspace.IrrConfig(ell=np.int64(2), alpha=np.int64(3), beta=np.float16(0.5))
+    assert (config.ell, config.alpha, config.beta) == (2, 3, 0.5)
+    assert [type(v) for v in (config.ell, config.alpha, config.beta)] == [int, int, float]
+    basis = subspace.irr(_Z, config)
+    assert (type(basis.alpha), type(basis.beta)) == (int, float)
+    matrixio.save_basis(tmp_path / "b.ssm1", basis)
+    loaded = matrixio.load_basis(tmp_path / "b.ssm1")
+    assert (loaded.alpha, loaded.beta) == (3, 0.5)
+    direct = subspace.SubspaceBasis(_BASIS, "irr", q=np.float32(1.5), alpha=np.int8(-2),
+                                    beta=np.float16(0.25))
+    assert [type(v) for v in (direct.q, direct.alpha, direct.beta)] == [float, int, float]
+    spec = corpus.SynthSpec((3, 3), noise_rate=np.float32(0.25))
+    assert type(spec.noise_rate) is float
+    assert json.loads(json.dumps(asdict(spec)))["noise_rate"] == 0.25
+
+
 def test_every_numeric_parameter_has_a_bad_input_case():
-    covered = {key.rsplit(".", 1)[0] for key in (*_CALLS, *_REALS, *_MATRICES) if "." in key}
+    covered = {key.rsplit(".", 1)[0]
+               for key in (*_CALLS, *_REALS, *_MATRICES, *_FAULTS) if "." in key}
     missing = []
     for name in irrspace.__all__:
         obj = getattr(irrspace, name)

@@ -426,7 +426,7 @@ def test_floor_ceiling_brackets_all_scores():
     rho[0, :6] = 1.0
     rho[1, 6:] = 1.0
     tm = TopicModel(relevance=rho, topic_ids=("a", "b"))
-    out = evalmetrics.floor_ceiling(z, tm, 2)
+    out = evalmetrics.floor_ceiling(z, tm)
     assert set(out.scores) == set(evalmetrics.ALGORITHMS)
     assert out.floor == min(out.scores.values())
     assert out.ceiling == max(out.scores.values())
@@ -438,7 +438,7 @@ def test_floor_ceiling_requires_single_topic_docs():
     rho = np.full((2, 12), 1 / math.sqrt(2))
     tm = TopicModel(relevance=rho, topic_ids=("a", "b"))
     with pytest.raises(ParameterError):
-        evalmetrics.floor_ceiling(z, tm, 2)
+        evalmetrics.floor_ceiling(z, tm)
 
 
 def test_kmeans_refinement_recorded_against_seed_partition():

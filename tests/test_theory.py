@@ -1,5 +1,6 @@
 """Topic statistics, deviation minimization, and the bound verifiers."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -252,6 +253,22 @@ def test_least_matches_scoring_every_candidate(cases, margin, bound):
     assert len(scored) in (0, 2)
 
 
+def test_optimum_subspace_with_h_max_at_or_above_the_rank():
+    # at h = rank(A) the subspace is all of range(A): nothing to rotate into
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 6))
+    a /= np.linalg.norm(a, axis=0)
+    s_random, _ = _random_instance(11)
+    for s in (a.T @ a, s_random):
+        got = theory.optimum_subspace(s, a, h_max=4)
+        oracle = brute_force_best_subset(s, a, h_max=4)
+        assert got.eps_opt <= oracle + 1e-12
+        assert theory.deviation_error(s, a, got.basis) == pytest.approx(got.eps_opt, abs=1e-10)
+    # S = A^T A is met exactly by range(A) and by no line
+    exact = theory.optimum_subspace(a.T @ a, a, h_max=4)
+    assert exact.h == 2 and exact.eps_opt < 1e-12
+
+
 def test_optimum_subspace_beats_random_subspaces():
     s, a = _random_instance(33)
     got = theory.optimum_subspace(s, a, h_max=2)
@@ -339,6 +356,21 @@ def test_dominance_interval_exact_instance():
     assert rec.holds
     assert rec.quantities["max_deviation"] < 1e-10
     assert rec.quantities["mingling"] == 0.0
+
+
+def test_dominance_interval_pads_an_optimum_with_fewer_directions_than_topics():
+    # a one-dimensional optimum on a two-topic model: its missing second
+    # singular value reads as 0 against the second dominance
+    tm = _single_topic((3, 2))
+    inst = theory.construct_ideal_instance(tm, m=10, noise=0.2, seed=1)
+    line = theory.optimum_subspace(inst.similarity, inst.matrix, 1)
+    assert line.basis.shape[1] == 1
+    rec = theory.verify_dominance_interval(dataclasses.replace(inst, optimum=line))
+    sigma = np.linalg.svd(line.basis.T @ inst.matrix, compute_uv=False)[0]
+    expected = max(abs(sigma**2 - 3.0), abs(0.0 - 2.0))
+    assert rec.quantities["max_deviation"] == pytest.approx(expected, abs=1e-12)
+    assert rec.quantities["bound"] == line.eps_opt  # mingling is 0 for single topics
+    assert rec.holds == (expected <= line.eps_opt + theory._DOMINANCE_SLACK)
 
 
 def test_truncation_angle_exact_instance():
