@@ -68,7 +68,6 @@ from .stemming import porter_stem
 from .stopwords import DEFAULT_STOPWORDS
 from .subspace import (
     METHODS,
-    IrrConfig,
     SubspaceBasis,
     auto_scale,
     dimensionality_by_residual_ratio,
@@ -108,7 +107,6 @@ __all__ = [
     "IdealInstance",
     "InvalidBasisError",
     "InvalidInputError",
-    "IrrConfig",
     "IrrspaceError",
     "METHODS",
     "OptimumSubspaceResult",

@@ -149,8 +149,8 @@ _RUN_FLAGS = {
     "seeds": (_parse_seeds, "0", "seed list 1,2,3 or range 0:10, for --dist datasets"),
     "methods": (_parse_list, ",".join(subspace.METHODS), "comma list of methods"),
     "q": (_parse_q, "auto", "'auto' or a nonnegative float, for irr"),
-    "alpha": (float, str(subspace.IrrConfig.alpha), "auto-scale slope"),
-    "beta": (float, str(subspace.IrrConfig.beta), "auto-scale intercept"),
+    "alpha": (float, str(subspace.ALPHA), "auto-scale slope"),
+    "beta": (float, str(subspace.BETA), "auto-scale intercept"),
     "ell": (_parse_stop, None, "dimensionality: int, or ratio:<theta>"),
     "metrics": (_parse_list, "kappa,cluster",
                 "comma list from kappa,cluster ('none' with --save-basis)"),
@@ -199,11 +199,14 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _convert(kind, flag: str, text):
-    """The value of ``--flag`` from its text; None stays None."""
+    """The value of ``--flag`` from its text; None stays None, and an empty
+    path or name is a usage error."""
     if isinstance(kind, list):
         return [_convert(kind[0], flag, t) for t in text or ()]
     if text is None:
         return None
+    if kind is str and not text:
+        raise _UsageError(f"--{flag.replace('_', '-')} expects a nonempty value, got ''")
     return _number(text, kind, flag) if kind in (int, float) else kind(text)
 
 
@@ -211,7 +214,8 @@ def _merge(args: argparse.Namespace) -> dict:
     """Each flag of the command from the command line, else the config file,
     else its default, converted by its kind.  A switch has no config key."""
     _, _, flags = _COMMANDS[args.command]
-    cfg = _load_config(args.config) if args.config else {}
+    config = _convert(str, "config", args.config)
+    cfg = _load_config(config) if config is not None else {}
     unknown = set(cfg) - {key for key, (kind, _, _) in flags.items() if kind is not bool}
     if unknown:
         raise DataError(f"config keys not recognized: {sorted(unknown)}")
@@ -336,9 +340,8 @@ def _run_cell(dataset: str, dist_label: str, seed: str, load, opts: dict,
         elif method == "lsi":
             basis = built = subspace.lsi(z, **stop)
         else:
-            config = subspace.IrrConfig(q=opts["q"], alpha=opts["alpha"], beta=opts["beta"],
-                                        **stop)
-            basis = built = subspace.irr(z, config)
+            basis = built = subspace.irr(z, **stop, q=opts["q"], alpha=opts["alpha"],
+                                         beta=opts["beta"])
         if basis is None:
             x, q_out, ell_out = z, None, None
         else:

@@ -17,7 +17,7 @@ stable and moves the basis only by roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,36 +25,20 @@ from . import linalg
 from .errors import ParameterError, as_integer, as_python, as_real
 
 METHODS = ("vsm", "lsi", "irr")
+ALPHA, BETA = 3.5, 0.0  # auto_scale's default slope and intercept
 
 
-@dataclass(frozen=True)
-class IrrConfig:
-    """IRR run parameters.
-
-    ``q`` is the rescaling exponent; None means choose it from the data via
-    auto_scale.  Exactly one of ``ell`` (fixed dimensionality) and ``theta``
-    (residual-ratio stopping threshold) must be set.
-    """
-
-    q: float | None = None
-    ell: int | None = None
-    theta: float | None = None
-    alpha: float = 3.5
-    beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_python(getattr(self, f.name)))
-        if (self.ell is None) == (self.theta is None):
-            raise ParameterError("set exactly one of ell and theta")
-        if self.theta is None:
-            as_integer("ell", self.ell, 1)
-        else:
-            as_real("theta", self.theta, 0, open_low=True)
-        if self.q is not None:
-            as_real("q", self.q, 0)
-        as_real("alpha", self.alpha)
-        as_real("beta", self.beta)
+def _stopping_rule(ell, theta) -> tuple:
+    """``(ell, theta)`` with a numpy scalar as its Python value; exactly one
+    must be set, ell an integer >= 1 or theta a finite number > 0."""
+    ell, theta = as_python(ell), as_python(theta)
+    if (ell is None) == (theta is None):
+        raise ParameterError("set exactly one of ell and theta")
+    if theta is None:
+        as_integer("ell", ell, 1)
+    else:
+        as_real("theta", theta, 0, open_low=True)
+    return ell, theta
 
 
 @dataclass
@@ -105,7 +89,7 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def auto_scale(z, alpha: float = IrrConfig.alpha, beta: float = IrrConfig.beta) -> float:
+def auto_scale(z, alpha: float = ALPHA, beta: float = BETA) -> float:
     """Data-driven rescaling exponent max(0, alpha * f + beta).
 
     f = (||A^T A||_F / n)^2 estimates topic-dominance non-uniformity from the
@@ -153,8 +137,13 @@ def _leading_left_vector(r: np.ndarray, w: np.ndarray) -> np.ndarray:
     return vec[:, 0] * linalg.column_signs(vec)
 
 
-def irr(z, config: IrrConfig) -> SubspaceBasis:
-    """Iterative residual rescaling under the given configuration.
+def irr(z, ell: int | None = None, theta: float | None = None, q: float | None = None,
+        alpha: float = ALPHA, beta: float = BETA) -> SubspaceBasis:
+    """Iterative residual rescaling with exponent ``q``, to ``ell`` directions
+    or to residual ratio ``theta`` (exactly one, as in lsi).
+
+    ``q`` None takes it from auto_scale(z, alpha, beta), and the basis records
+    alpha and beta.  Numpy scalars are read as their Python values.
 
     For m > n the loop runs on the QR core T of A = Q T.  Q has orthonormal
     columns, so a residual of T has the column norms and Frobenius norm of
@@ -163,6 +152,12 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
     columns.  That costs one m x n QR and one m x n x ell product; each step
     works on n x n matrices.  For m <= n the loop runs on A itself.
     """
+    ell, theta = _stopping_rule(ell, theta)
+    q, alpha, beta = as_python(q), as_python(alpha), as_python(beta)
+    if q is not None:
+        as_real("q", q, 0)
+    as_real("alpha", alpha)
+    as_real("beta", beta)
     a = linalg.as_matrix(z)
     m, n = a.shape
     with np.errstate(over="ignore"):
@@ -170,11 +165,14 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
     if not math.isfinite(initial_fro):
         # a finite ||A||_F^2 keeps every Gram entry finite: |r_i . r_j| <= ||A||_F^2
         raise ParameterError("input matrix is too large: its squared norm overflows")
-    q = config.q if config.q is not None else auto_scale(a, config.alpha, config.beta)
+    if q is None:
+        q = auto_scale(a, alpha, beta)
+    else:
+        alpha = beta = None  # recorded only for an auto-scaled q
 
     # In theta mode a residual that meets the zero rule, ratio 0, ends the
     # loop by this bound at the latest.
-    limit = config.ell if config.theta is None else min(m, n)
+    limit = ell if theta is None else min(m, n)
 
     frame, resid = np.linalg.qr(a) if m > n else (None, a.copy())
     vanish = linalg.ZERO_RTOL * initial_fro
@@ -201,7 +199,7 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
         # a residual that meets the zero rule is recorded as ratio 0
         fro = float(np.linalg.norm(resid))
         ratios.append(fro**2 / n if fro > vanish else 0.0)
-        if config.theta is not None and ratios[-1] <= config.theta:
+        if theta is not None and ratios[-1] <= theta:
             break
     if not cols:
         raise ParameterError(linalg.ZERO_MATRIX)
@@ -214,8 +212,8 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
         method="irr",
         q=float(q),
         residual_ratios=tuple(ratios),
-        alpha=config.alpha if config.q is None else None,
-        beta=config.beta if config.q is None else None,
+        alpha=alpha,
+        beta=beta,
         exhausted=exhausted,
     )
 
@@ -223,13 +221,13 @@ def irr(z, config: IrrConfig) -> SubspaceBasis:
 def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
     """Rank-ell truncated SVD basis: IRR at q = 0, read off one SVD.
 
-    Exactly one of ``ell`` and ``theta`` must be set, as in IrrConfig.  With
+    Exactly one of ``ell`` and ``theta`` must be set, as in irr.  With
     ``theta`` the dimensionality is the smallest ell whose residual ratio is
     <= theta.  As in irr, the ratio past the rank (``linalg.ZERO_RTOL``) is 0,
     so theta mode stops at the rank at the latest; an ``ell`` above the rank
     returns the rank's directions with ``exhausted`` set.
     """
-    IrrConfig(q=0.0, ell=ell, theta=theta)  # checks the stopping rule
+    ell, theta = _stopping_rule(ell, theta)
     a = linalg.as_matrix(z)
     res = linalg.svd(a)
     rank = res.rank
@@ -255,7 +253,7 @@ def dimensionality_by_residual_ratio(z, theta: float, q: float | None = None) ->
 
     At least 1 and at most min(m, n); fewer when the residuals vanish first.
     """
-    return irr(z, IrrConfig(q=q, theta=theta)).ell
+    return irr(z, theta=theta, q=q).ell
 
 
 def represent(basis: SubspaceBasis, z) -> np.ndarray:

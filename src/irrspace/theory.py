@@ -68,7 +68,7 @@ import numpy as np
 
 from . import linalg
 from .corpus import TopicModel
-from .errors import DimensionError, ParameterError, as_integer, as_real
+from .errors import DimensionError, ParameterError, as_integer, as_python, as_real
 
 _EVAL_CHUNK = 4096  # subset candidates scored per batch
 
@@ -343,6 +343,7 @@ def construct_ideal_instance(
     located by search.
     """
     m = as_integer("m", m, tm.n_topics)
+    noise, seed = as_python(noise), as_python(seed)  # stored, so saved as JSON
     as_real("noise", noise, 0)
     as_integer("seed", seed, 0)
     rho = tm.relevance

@@ -112,7 +112,7 @@ def test_criterion_02_truncation_equivalence_at_q0():
         n = int(rng.integers(2, 31))
         z = rng.standard_normal((m, n)) * rng.uniform(0.2, 5.0, n)
         rank = min(m, n)
-        full = subspace.irr(z, subspace.IrrConfig(q=0.0, ell=rank))
+        full = subspace.irr(z, q=0.0, ell=rank)
         assert full.ell == rank
         for ell in range(1, rank + 1):
             prefix = full.basis[:, :ell]

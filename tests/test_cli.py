@@ -263,6 +263,40 @@ def test_non_numeric_flag_is_usage_error(argv, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "config", "flag"),
+    [
+        (["run", "--dist", "4,4", "--methods", "irr", "--ell", "2", "--save-basis="], None,
+         "save-basis"),
+        (["run", "--corpus=", "--methods", "vsm", "--metrics", "kappa"], None, "corpus"),
+        (["run", "--dist", "4,4", "--methods", "vsm", "--out="], None, "out"),
+        (["verify", "--trials", "1", "--out="], None, "out"),
+        (["plotdata", "--report", "r.csv", "--out="], None, "out"),
+        (["plotdata", "--report", "r.csv", "--x="], None, "x"),
+        (["run", "--dist", "4,4", "--methods", "vsm", "--config="], None, "config"),
+        (["run", "--dist", "4,4", "--methods", "irr", "--ell", "2"], "save_basis =", "save-basis"),
+        (["run", "--methods", "vsm", "--metrics", "kappa"], "corpus = ''", "corpus"),
+        (["run", "--dist", "4,4", "--methods", "vsm"], "out =", "out"),
+    ],
+)
+def test_empty_path_value_is_usage_error(argv, config, flag, monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.corpus, "synthesize_collection", fail)
+    monkeypatch.setattr(cli.corpus, "load_corpus_dir", fail)
+    Path("r.csv").write_bytes(_REPORT)
+    if config is not None:
+        Path("c.cfg").write_text(config + "\n", encoding="utf-8")
+        argv = argv + ["--config", "c.cfg"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: --{flag} expects a nonempty value, got ''\n")
+    written = {"r.csv", "c.cfg"} if config is not None else {"r.csv"}
+    assert {p.name for p in tmp_path.iterdir()} == written
+
+
 def test_save_basis_shape_checked_before_any_cell_is_built(monkeypatch, tmp_path):
     def fail(*args, **kwargs):
         raise AssertionError("a cell was built")
@@ -450,7 +484,7 @@ def test_defaults_come_from_the_library(tmp_path):
     z, _ = cli._load_synth((8, 4), {}, 0)
     assert row["q"] == repr(subspace.auto_scale(z))
     assert subspace.auto_scale(z) == subspace.auto_scale(
-        z, subspace.IrrConfig.alpha, subspace.IrrConfig.beta)
+        z, subspace.ALPHA, subspace.BETA)
 
 
 @pytest.mark.parametrize(

@@ -30,8 +30,8 @@ _BASIS = np.eye(3)[:, :2]
 _LABELS = np.array([0, 1, 1])
 
 _CALLS = {
-    "irr_config_fractional_ell": lambda: subspace.IrrConfig(ell=2.5),
-    "irr_config_bool_ell": lambda: subspace.IrrConfig(ell=True),
+    "irr_fractional_ell": lambda: subspace.irr(_Z, ell=2.5),
+    "irr_bool_ell": lambda: subspace.irr(_Z, ell=True),
     "cluster_fractional_k": lambda: evalmetrics.cluster(_Z, 2.5, "single_link"),
     "kmeans_fractional_k": lambda: evalmetrics.cluster(_Z, 2.5, "kmeans_single_link"),
     "cluster_bool_k": lambda: evalmetrics.cluster(_Z, True, "single_link"),
@@ -46,8 +46,8 @@ _CALLS = {
     "suite_string_seed": lambda: theory.standard_instance_suite(1, seed="x"),
     "suite_fractional_seed": lambda: theory.standard_instance_suite(1, seed=2.5),
     # counts and seeds out of range, or not integers at all
-    "IrrConfig.ell.zero": lambda: subspace.IrrConfig(ell=0),
-    "IrrConfig.ell.string": lambda: subspace.IrrConfig(ell="2"),
+    "irr.ell.zero": lambda: subspace.irr(_Z, ell=0),
+    "irr.ell.string": lambda: subspace.irr(_Z, ell="2"),
     "lsi.ell.zero": lambda: subspace.lsi(_Z, ell=0),
     "lsi.ell.string": lambda: subspace.lsi(_Z, ell="2"),
     "lsi.ell.bool": lambda: subspace.lsi(_Z, ell=True),
@@ -120,10 +120,10 @@ _BAD_REALS = {
     "none": None,
 }
 _REAL_CALLS = {
-    "IrrConfig.q": lambda v: subspace.IrrConfig(q=v, ell=2),
-    "IrrConfig.theta": lambda v: subspace.IrrConfig(theta=v),
-    "IrrConfig.alpha": lambda v: subspace.IrrConfig(ell=2, alpha=v),
-    "IrrConfig.beta": lambda v: subspace.IrrConfig(ell=2, beta=v),
+    "irr.q": lambda v: subspace.irr(_Z, q=v, ell=2),
+    "irr.theta": lambda v: subspace.irr(_Z, theta=v),
+    "irr.alpha": lambda v: subspace.irr(_Z, ell=2, alpha=v),
+    "irr.beta": lambda v: subspace.irr(_Z, ell=2, beta=v),
     "SubspaceBasis.q": lambda v: subspace.SubspaceBasis(_BASIS, "irr", q=v),
     "SubspaceBasis.alpha": lambda v: subspace.SubspaceBasis(_BASIS, "irr", alpha=v),
     "SubspaceBasis.beta": lambda v: subspace.SubspaceBasis(_BASIS, "irr", beta=v),
@@ -142,11 +142,11 @@ _REAL_CALLS = {
     "standard_instance_suite.noise": lambda v: theory.standard_instance_suite(1, noise=v),
 }
 # None is a valid value of these: it means "not set"
-_OPTIONAL = {"IrrConfig.q", "SubspaceBasis.q", "SubspaceBasis.alpha", "SubspaceBasis.beta",
+_OPTIONAL = {"irr.q", "SubspaceBasis.q", "SubspaceBasis.alpha", "SubspaceBasis.beta",
              "dimensionality_by_residual_ratio.q", "standard_instance_suite.noise"}
 _OUT_OF_RANGE = {
-    "IrrConfig.q": {"negative": -0.5},
-    "IrrConfig.theta": {"zero": 0.0, "negative": -1.0},
+    "irr.q": {"negative": -0.5},
+    "irr.theta": {"zero": 0.0, "negative": -1.0},
     "SubspaceBasis.q": {"negative": -1.0},
     "SubspaceBasis.residual_ratios": {"negative": -0.5},
     "SynthSpec.noise_rate": {"negative": -0.1, "above_one": 1.5},
@@ -172,7 +172,7 @@ _MATRICES = {
     "svd.z.huge_int": lambda: linalg.svd([[10**400, 0], [0, 1]]),
     "svd.z.object": lambda: linalg.svd([[object()]]),
     "lsi.z.ragged": lambda: subspace.lsi([[1.0], [1.0, 2.0]], ell=1),
-    "irr.z.complex": lambda: subspace.irr(_Z * 1j, subspace.IrrConfig(ell=1)),
+    "irr.z.complex": lambda: subspace.irr(_Z * 1j, ell=1),
     "project.basis.complex": lambda: linalg.project(_BASIS.astype(complex), np.ones((3, 2))),
     "deviation_matrix.basis.empty": lambda: theory.deviation_matrix(
         np.eye(6), _Z, np.zeros((8, 0))),
@@ -273,7 +273,7 @@ def test_suite_seed_is_reported_as_given():
         (lambda: evalmetrics.cluster(_Z, 7, "single_link"),
          r"^k must be an integer in \[1, 6\], got 7$"),
         (lambda: subspace.lsi(_Z, theta=0), r"^theta must be a finite number > 0, got 0$"),
-        (lambda: subspace.IrrConfig(q=True, ell=1),
+        (lambda: subspace.irr(_Z, q=True, ell=1),
          r"^q must be a finite number >= 0, got True$"),
         (lambda: corpus.SynthSpec((3,), noise_rate=2),
          r"^noise_rate must be a finite number in \[0, 1\], got 2$"),
@@ -300,10 +300,8 @@ def test_valid_values_are_stored_as_given():
 
 def test_numpy_scalars_are_stored_as_python_values(tmp_path):
     # a numpy scalar is stored as its .item(), so the basis and the manifest save as JSON
-    config = subspace.IrrConfig(ell=np.int64(2), alpha=np.int64(3), beta=np.float16(0.5))
-    assert (config.ell, config.alpha, config.beta) == (2, 3, 0.5)
-    assert [type(v) for v in (config.ell, config.alpha, config.beta)] == [int, int, float]
-    basis = subspace.irr(_Z, config)
+    basis = subspace.irr(_Z, ell=np.int64(2), alpha=np.int64(3), beta=np.float16(0.5))
+    assert (basis.ell, basis.alpha, basis.beta) == (2, 3, 0.5)
     assert (type(basis.alpha), type(basis.beta)) == (int, float)
     matrixio.save_basis(tmp_path / "b.ssm1", basis)
     loaded = matrixio.load_basis(tmp_path / "b.ssm1")
@@ -314,6 +312,16 @@ def test_numpy_scalars_are_stored_as_python_values(tmp_path):
     spec = corpus.SynthSpec((3, 3), noise_rate=np.float32(0.25))
     assert type(spec.noise_rate) is float
     assert json.loads(json.dumps(asdict(spec)))["noise_rate"] == 0.25
+
+
+def test_ideal_instance_stores_numpy_scalars_as_python_values():
+    # verify names its records by the instance's noise and seed
+    inst = theory.construct_ideal_instance(_TM, 8, np.float32(0.1), np.uint16(3))
+    assert (type(inst.noise), type(inst.seed)) == (float, int)
+    record = theory.verify_dominance_interval(inst)
+    record.instance = {"noise": inst.noise, "seed": inst.seed}
+    assert json.loads(record.to_json())["instance"] == {"noise": float(np.float32(0.1)),
+                                                        "seed": 3}
 
 
 def test_every_numeric_parameter_has_a_bad_input_case():

@@ -82,7 +82,7 @@ def test_csv_rejects_ragged_rows(tmp_path):
 def test_basis_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     z = rng.standard_normal((10, 6))
-    basis = subspace.irr(z, subspace.IrrConfig(ell=3))
+    basis = subspace.irr(z, ell=3)
     path = tmp_path / "basis.ssm1"
     matrixio.save_basis(path, basis)
     assert path.with_name(path.name + ".json").exists()
@@ -101,7 +101,7 @@ def _rank_two(rng):
 # built by each method, with exhausted set and not, and irr with auto q so
 # that alpha and beta are set
 _SAVED_BASES = {
-    "irr_auto_q_exhausted": lambda rng: subspace.irr(_rank_two(rng), subspace.IrrConfig(ell=4)),
+    "irr_auto_q_exhausted": lambda rng: subspace.irr(_rank_two(rng), ell=4),
     "lsi_exhausted": lambda rng: subspace.lsi(_rank_two(rng), 4),
     "lsi_full": lambda rng: subspace.lsi(rng.standard_normal((10, 6)), 3),
 }

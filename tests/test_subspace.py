@@ -13,17 +13,33 @@ from irrspace.corpus import TopicModel
 from irrspace.errors import InvalidBasisError, ParameterError
 
 
-def test_config_requires_exactly_one_stopping_rule():
-    with pytest.raises(ParameterError):
-        subspace.IrrConfig()
-    with pytest.raises(ParameterError):
-        subspace.IrrConfig(ell=2, theta=0.1)
-    with pytest.raises(ParameterError):
-        subspace.IrrConfig(ell=0)
-    with pytest.raises(ParameterError):
-        subspace.IrrConfig(theta=-0.5)
-    with pytest.raises(ParameterError):
-        subspace.IrrConfig(ell=2, q=-1.0)
+_STOPPING_RULE_FAULTS = {
+    "none": ({}, "set exactly one of ell and theta"),
+    "both": ({"ell": 2, "theta": 0.1}, "set exactly one of ell and theta"),
+    "ell_zero": ({"ell": 0}, "ell must be an integer >= 1, got 0"),
+    "ell_fractional": ({"ell": 2.5}, "ell must be an integer >= 1, got 2.5"),
+    "ell_bool": ({"ell": True}, "ell must be an integer >= 1, got True"),
+    "theta_zero": ({"theta": 0}, "theta must be a finite number > 0, got 0"),
+    "theta_negative": ({"theta": -0.5}, "theta must be a finite number > 0, got -0.5"),
+    "theta_inf": ({"theta": math.inf}, "theta must be a finite number > 0, got inf"),
+    "theta_nan": ({"theta": math.nan}, "theta must be a finite number > 0, got nan"),
+}
+
+
+@pytest.mark.parametrize("method", [subspace.lsi, subspace.irr], ids=["lsi", "irr"])
+@pytest.mark.parametrize(("stop", "message"), _STOPPING_RULE_FAULTS.values(),
+                         ids=_STOPPING_RULE_FAULTS.keys())
+def test_lsi_and_irr_share_the_stopping_rule(method, stop, message):
+    with pytest.raises(ParameterError) as info:
+        method(np.eye(3), **stop)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("method", [subspace.lsi, subspace.irr], ids=["lsi", "irr"])
+def test_stopping_rule_takes_numpy_scalars(method):
+    z = np.random.default_rng(0).standard_normal((8, 6))
+    assert method(z, ell=np.int64(2)).ell == method(z, ell=2).ell == 2
+    assert method(z, theta=np.float32(0.5)).ell == method(z, theta=float(np.float32(0.5))).ell
 
 
 def test_auto_scale_hand_computed():
@@ -78,7 +94,7 @@ def test_irr_q0_matches_truncation_projection():
     rng = np.random.default_rng(8)
     z = rng.standard_normal((20, 12))
     for ell in (1, 3, 7):
-        b_irr = subspace.irr(z, subspace.IrrConfig(q=0.0, ell=ell))
+        b_irr = subspace.irr(z, q=0.0, ell=ell)
         b_lsi = subspace.lsi(z, ell)
         x1 = subspace.represent(b_irr, z)
         x2 = subspace.represent(b_lsi, z)
@@ -90,7 +106,7 @@ def test_first_vector_maximizes_rescaled_energy():
     rng = np.random.default_rng(21)
     z = rng.standard_normal((15, 10))
     q = 2.0
-    basis = subspace.irr(z, subspace.IrrConfig(q=q, ell=1)).basis
+    basis = subspace.irr(z, q=q, ell=1).basis
     scaled = subspace.rescale(z, q)
     captured = np.linalg.norm(basis[:, 0] @ scaled)
     for _ in range(1000):
@@ -121,7 +137,7 @@ def test_leading_left_vector_matches_full_eigh_of_weighted_gram(shape):
 def test_extracted_basis_is_orthonormal_and_residuals_shrink():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((18, 9))
-    basis = subspace.irr(z, subspace.IrrConfig(q=1.5, ell=6))
+    basis = subspace.irr(z, q=1.5, ell=6)
     b = basis.basis
     assert np.max(np.abs(b.T @ b - np.eye(6))) < 1e-10
     ratios = basis.residual_ratios
@@ -133,13 +149,13 @@ def test_extracted_basis_is_orthonormal_and_residuals_shrink():
 def test_full_rank_extraction_leaves_no_residual():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((6, 4))
-    basis = subspace.irr(z, subspace.IrrConfig(q=3.0, ell=4))
+    basis = subspace.irr(z, q=3.0, ell=4)
     assert basis.residual_ratios[-1] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_irr_stops_when_rank_is_exhausted():
     z = np.outer(np.ones(5) / math.sqrt(5), [1.0, 1.0, 1.0])
-    basis = subspace.irr(z, subspace.IrrConfig(q=1.0, ell=3))
+    basis = subspace.irr(z, q=1.0, ell=3)
     assert basis.exhausted
     assert basis.ell == 1
 
@@ -154,7 +170,7 @@ def test_irr_keeps_orthonormal_basis_on_tiny_trailing_direction(tail, stop):
     v, _ = np.linalg.qr(rng.standard_normal((30, 3)))
     z = u @ np.diag([1.0, 0.5, tail]) @ v.T
     for q in (0.0, 2.0):
-        b = subspace.irr(z, subspace.IrrConfig(q=q, **stop)).basis
+        b = subspace.irr(z, q=q, **stop).basis
         assert b.shape[1] == 3
         assert np.max(np.abs(b.T @ b - np.eye(3))) < 1e-10
 
@@ -172,7 +188,7 @@ def test_theta_mode_selects_topic_count_on_exact_instance():
 def test_theta_one_still_extracts_one_dimension():
     # unit columns make the initial ratio exactly 1; minimum is one dim
     z = np.eye(3)
-    basis = subspace.irr(z, subspace.IrrConfig(q=0.0, theta=1.0))
+    basis = subspace.irr(z, q=0.0, theta=1.0)
     assert basis.ell == 1
 
 
@@ -180,7 +196,7 @@ def test_irr_auto_records_computed_q():
     rng = np.random.default_rng(10)
     z = rng.standard_normal((10, 6))
     z /= np.linalg.norm(z, axis=0)
-    basis = subspace.irr(z, subspace.IrrConfig(ell=2))
+    basis = subspace.irr(z, ell=2)
     assert basis.q == pytest.approx(subspace.auto_scale(z), abs=1e-15)
     assert basis.alpha == 3.5 and basis.beta == 0.0
 
@@ -189,13 +205,13 @@ def test_lsi_ratios_match_irr_q0_ratios():
     rng = np.random.default_rng(12)
     z = rng.standard_normal((9, 7))
     b1 = subspace.lsi(z, 4)
-    b2 = subspace.irr(z, subspace.IrrConfig(q=0.0, ell=4))
+    b2 = subspace.irr(z, q=0.0, ell=4)
     assert np.allclose(b1.residual_ratios, b2.residual_ratios, atol=1e-9)
     assert b1.method == "lsi" and b2.method == "irr"
     # theta mode: the ratios read off the singular values pick the same ell
     for theta in (3.0, 1.5, 0.8, 0.3, 0.05, 1e-3):
         b1 = subspace.lsi(z, theta=theta)
-        b2 = subspace.irr(z, subspace.IrrConfig(q=0.0, theta=theta))
+        b2 = subspace.irr(z, q=0.0, theta=theta)
         assert b1.ell == b2.ell
         assert b1.residual_ratios[-1] <= theta
         assert np.allclose(b1.residual_ratios, b2.residual_ratios, atol=1e-9)
@@ -207,23 +223,13 @@ def test_theta_at_or_above_initial_ratio_gives_one_dimension():
     initial = np.linalg.norm(z) ** 2 / 6
     for theta in (initial, 2.0 * initial):
         assert subspace.lsi(z, theta=theta).ell == 1
-        assert subspace.irr(z, subspace.IrrConfig(q=0.0, theta=theta)).ell == 1
+        assert subspace.irr(z, q=0.0, theta=theta).ell == 1
 
 
 def test_theta_below_reach_stops_at_rank_one():
     z = np.outer(np.arange(1.0, 6.0), [1.0, -2.0, 0.5, 3.0])
     assert subspace.lsi(z, theta=1e-30).ell == 1
-    assert subspace.irr(z, subspace.IrrConfig(q=0.0, theta=1e-30)).ell == 1
-
-
-def test_lsi_requires_exactly_one_stopping_rule():
-    z = np.eye(3)
-    with pytest.raises(ParameterError):
-        subspace.lsi(z)
-    with pytest.raises(ParameterError):
-        subspace.lsi(z, ell=2, theta=0.5)
-    with pytest.raises(ParameterError):
-        subspace.lsi(z, theta=0.0)
+    assert subspace.irr(z, q=0.0, theta=1e-30).ell == 1
 
 
 def test_lsi_zero_matrix_rejected_in_theta_mode():
@@ -236,7 +242,7 @@ def test_irr_large_q_does_not_underflow(q):
     rng = np.random.default_rng(0)
     z = rng.standard_normal((30, 20))
     z /= np.linalg.norm(z, axis=0)
-    b = subspace.irr(z, subspace.IrrConfig(q=q, ell=15)).basis
+    b = subspace.irr(z, q=q, ell=15).basis
     assert b.shape == (30, 15)
     assert np.isfinite(b).all()
     assert np.max(np.abs(b.T @ b - np.eye(15))) < 1e-10
@@ -252,7 +258,7 @@ _RANK_ONE = np.outer(np.ones(4), np.ones(3))
 )
 def test_lsi_beyond_rank_returns_the_rank_exhausted_as_irr_does(z, ell, rank):
     got = subspace.lsi(z, ell)
-    ref = subspace.irr(z, subspace.IrrConfig(q=0.0, ell=ell))
+    ref = subspace.irr(z, q=0.0, ell=ell)
     assert (got.ell, got.exhausted) == (ref.ell, ref.exhausted) == (rank, True)
     assert len(got.residual_ratios) == rank + 1
     assert _sin_largest_angle(got.basis, ref.basis) <= 1e-12
@@ -284,7 +290,7 @@ def test_subspace_basis_is_built_by_lsi_or_irr_only(method):
 
 def test_zero_matrix_rejected_in_theta_mode():
     with pytest.raises(ParameterError):
-        subspace.irr(np.zeros((3, 3)), subspace.IrrConfig(q=0.0, theta=0.5))
+        subspace.irr(np.zeros((3, 3)), q=0.0, theta=0.5)
 
 
 def _sin_largest_angle(b1, b2):
@@ -320,7 +326,7 @@ def test_irr_properties_over_q(seed, m, n, q, data):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((m, n)) * rng.uniform(0.1, 2.0, n)
     ell = data.draw(st.integers(1, min(m, n)), label="ell")
-    got = subspace.irr(z, subspace.IrrConfig(q=q, ell=ell))
+    got = subspace.irr(z, q=q, ell=ell)
     b = got.basis
     assert got.ell == ell
     assert np.all(np.isfinite(b))
@@ -331,12 +337,12 @@ def test_irr_properties_over_q(seed, m, n, q, data):
     perm = data.draw(st.permutations(range(n)), label="perm")
     assert subspace.auto_scale(z[:, perm]) == pytest.approx(subspace.auto_scale(z), rel=1e-12)
     assume(_least_rescaled_gap(z, b, q) >= 1e-2)
-    permuted = subspace.irr(z[:, perm], subspace.IrrConfig(q=q, ell=ell))
+    permuted = subspace.irr(z[:, perm], q=q, ell=ell)
     assert _sin_largest_angle(b, permuted.basis) <= 1e-8
     if q == 0.0:
         assert _sin_largest_angle(b, subspace.lsi(z, ell=ell).basis) <= 1e-8
     for c in (1e-20, 1e-6, 1e6):
-        scaled = subspace.irr(c * z, subspace.IrrConfig(q=q, ell=ell))
+        scaled = subspace.irr(c * z, q=q, ell=ell)
         assert scaled.ell == ell
         assert _sin_largest_angle(b, scaled.basis) <= 1e-8
 
@@ -345,7 +351,7 @@ def test_irr_properties_over_q(seed, m, n, q, data):
 def test_irr_huge_q_takes_the_longest_column_first(q):
     rng = np.random.default_rng(0)
     z = rng.standard_normal((30, 20))
-    b = subspace.irr(z, subspace.IrrConfig(q=q, ell=3)).basis
+    b = subspace.irr(z, q=q, ell=3).basis
     assert np.max(np.abs(b.T @ b - np.eye(3))) < 1e-12
     longest = z[:, np.argmax(np.linalg.norm(z, axis=0))]
     assert abs(b[:, 0] @ longest) == pytest.approx(np.linalg.norm(longest), rel=1e-12)
@@ -353,9 +359,9 @@ def test_irr_huge_q_takes_the_longest_column_first(q):
 
 def test_irr_tiny_input_is_not_zero():
     z = np.random.default_rng(0).standard_normal((30, 20)) * 1e-20
-    assert subspace.irr(z, subspace.IrrConfig(q=1.0, ell=3)).ell == 3
+    assert subspace.irr(z, q=1.0, ell=3).ell == 3
     with pytest.raises(ParameterError, match="zero"):
-        subspace.irr(np.zeros((30, 20)), subspace.IrrConfig(q=1.0, ell=3))
+        subspace.irr(np.zeros((30, 20)), q=1.0, ell=3)
 
 
 @pytest.mark.parametrize("m", [30, 8])
@@ -364,7 +370,7 @@ def test_irr_input_whose_squared_norm_overflows_is_a_parameter_error(m, q):
     z = np.random.default_rng(0).standard_normal((m, 20)) * 1e154
     with warnings.catch_warnings(), pytest.raises(ParameterError, match="too large"):
         warnings.simplefilter("error")
-        subspace.irr(z, subspace.IrrConfig(q=q, ell=3))
+        subspace.irr(z, q=q, ell=3)
 
 
 def _planted(m, n, s, seed):
@@ -377,7 +383,7 @@ def _planted(m, n, s, seed):
 
 def _lsi_and_irr_at_q0(z, stop):
     got = subspace.lsi(z, **stop)
-    ref = subspace.irr(z, subspace.IrrConfig(q=0.0, **stop))
+    ref = subspace.irr(z, q=0.0, **stop)
     assert (got.ell, got.exhausted) == (ref.ell, ref.exhausted)
     r0 = got.residual_ratios[0]
     np.testing.assert_allclose(got.residual_ratios, ref.residual_ratios, rtol=0, atol=1e-9 * r0)
@@ -460,8 +466,8 @@ def test_lsi_is_irr_at_q0_on_planted_spectra(seed, m, n, data):
     [
         lambda z: subspace.lsi(z, ell=2),
         lambda z: subspace.lsi(z, theta=0.5),
-        lambda z: subspace.irr(z, subspace.IrrConfig(q=0.0, ell=2)),
-        lambda z: subspace.irr(z, subspace.IrrConfig(q=1.0, theta=0.5)),
+        lambda z: subspace.irr(z, q=0.0, ell=2),
+        lambda z: subspace.irr(z, q=1.0, theta=0.5),
         lambda z: theory.optimum_subspace(np.eye(4), z, 2),
     ],
 )
@@ -510,7 +516,7 @@ def test_irr_on_tall_input_matches_the_term_space_loop(shape, q, mode):
         stops = [{"theta": math.sqrt(full[k] * full[k + 1])} for k in (0, n // 2, n - 2)]
     for stop in stops:
         want, want_ratios, want_exhausted = _textbook_irr(z, q_used, **stop)
-        got = subspace.irr(z, subspace.IrrConfig(q=q, **stop))
+        got = subspace.irr(z, q=q, **stop)
         assert got.q == q_used
         assert (got.ell, got.exhausted) == (want.shape[1], want_exhausted)
         np.testing.assert_allclose(got.residual_ratios, want_ratios, rtol=1e-12, atol=0.0)
@@ -534,9 +540,9 @@ def test_irr_on_tall_input_rotates_with_the_term_space(seed, n, extra, q, data):
     z = rng.standard_normal((m, n)) * rng.uniform(0.1, 2.0, n)
     u, _ = np.linalg.qr(rng.standard_normal((m, m)))
     ell = data.draw(st.integers(1, n), label="ell")
-    b = subspace.irr(z, subspace.IrrConfig(q=q, ell=ell)).basis
+    b = subspace.irr(z, q=q, ell=ell).basis
     assume(_least_rescaled_gap(z, b, q) >= 1e-2)
-    rotated = subspace.irr(u @ z, subspace.IrrConfig(q=q, ell=ell))
+    rotated = subspace.irr(u @ z, q=q, ell=ell)
     assert rotated.ell == ell
     assert _sin_largest_angle(u @ b, rotated.basis) <= 1e-8
 
@@ -552,7 +558,7 @@ def test_irr_on_tall_input_solves_only_on_the_qr_core(monkeypatch, stop):
 
     monkeypatch.setattr(subspace, "_leading_left_vector", spy)
     z = np.random.default_rng(5).standard_normal((600, 40))
-    got = subspace.irr(z, subspace.IrrConfig(q=1.0, **stop))
+    got = subspace.irr(z, q=1.0, **stop)
     assert got.basis.shape == (600, got.ell)
     assert seen == [(40, 40)] * got.ell
 
@@ -563,5 +569,5 @@ def test_auto_scale_that_overflows_is_a_parameter_error(c):
     z = np.random.default_rng(0).standard_normal((30, 20)) * c
     with warnings.catch_warnings(), pytest.raises(ParameterError, match="too large"):
         warnings.simplefilter("error")
-        subspace.irr(z, subspace.IrrConfig(ell=3))
+        subspace.irr(z, ell=3)
     assert math.isfinite(subspace.auto_scale(z / c * 1e75))

@@ -428,3 +428,29 @@ def test_standard_instance_suite_deterministic_and_varied():
 def test_standard_instance_suite_noise_override():
     suite = theory.standard_instance_suite(2, seed=0, noise=0.0)
     assert all(inst.optimum.is_exact for inst in suite)
+
+
+def _permute_documents(s, a, rng):
+    perm = rng.permutation(a.shape[1])
+    return s[np.ix_(perm, perm)], a[:, perm]  # P^T S P, A P
+
+
+def _reflect_terms(s, a, rng):
+    # the Householder reflection that takes a random document onto term 0
+    v = a[:, rng.integers(a.shape[1])].copy()
+    v[0] -= 1.0
+    v /= np.linalg.norm(v)
+    return s, a - 2.0 * np.outer(v, v @ a)  # (I - 2 v v^T) A
+
+
+@pytest.mark.parametrize("transform", [_permute_documents, _reflect_terms],
+                         ids=["document_permutation", "term_reflection"])
+def test_optimum_subspace_is_invariant(transform):
+    # eps_opt and h depend on S and A only through document order and term
+    # geometry, neither of which these transformations change
+    rng = np.random.default_rng(0)
+    for inst in theory.standard_instance_suite(4, seed=0):
+        s, a = transform(inst.similarity, inst.matrix, rng)
+        got = theory.optimum_subspace(s, a, h_max=inst.topic_model.n_topics)
+        assert got.h == inst.optimum.h
+        assert abs(got.eps_opt - inst.optimum.eps_opt) <= 1e-12
