@@ -394,6 +394,8 @@ def _plan_run(opts: dict, cells: list[tuple]) -> frozenset[str]:
     if repeated:
         raise _UsageError(f"run_id {repeated[0]!r} would be written more than once: "
                           "give each dataset, seed and method once")
+    if not metrics:
+        raise _UsageError("at least one metric, or none, is required")
     if metrics == ("none",):
         if not opts["save_basis"]:
             raise _UsageError("--metrics none is only valid with --save-basis")
@@ -447,7 +449,7 @@ def cmd_verify(opts: dict) -> int:
         instance = {
             "index": index, "seed": inst.seed, "noise": inst.noise,
             "topics": tm.n_topics, "docs": tm.n_docs, "terms": inst.matrix.shape[0],
-            "h": optimum.h, "is_exact": optimum.is_exact,
+            "h": optimum.h,
         }
         for verify in (theory.verify_dominance_interval, theory.verify_truncation_angle,
                        theory.verify_cosine_bound):

@@ -140,7 +140,6 @@ class OptimumSubspaceResult:
     basis: np.ndarray
     eps_opt: float
     h: int
-    is_exact: bool
 
 
 def _similarity_factor(smat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +315,7 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
         if best is None or eps_h < best[0]:
             best = (eps_h, h, w_h)
     eps, h, w = best
-    return OptimumSubspaceResult(basis=u @ w, eps_opt=eps, h=h, is_exact=False)
+    return OptimumSubspaceResult(basis=u @ w, eps_opt=eps, h=h)
 
 
 @dataclass
@@ -338,9 +337,9 @@ def construct_ideal_instance(
     """Embed a topic model as documents over random orthonormal topic vectors.
 
     Column d is sum_t rho(t, d) u_t plus a random direction of norm ``noise``,
-    renormalized.  At noise 0 the topic span is exactly optimal (zero
-    deviation) and the result is flagged exact; otherwise the optimum is
-    located by search.
+    renormalized.  The optimum is located by search at every noise level; at
+    noise 0 the search's candidate of rank(A) dimensions is the topic span,
+    whose deviation is zero.
     """
     m = as_integer("m", m, tm.n_topics)
     noise, seed = as_python(noise), as_python(seed)  # stored, so saved as JSON
@@ -353,30 +352,20 @@ def construct_ideal_instance(
     signs[signs == 0.0] = 1.0
     qmat = qmat * signs
     cols = qmat @ rho
-    if noise > 0.0:
-        nv = rng.standard_normal((m, tm.n_docs))
-        nv *= noise / np.linalg.norm(nv, axis=0)
-        cols = cols + nv
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(cols, axis=0)
-        if not np.all((norms >= 1e-12) & (norms < np.inf)):
-            raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
-        cols = cols / norms
+    nv = rng.standard_normal((m, tm.n_docs))
+    nv *= noise / np.linalg.norm(nv, axis=0)
+    cols = cols + nv
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(cols, axis=0)
+    if not np.all((norms >= 1e-12) & (norms < np.inf)):
+        raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
+    cols = cols / norms
     smat = rho.T @ rho
-    if noise == 0.0:
-        optimum = OptimumSubspaceResult(
-            basis=qmat,
-            eps_opt=deviation_error(smat, cols, qmat),
-            h=tm.n_topics,
-            is_exact=True,
-        )
-    else:
-        optimum = optimum_subspace(smat, cols, h_max=tm.n_topics)
     return IdealInstance(
         matrix=cols,
         topic_model=tm,
         similarity=smat,
-        optimum=optimum,
+        optimum=optimum_subspace(smat, cols, h_max=tm.n_topics),
         noise=noise,
         seed=seed,
     )
@@ -590,7 +579,7 @@ def standard_instance_suite(
 
     Every fourth instance blends each document across the two topics so that
     mingling is exercised; the rest are single-topic.  ``noise`` overrides the
-    default cycle over {0.05, 0.1, 0.2}; at 0 every instance is exact.
+    default cycle over {0.05, 0.1, 0.2}.
     """
     as_integer("count", count, 1)
     as_integer("seed", seed, 0)

@@ -154,7 +154,7 @@ def test_criterion_04_exact_dominance_at_zero_noise():
         ok = (
             ok
             and rec.holds
-            and inst.optimum.is_exact
+            and inst.optimum.h == len(counts)
             and inst.optimum.eps_opt <= 1e-8
             and stats.mingling == 0.0
         )

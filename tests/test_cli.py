@@ -542,7 +542,7 @@ def test_verify_emits_parseable_records(tmp_path):
     first = checks[0]["instance"]
     assert first == {
         "index": 0, "seed": 0, "noise": 0.05, "topics": 2, "docs": 16,
-        "terms": 34000, "h": first["h"], "is_exact": False,
+        "terms": 34000, "h": first["h"],
     }
     assert checks[3]["instance"]["topics"] == 5
 
@@ -652,6 +652,8 @@ def test_plotdata_skips_rows_with_an_empty_cell(tmp_path, capsys):
     [
         (["--methods", "lsi", "--metrics", "none"], "--metrics none is only valid"),
         (["--methods", ","], "at least one method is required"),
+        (["--methods", "lsi", "--metrics="], "at least one metric, or none, is required"),
+        (["--methods", "lsi", "--metrics=,"], "at least one metric, or none, is required"),
         (["--methods", "lsi", "--dist", ","], "bad distribution"),
     ],
 )

@@ -1,6 +1,8 @@
 """The README's library quick start runs against the package as it is, its
-command lines parse, and the package exports what it names."""
+command lines parse, the package exports what it names, and the output
+columns and record keys it lists are the ones the commands write."""
 
+import json
 import re
 import shlex
 import types
@@ -41,3 +43,24 @@ def test_public_names_are_the_export_list():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(irrspace.__all__)
+
+
+def _section(heading):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"### {heading}\n", 1)[1].split("\n###", 1)[0]
+
+
+def test_readme_run_columns_are_the_csv_columns():
+    listed = re.search(r"Columns: `(.*?)`", _section("run"), re.S).group(1)
+    assert tuple(re.split(r",\s+", listed)) == cli.CSV_COLUMNS
+
+
+def test_readme_verify_instance_keys_are_the_written_keys(tmp_path):
+    listed = [set(re.findall(r'"(\w+)"', keys))
+              for keys in re.findall(r"`\{(.*?)\}`", _section("verify"), re.S)]
+    out = tmp_path / "checks.jsonl"
+    assert cli.main(["verify", "--trials", "1", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()][:-1]
+    written = [set(records[0]["instance"]), set(records[1]["instance"])]
+    assert records[0]["check"] == "sv_perturbation"
+    assert listed == written

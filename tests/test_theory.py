@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrspace import theory
+from irrspace import linalg, theory
 from irrspace.corpus import TopicModel
 from irrspace.errors import DimensionError, ParameterError
 
@@ -298,7 +298,6 @@ def test_optimum_subspace_input_validation():
 def test_ideal_instance_noise_zero_is_exact():
     tm = _single_topic((5, 3))
     inst = theory.construct_ideal_instance(tm, m=20, noise=0.0, seed=3)
-    assert inst.optimum.is_exact
     assert inst.optimum.h == 2
     assert inst.optimum.eps_opt < 1e-12
     assert np.allclose(np.linalg.norm(inst.matrix, axis=0), 1.0, atol=1e-12)
@@ -310,7 +309,6 @@ def test_ideal_instance_noise_zero_is_exact():
 def test_ideal_instance_noise_perturbs_but_normalizes():
     tm = _single_topic((4, 4))
     inst = theory.construct_ideal_instance(tm, m=50, noise=0.1, seed=5)
-    assert not inst.optimum.is_exact
     assert np.allclose(np.linalg.norm(inst.matrix, axis=0), 1.0, atol=1e-12)
     assert inst.optimum.h <= 2
     assert 0.0 < inst.optimum.eps_opt < 1.0
@@ -347,6 +345,20 @@ def test_sv_perturbation_holds_and_is_tight_for_identical():
     assert rec2.quantities["spectral"] <= rec2.quantities["frobenius"] + 1e-12
     with pytest.raises(DimensionError):
         theory.verify_sv_perturbation(x, x.T)
+
+
+def test_sv_perturbation_is_tight_on_a_top_pair_perturbation():
+    # negative control: X2 = X1 + t u1 v1.T moves sigma_1 by exactly t =
+    # ||X1 - X2||_2 = ||X1 - X2||_F, so the check holds with no headroom and
+    # any bound understated by more than the slack would read false
+    rng = np.random.default_rng(3)
+    x1 = rng.standard_normal((7, 5))
+    u, _, vt = np.linalg.svd(x1)
+    rec = theory.verify_sv_perturbation(x1, x1 + 0.5 * np.outer(u[:, 0], vt[0]))
+    q = rec.quantities
+    assert q["max_shift"] == pytest.approx(q["spectral"], rel=1e-12, abs=0.0)
+    assert q["frobenius"] == pytest.approx(q["spectral"], rel=1e-12, abs=0.0)
+    assert rec.holds
 
 
 def test_dominance_interval_exact_instance():
@@ -391,12 +403,21 @@ def test_cosine_bound_exact_instance():
 
 def test_cosine_bound_holds_where_sim_is_below_eps():
     # at noise 2 eps is ~0.9, far above the cross-topic similarity 0, where
-    # the lower envelope must divide by 1 - eps, not 1 + eps
+    # the lower envelope must divide by 1 - eps, not 1 + eps; the envelope
+    # (sim - eps) / (1 + eps) is violated on the same instances (a negative
+    # control: the check can tell a wrong envelope from a right one)
     for inst in theory.standard_instance_suite(2, seed=0, noise=2.0):
         rec = theory.verify_cosine_bound(inst)
-        assert rec.condition_met and rec.quantities["eps"] > 0.8
+        eps = rec.quantities["eps"]
+        assert rec.condition_met and eps > 0.8
         assert rec.holds
         assert rec.quantities["lower_violation"] < 0.0
+        x = linalg.project(inst.optimum.basis, inst.matrix)
+        norms = np.linalg.norm(x, axis=0)
+        iu = np.triu_indices(x.shape[1], k=1)
+        cos = (x.T @ x / np.outer(norms, norms))[iu]
+        wrong_low = (inst.similarity[iu] - eps) / (1.0 + eps)
+        assert np.max(wrong_low - cos) > theory._COSINE_SLACK
 
 
 def test_theorem_record_serializes_to_json():
@@ -426,8 +447,29 @@ def test_standard_instance_suite_deterministic_and_varied():
 
 
 def test_standard_instance_suite_noise_override():
-    suite = theory.standard_instance_suite(2, seed=0, noise=0.0)
-    assert all(inst.optimum.is_exact for inst in suite)
+    # at noise 0 the search finds the topic span: A's top-k left singular
+    # vectors, with zero deviation
+    suite = [inst for seed in (0, 42)
+             for inst in theory.standard_instance_suite(24, seed=seed, noise=0.0)]
+    assert {inst.noise for inst in suite} == {0.0}
+    for inst in suite:
+        k = inst.topic_model.n_topics
+        assert inst.optimum.h == k
+        assert inst.optimum.eps_opt <= 1e-12
+        top = linalg.svd(inst.matrix).u[:, :k]
+        assert linalg.canonical_angles(top, inst.optimum.basis).angles[0] <= 1e-10
+
+
+def test_rank_one_instance_at_noise_zero_takes_its_rank():
+    # six documents of one blend span a single direction: the optimum is
+    # that line, and the truncation check's precondition holds on it
+    rho = np.tile([[math.cos(0.4)], [math.sin(0.4)]], 6)
+    tm = TopicModel(relevance=rho, topic_ids=("a", "b"))
+    inst = theory.construct_ideal_instance(tm, m=20, noise=0.0, seed=0)
+    assert inst.optimum.h == 1
+    assert inst.optimum.eps_opt < 1e-14
+    rec = theory.verify_truncation_angle(inst)
+    assert rec.condition_met and rec.holds
 
 
 def _permute_documents(s, a, rng):
