@@ -449,7 +449,7 @@ def cmd_verify(opts: dict) -> int:
         instance = {
             "index": index, "seed": inst.seed, "noise": inst.noise,
             "topics": tm.n_topics, "docs": tm.n_docs, "terms": inst.matrix.shape[0],
-            "h": optimum.h,
+            "h": optimum.h, "eps_lower": optimum.eps_lower,
         }
         for verify in (theory.verify_dominance_interval, theory.verify_truncation_angle,
                        theory.verify_cosine_bound):

@@ -542,8 +542,9 @@ def test_verify_emits_parseable_records(tmp_path):
     first = checks[0]["instance"]
     assert first == {
         "index": 0, "seed": 0, "noise": 0.05, "topics": 2, "docs": 16,
-        "terms": 34000, "h": first["h"],
+        "terms": 34000, "h": first["h"], "eps_lower": first["eps_lower"],
     }
+    assert 0.0 < first["eps_lower"] <= checks[0]["quantities"]["eps_opt"]
     assert checks[3]["instance"]["topics"] == 5
 
 

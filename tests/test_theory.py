@@ -253,6 +253,92 @@ def test_least_matches_scoring_every_candidate(cases, margin, bound):
     assert len(scored) in (0, 2)
 
 
+def _search_every_size(s, a, h_max):
+    """The search without size skipping: every h in ascending order, a
+    strictly lower norm replacing the best, so ties go to the smallest h."""
+    res = linalg.svd(a)
+    u, c = res.u[:, : res.rank], res.u[:, : res.rank].T @ a
+    factor = theory._similarity_factor(s)
+    best = None
+    for h in range(1, min(h_max, res.rank) + 1):
+        eps, w = theory._best_subset(factor, c, res.rank, h)
+        eps, w = theory._refine(factor, c, w, eps)
+        if best is None or eps < best[0]:
+            best = (eps, h, u @ w)
+    return best, theory._prune_margin(factor, c)
+
+
+@st.composite
+def _search_inputs(draw):
+    """(S, A, h_max): S = G.T G and A = Q G plus noise of any rank, Q with
+    orthonormal columns as in an ideal instance, or S and A diagonal in small
+    integers; some documents duplicated, and h_max up to beyond the rank of A."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n0 = draw(st.integers(2, 6))
+    if draw(st.booleans()):  # norms that tie exactly across sizes
+        g = np.diag(rng.integers(0, 3, n0).astype(float))
+        a = np.eye(draw(st.integers(n0, 8)))[:, :n0] * rng.integers(1, 3, n0)
+    else:
+        k = draw(st.integers(1, n0))
+        m, rank = draw(st.integers(k, 8)), draw(st.integers(1, 6))
+        g = rng.standard_normal((k, n0))
+        noise = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n0))
+        a = np.linalg.qr(rng.standard_normal((m, k)))[0] @ g + draw(st.floats(0, 1)) * noise
+    docs = np.concatenate([np.arange(n0), rng.integers(0, n0, draw(st.integers(0, 3)))])
+    s = (g.T @ g)[np.ix_(docs, docs)]
+    return s, a[:, docs], draw(st.integers(1, len(docs) + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_search_inputs())
+def test_size_skipping_is_bit_identical_to_searching_every_size(case):
+    got = theory.optimum_subspace(*case)
+    (eps, h, basis), _ = _search_every_size(*case)
+    assert np.array_equal(got.eps_opt, eps)
+    assert got.h == h
+    assert np.array_equal(got.basis, basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_search_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_eps_lower_bounds_every_subspace(case, seed):
+    """eps_lower certifies the search: neither its result nor any subspace
+    of at most h_max dimensions has a smaller deviation, up to roundoff."""
+    s, a, h_max = case
+    got = theory.optimum_subspace(*case)
+    _, margin = _search_every_size(*case)
+    assert got.eps_lower <= got.eps_opt + margin
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        q = np.linalg.qr(rng.standard_normal((a.shape[0], rng.integers(1, h_max + 1))))[0]
+        assert got.eps_lower <= theory.deviation_error(s, a, q) + margin
+
+
+def test_eps_lower_is_attained():
+    # S = diag(4, 1), A = I: L(1) = max(lambda_2, lambda_1 - sigma_1^2) = 3,
+    # met by the line e_1; the plane gives 3 too, so the tie goes to h = 1
+    got = theory.optimum_subspace(np.diag([4.0, 1.0]), np.eye(2), h_max=2)
+    assert got.h == 1
+    assert got.eps_opt == got.eps_lower == 3.0
+
+
+def test_w2_suites_search_nine_of_thirty_sizes(monkeypatch):
+    # perfbench w2_verify's suites: 30 sizes up to the topic counts, of which
+    # the lower bound rules out all but 9 (searching every size makes 30)
+    calls = []
+    search = theory._best_subset
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(theory, "_best_subset", counted)
+    suites = [*theory.standard_instance_suite(8, seed=42),
+              *theory.standard_instance_suite(1, seed=43)]
+    assert sum(inst.topic_model.n_topics for inst in suites) == 30
+    assert len(calls) == 9
+
+
 def test_optimum_subspace_with_h_max_at_or_above_the_rank():
     # at h = rank(A) the subspace is all of range(A): nothing to rotate into
     rng = np.random.default_rng(11)
@@ -488,11 +574,12 @@ def _reflect_terms(s, a, rng):
 @pytest.mark.parametrize("transform", [_permute_documents, _reflect_terms],
                          ids=["document_permutation", "term_reflection"])
 def test_optimum_subspace_is_invariant(transform):
-    # eps_opt and h depend on S and A only through document order and term
-    # geometry, neither of which these transformations change
+    # eps_opt, eps_lower and h depend on S and A only through document order
+    # and term geometry, neither of which these transformations change
     rng = np.random.default_rng(0)
     for inst in theory.standard_instance_suite(4, seed=0):
         s, a = transform(inst.similarity, inst.matrix, rng)
         got = theory.optimum_subspace(s, a, h_max=inst.topic_model.n_topics)
         assert got.h == inst.optimum.h
         assert abs(got.eps_opt - inst.optimum.eps_opt) <= 1e-12
+        assert abs(got.eps_lower - inst.optimum.eps_lower) <= 1e-12
