@@ -252,6 +252,13 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(rows, out: str | None) -> None:
+    """``rows``, the header first, as CSV to ``out`` or stdout."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write(buf.getvalue(), out)
+
+
 def cmd_synth(opts: dict) -> int:
     if not opts["dist"]:
         raise _UsageError("synth requires --dist")
@@ -319,65 +326,46 @@ def _run_id(dataset: str, seed: str, method: str) -> str:
 
 
 def _run_cell(dataset: str, dist_label: str, seed: str, load, opts: dict,
-              metrics: frozenset[str]):
-    """The cell's CSV rows and the last subspace basis it built; without
-    --ell, ell is the cell's topic count."""
+              metrics: frozenset[str]) -> list[list[str]]:
+    """The cell's CSV rows, each formatted once from the values it computed;
+    without --ell, ell is the cell's topic count.  The cell writes
+    --save-basis after its last row, so a cell that fails writes no basis."""
     z, tm = load()
     if metrics and tm is None:
         raise DataError(f"{dataset}: kappa and clustering need topic labels")
     stop = opts["ell"] or ({"ell": tm.n_topics} if tm is not None else None)
     intra = corpus.intra_topic_pairs(tm) if "kappa" in metrics else None
-
-    stats = theory.topic_stats(tm) if tm is not None else None
+    shared = {"dataset": dataset, "dist": dist_label, "seed": seed,
+              **(asdict(theory.topic_stats(tm)) if tm is not None else {})}
     rows = []
-    built = None
+    basis = None
     for method in opts["methods"]:
         t0 = time.perf_counter()
-        if method == "vsm":
-            basis = None
-        elif stop is None:
-            raise ParameterError("no dimensionality: give --ell")
-        elif method == "lsi":
-            basis = built = subspace.lsi(z, **stop)
-        else:
-            basis = built = subspace.irr(z, **stop, q=opts["q"], alpha=opts["alpha"],
-                                         beta=opts["beta"])
-        if basis is None:
-            x, q_out, ell_out = z, None, None
-        else:
+        row = {"run_id": _run_id(dataset, seed, method), "method": method, **shared}
+        x = z
+        if method != "vsm":
+            if stop is None:
+                raise ParameterError("no dimensionality: give --ell")
+            if method == "lsi":
+                basis = subspace.lsi(z, **stop)
+            else:
+                basis = subspace.irr(z, **stop, q=opts["q"], alpha=opts["alpha"],
+                                     beta=opts["beta"])
             # cosines and spherical k-means read the same on the ell x n
             # coordinates B^T z as on the projection B B^T z (B orthonormal)
-            x, q_out, ell_out = basis.basis.T @ z, basis.q, basis.ell
-
-        row = dict.fromkeys(CSV_COLUMNS, "")
-        row.update(
-            run_id=_run_id(dataset, seed, method),
-            dataset=dataset,
-            dist=dist_label,
-            seed=seed,
-            method=method,
-            q=_fmt(q_out),
-            ell=_fmt(ell_out),
-        )
-        if stats is not None:
-            row.update(
-                nonuniformity=_fmt(stats.nonuniformity),
-                mingling=_fmt(stats.mingling),
-                f_estimate=_fmt(stats.f_estimate),
-            )
+            x = basis.basis.T @ z
+            row.update(q=basis.q, ell=basis.ell)
         if "kappa" in metrics:
-            ranked = evalmetrics.rank_pairs(x)
-            row["kappa"] = _fmt(evalmetrics.kappa_average_precision(ranked, intra))
+            row["kappa"] = evalmetrics.kappa_average_precision(evalmetrics.rank_pairs(x), intra)
         if "cluster" in metrics:
             outcome = evalmetrics.floor_ceiling(x, tm)
-            row["clusters"] = _fmt(tm.n_topics)
-            for name in evalmetrics.ALGORITHMS:
-                row[name] = _fmt(outcome.scores[name])
-            row["floor"] = _fmt(outcome.floor)
-            row["ceiling"] = _fmt(outcome.ceiling)
-        row["elapsed_ms"] = _fmt(round((time.perf_counter() - t0) * 1000.0, 3))
-        rows.append(row)
-    return rows, built
+            row.update(outcome.scores, clusters=tm.n_topics, floor=outcome.floor,
+                       ceiling=outcome.ceiling)
+        row["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
+        rows.append([_fmt(row.get(col)) for col in CSV_COLUMNS])
+    if opts["save_basis"]:  # _plan_run allows one cell and one subspace method
+        matrixio.save_basis(opts["save_basis"], basis)
+    return rows
 
 
 def _plan_run(opts: dict, cells: list[tuple]) -> frozenset[str]:
@@ -411,20 +399,9 @@ def _plan_run(opts: dict, cells: list[tuple]) -> frozenset[str]:
 def cmd_run(opts: dict) -> int:
     cells = _collect_cells(opts)
     metrics = _plan_run(opts, cells)
-    all_rows: list[dict] = []
-    for cell in cells:
-        rows, basis = _run_cell(*cell, opts, metrics)
-        all_rows.extend(rows)
-
-    if opts["save_basis"]:  # _plan_run allows one cell and one subspace method
-        matrixio.save_basis(opts["save_basis"], basis)
-
-    all_rows.sort(key=lambda r: r["run_id"])
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(all_rows)
-    _write(buf.getvalue(), opts["out"])
+    # run_id leads each row and is unique, so the rows sort by it
+    rows = sorted(row for cell in cells for row in _run_cell(*cell, opts, metrics))
+    _write_csv([CSV_COLUMNS, *rows], opts["out"])
     return EXIT_OK
 
 
@@ -493,15 +470,10 @@ def cmd_plotdata(opts: dict) -> int:
     if not groups:
         raise DataError(f"no rows with both {x_col!r} and {y_col!r} present")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([x_col, "method", f"{y_col}_mean", f"{y_col}_std", "n"])
+    rows = [[x_col, "method", f"{y_col}_mean", f"{y_col}_std", "n"]]
     for (method, x), ys in sorted(groups.items()):
-        arr = np.asarray(ys)
-        writer.writerow(
-            [_fmt(x), method, _fmt(float(arr.mean())), _fmt(float(arr.std())), len(ys)]
-        )
-    _write(buf.getvalue(), opts["out"])
+        rows.append([_fmt(x), method, _fmt(float(np.mean(ys))), _fmt(float(np.std(ys))), len(ys)])
+    _write_csv(rows, opts["out"])
     return EXIT_OK
 
 

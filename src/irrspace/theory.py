@@ -576,17 +576,6 @@ def verify_cosine_bound(instance: IdealInstance) -> TheoremRecord:
     )
 
 
-def _single_topic_model(distribution: tuple[int, ...]) -> TopicModel:
-    k = len(distribution)
-    n = sum(distribution)
-    rho = np.zeros((k, n))
-    j = 0
-    for t, count in enumerate(distribution):
-        rho[t, j : j + count] = 1.0
-        j += count
-    return TopicModel(relevance=rho, topic_ids=tuple(f"t{t}" for t in range(k)))
-
-
 _TWO_TOPIC_DISTS = ((10, 6), (12, 4), (8, 8), (11, 5))
 _FIVE_TOPIC_DISTS = ((6, 3, 3, 2, 2), (4, 3, 3, 3, 3), (7, 2, 2, 2, 2))
 _NOISE_LEVELS = (0.05, 0.1, 0.2)
@@ -626,18 +615,14 @@ def standard_instance_suite(
             dist = _TWO_TOPIC_DISTS[(t // 2) % len(_TWO_TOPIC_DISTS)]
         else:
             dist = _FIVE_TOPIC_DISTS[(t // 2) % len(_FIVE_TOPIC_DISTS)]
-        tm = _single_topic_model(dist)
+        k, n = len(dist), sum(dist)
+        rho = np.repeat(np.eye(k), dist, axis=1)
         if t % 4 == 2:
-            rng = np.random.default_rng(inst_seed + 1)
-            mix = rng.uniform(0.0, 0.35, tm.n_docs)
-            rho = tm.relevance
-            blended = np.zeros_like(rho)
-            for j in range(tm.n_docs):
-                main = int(np.argmax(rho[:, j]))
-                other = (main + 1) % tm.n_topics
-                blended[main, j] = math.cos(mix[j])
-                blended[other, j] = math.sin(mix[j])
-            tm = TopicModel(relevance=blended, topic_ids=tm.topic_ids)
+            mix = np.random.default_rng(inst_seed + 1).uniform(0.0, 0.35, n)
+            main, docs = np.repeat(np.arange(k), dist), np.arange(n)
+            rho = np.zeros((k, n))
+            rho[main, docs], rho[(main + 1) % k, docs] = np.cos(mix), np.sin(mix)
+        tm = TopicModel(relevance=rho, topic_ids=tuple(f"t{i}" for i in range(k)))
         out.append(
             construct_ideal_instance(
                 tm, m=_m_for_noise(inst_noise), noise=inst_noise, seed=inst_seed

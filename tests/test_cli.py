@@ -184,6 +184,30 @@ def test_run_matrix_input_with_save_basis(tmp_path):
     assert rows[0]["kappa"] == "" and rows[0]["dataset"] == "matrix:docs"
 
 
+@pytest.mark.parametrize(("methods", "method"), [("vsm,irr", "irr"), ("lsi,vsm", "lsi")])
+def test_save_basis_next_to_a_vsm_row_saves_the_subspace_basis(methods, method, tmp_path):
+    basis_path, out = tmp_path / "b.ssm1", tmp_path / "o.csv"
+    assert cli.main(["run", "--dist", "6,4", "--methods", methods, "--metrics", "kappa",
+                     "--save-basis", str(basis_path), "--out", str(out)]) == 0
+    basis = matrixio.load_basis(basis_path)
+    row = next(r for r in _read_rows(out) if r["method"] == method)
+    assert basis.method == method
+    assert (repr(basis.q), str(basis.ell)) == (row["q"], row["ell"])
+
+
+def test_cell_that_fails_after_its_basis_is_built_writes_nothing(tmp_path, capsys):
+    _write_files(tmp_path / "c", {"d0.txt": b"alpha beta gamma\n",
+                                  "topics.tsv": b"d0\ta\nd0\tb\n"})
+    basis_path, out = tmp_path / "b.ssm1", tmp_path / "o.csv"
+    rc = cli.main(["run", "--corpus", str(tmp_path / "c"), "--methods", "lsi,vsm",
+                   "--ell", "1", "--metrics", "cluster",
+                   "--save-basis", str(basis_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: floor_ceiling needs single-topic documents\n"
+    assert not basis_path.exists() and not out.exists()
+    assert not (tmp_path / "b.ssm1.json").exists()
+
+
 def test_run_metrics_on_unlabeled_matrix_is_data_error(tmp_path):
     rng = np.random.default_rng(1)
     z = rng.standard_normal((8, 4))

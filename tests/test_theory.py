@@ -1,6 +1,7 @@
 """Topic statistics, deviation minimization, and the bound verifiers."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -479,6 +480,43 @@ def test_truncation_angle_exact_instance():
     assert rec.quantities["tan_measured"] < 1e-6
 
 
+def _hand_instance(a, rho, basis, eps_opt):
+    """An IdealInstance of matrix ``a``, S = rho.T rho and the given optimum."""
+    tm = TopicModel(relevance=rho, topic_ids=tuple(f"t{t}" for t in range(len(rho))))
+    optimum = theory.OptimumSubspaceResult(basis=basis, eps_opt=eps_opt, h=basis.shape[1],
+                                           eps_lower=0.0)
+    return theory.IdealInstance(matrix=a, topic_model=tm, similarity=rho.T @ rho,
+                                optimum=optimum, noise=0.0, seed=0)
+
+
+def test_truncation_angle_agreement_and_angle_claims_are_tight():
+    # negative control: one document A = e1 and a basis at angle 0.1 from it.
+    # eps_tilde = eps_opt = sin^2(0.1) and eps_0 = 0, so the agreement claim
+    # has no headroom; tan_measured / tan_bound = 1 - tan^2(0.1), so an angle
+    # bound 1.1% smaller would fail
+    a, rho = np.array([[1.0], [0.0]]), np.array([[1.0]])
+    basis = np.array([[math.cos(0.1)], [math.sin(0.1)]])
+    eps_opt = theory.deviation_error(rho.T @ rho, a, basis)
+    rec = theory.verify_truncation_angle(_hand_instance(a, rho, basis, eps_opt))
+    q = rec.quantities
+    assert rec.condition_met and rec.holds
+    assert abs(abs(q["eps_tilde"] - q["eps_0"]) - q["eps_opt"]) <= 1e-15
+    assert q["tan_measured"] / q["tan_bound"] == pytest.approx(1.0 - math.tan(0.1) ** 2,
+                                                               rel=0.0, abs=1e-12)
+    rec = theory.verify_truncation_angle(_hand_instance(a, rho, basis, 0.9 * eps_opt))
+    assert rec.condition_met and not rec.holds
+
+
+def test_truncation_angle_next_singular_value_claim_is_tight():
+    # negative control: A = diag(1, 0.5) with the optimum e1 leaves
+    # Dbar = diag(0, 0.5), so sigma_2(A) = sqrt(eps_tilde) = 0.5 exactly
+    a, rho = np.diag([1.0, 0.5]), np.eye(2)
+    rec = theory.verify_truncation_angle(_hand_instance(a, rho, np.eye(2)[:, :1], 1.0))
+    q = rec.quantities
+    assert rec.condition_met and rec.holds
+    assert q["sigma_h_plus_1"] == math.sqrt(q["eps_tilde"]) == 0.5
+
+
 def test_cosine_bound_exact_instance():
     tm = _single_topic((4, 3))
     inst = theory.construct_ideal_instance(tm, m=25, noise=0.0, seed=6)
@@ -530,6 +568,44 @@ def test_standard_instance_suite_deterministic_and_varied():
     assert mingled, "suite should include blended-topic instances"
     with pytest.raises(ParameterError):
         theory.standard_instance_suite(0)
+
+
+# sha256 of each relevance matrix (float64 bytes, C order) of
+# standard_instance_suite(24, seed=0): every distribution, and the six blended
+# instances 2, 6, ..., 22
+_SUITE_RELEVANCE_SHA256 = (
+    "fa21098d609486db4053f350fe9d889e29ee6b0077e9a10367e908b09fe10097",
+    "a49b0cb8592b0c37f498d0aaecd74c6d2dcf59a5e4813130e4f6fc707d2bccc8",
+    "4705b8938f3ff86666742343c0180adb41ebd28acbdd76362c11dff3472d493e",
+    "2d72f5ddb7ed4f0f4a63cf796886b122ba812f1430108a3f8c698fb2647bc293",
+    "04ed47983674da7fb391349340732fe75671c41c0866d16d50addfa4f094db83",
+    "d8907d53e26bf4afd37cdcf48ef34c4e103cbae605b6d869161f171bd3293f15",
+    "a2eeba7bb4a935a7679dc27689fb61a659138ed5c2eb22f3c291eb8c349818da",
+    "a49b0cb8592b0c37f498d0aaecd74c6d2dcf59a5e4813130e4f6fc707d2bccc8",
+    "fa21098d609486db4053f350fe9d889e29ee6b0077e9a10367e908b09fe10097",
+    "2d72f5ddb7ed4f0f4a63cf796886b122ba812f1430108a3f8c698fb2647bc293",
+    "aa73f0661e7c7891f681bc340c11f0ee134a92d29e2776bc814f8a57b5c18f9b",
+    "d8907d53e26bf4afd37cdcf48ef34c4e103cbae605b6d869161f171bd3293f15",
+    "04ed47983674da7fb391349340732fe75671c41c0866d16d50addfa4f094db83",
+    "a49b0cb8592b0c37f498d0aaecd74c6d2dcf59a5e4813130e4f6fc707d2bccc8",
+    "0b1491fd0edd6ef18e75d04fe7661d5a6397c8bacbbcffdba32aa08b2fd0056b",
+    "2d72f5ddb7ed4f0f4a63cf796886b122ba812f1430108a3f8c698fb2647bc293",
+    "fa21098d609486db4053f350fe9d889e29ee6b0077e9a10367e908b09fe10097",
+    "d8907d53e26bf4afd37cdcf48ef34c4e103cbae605b6d869161f171bd3293f15",
+    "75316618e7f7d651c0feefd25693c0d6fd419d605198b479f698f2fd37ac9311",
+    "a49b0cb8592b0c37f498d0aaecd74c6d2dcf59a5e4813130e4f6fc707d2bccc8",
+    "04ed47983674da7fb391349340732fe75671c41c0866d16d50addfa4f094db83",
+    "2d72f5ddb7ed4f0f4a63cf796886b122ba812f1430108a3f8c698fb2647bc293",
+    "6fe7606e127955e0495ee00f975390d88e6324d5f2b98c9795742d4b29c3ae82",
+    "d8907d53e26bf4afd37cdcf48ef34c4e103cbae605b6d869161f171bd3293f15",
+)
+
+
+def test_standard_instance_suite_topic_models_are_pinned():
+    suite = theory.standard_instance_suite(24, seed=0)
+    got = tuple(hashlib.sha256(inst.topic_model.relevance.tobytes()).hexdigest()
+                for inst in suite)
+    assert got == _SUITE_RELEVANCE_SHA256
 
 
 def test_standard_instance_suite_noise_override():
