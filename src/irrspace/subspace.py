@@ -100,7 +100,7 @@ def auto_scale(z, alpha: float = ALPHA, beta: float = BETA) -> float:
     a = linalg.as_matrix(z)
     alpha, beta = as_real("alpha", alpha), as_real("beta", beta)
     m, n = a.shape
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the Gram
         gram = a @ a.T if m < n else a.T @ a
         f = (float(np.linalg.norm(gram)) / n) ** 2
     q = max(0.0, alpha * f + beta)

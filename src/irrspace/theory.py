@@ -53,19 +53,17 @@ value and ||M||_2 <= sigma_1(A) <= ||C||_F.  So the argmin, its first-index
 tie-break and every returned bit are those of scoring them all.
 
 Whole sizes are skipped by a certified lower bound.  An h-dimensional
-subspace gives coordinates M with M.T M PSD of rank <= h and i-th eigenvalue
-sigma_i(P A)^2 <= sigma_i(A)^2 (P is a contraction); by Weyl,
-||S~ - M.T M||_2 >= |lambda_i(S~) - lambda_i(M.T M)| for every i, eigenvalues
-in descending order (Horn & Johnson, Matrix Analysis, ch. 4).  So no
-subspace of h dimensions beats
-L(h) = max(lambda_{h+1}(S~), max_{i<=h} (lambda_i(S~) - sigma_i(A)^2)_+),
-with lambda(S~) padded with zeros.  optimum_subspace searches h from
-min(h_max, rank A) down to 1, skips an h whose L(h) exceeds the best norm so
-far by more than the margin above (which also covers L's own roundoff), and
-replaces the best on a norm <= it, so ties still go to the smallest h and
-every returned bit is that of searching every size in ascending order.  It
-reports eps_lower, the least L(h) over those sizes: no subspace of at most
-h_max dimensions has a deviation below it, up to that margin.
+subspace gives coordinates M with M.T M of rank <= h, so by Weyl
+||S~ - M.T M||_2 >= lambda_{h+1}(S~), eigenvalues descending and padded with
+zeros (Horn & Johnson, Matrix Analysis, ch. 4).  optimum_subspace searches h
+from min(h_max, rank A) down to 1, skips an h whose lambda_{h+1}(S~) exceeds
+the best norm so far by more than the margin above, and replaces the best on
+a norm <= it, so ties still go to the smallest h and every returned bit is
+that of searching every size in ascending order.  M.T M = A.T P A <= A.T A
+in the Loewner order (P the projector), so every subspace, of any dimension,
+has deviation >= T = lambda_max(S~ - A.T A).  eps_lower, the larger of T and
+lambda_{h+1}(S~) at h = min(h_max, rank A), bounds the deviation of every
+subspace of at most h_max dimensions, up to that margin.
 
 Spectral norms inside the verifiers are computed by dense decompositions:
 the checks certify theorems at tight slacks and must not inherit
@@ -314,11 +312,11 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     docstring) exceeds what they must beat by more than the roundoff margin
     are not scored; the result is bit-for-bit that of scoring every one.
 
-    Sizes run from min(h_max, rank A) down to 1; a size whose certified
-    bound L(h) (module docstring) exceeds the best norm so far by more than
-    that margin is skipped, and a norm <= the best replaces it, so ties still
-    go to the smallest h.  ``eps_lower``, the least L(h), bounds the
-    deviation of every subspace of at most h_max dimensions from below.
+    Sizes run from min(h_max, rank A) down to 1; a size h whose certified
+    bound lambda_{h+1}(S~) (module docstring) exceeds the best norm so far by
+    more than that margin is skipped, and a norm <= the best replaces it, so
+    ties still go to the smallest h.  ``eps_lower`` (module docstring) bounds
+    the deviation of every subspace of at most h_max dimensions from below.
     """
     a = linalg.as_matrix(a)
     smat = _check_similarity(s, a.shape[1])
@@ -330,25 +328,24 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     u = res.u[:, :r]
     c = u.T @ a
     factor = _similarity_factor(smat)
-    # lower[h - 1] = L(h) of the module docstring, for h = 1..r; n + 1
-    # eigenvalues, so that lambda_{h+1} exists at h = r = n
+    # lam[h] = lambda_{h+1}(S~), for h = 1..r; n + 1 eigenvalues, so that
+    # lambda_{h+1} exists at h = r = n
     pad = np.zeros(a.shape[1] + 1 - len(factor[0]))
     lam = np.sort(np.concatenate([factor[0], pad]))[::-1]
-    lower = np.maximum(np.maximum.accumulate(np.maximum(lam[:r] - res.s[:r] ** 2, 0.0)),
-                       lam[1 : r + 1])
     top = min(h_max, r)
     margin = _prune_margin(factor, c)
     best: tuple[float, int, np.ndarray] = (math.inf, 0, np.zeros((r, 0)))
     for h in range(top, 0, -1):
-        if lower[h - 1] > best[0] + margin:
+        if lam[h] > best[0] + margin:
             continue  # no h-dimensional subspace can reach the best so far
         eps_h, w_h = _best_subset(factor, c, r, h)
         eps_h, w_h = _refine(factor, c, w_h, eps_h)
         if eps_h <= best[0]:
             best = (eps_h, h, w_h)
     eps, h, w = best
+    t = float(np.linalg.eigvalsh(_similarity_matrix(factor) - a.T @ a)[-1])
     return OptimumSubspaceResult(basis=u @ w, eps_opt=eps, h=h,
-                                 eps_lower=float(lower[:top].min()))
+                                 eps_lower=max(float(lam[top]), t, 0.0))
 
 
 @dataclass

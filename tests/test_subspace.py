@@ -563,11 +563,16 @@ def test_irr_on_tall_input_solves_only_on_the_qr_core(monkeypatch, stop):
     assert seen == [(40, 40)] * got.ell
 
 
-@pytest.mark.parametrize("c", [1e76, 1e77])
+@pytest.mark.parametrize("c", [1e76, 1e77, 1e154, 1e300])
 def test_auto_scale_that_overflows_is_a_parameter_error(c):
-    # ||A^T A||_F^2 of a 30 x 20 Gaussian x 1e76 overflows; q used to be inf
+    # ||A^T A||_F^2 of a 30 x 20 Gaussian x 1e76 overflows; q used to be inf.
+    # From 1e154 on the Gram itself holds inf - inf, which warned before the
+    # check could raise; irr refuses such input before it estimates q
     z = np.random.default_rng(0).standard_normal((30, 20)) * c
-    with warnings.catch_warnings(), pytest.raises(ParameterError, match="too large"):
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        subspace.irr(z, ell=3)
+        with pytest.raises(ParameterError, match="too large"):
+            subspace.auto_scale(z)
+        with pytest.raises(ParameterError, match="too large"):
+            subspace.irr(z, ell=3)
     assert math.isfinite(subspace.auto_scale(z / c * 1e75))
