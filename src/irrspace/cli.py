@@ -407,8 +407,8 @@ def cmd_run(opts: dict) -> int:
 
 def cmd_verify(opts: dict) -> int:
     trials, seed = opts["trials"], opts["seed"]
-    # built first: the suite rejects a bad seed or noise before rng sees it
-    suite = theory.standard_instance_suite(trials, seed=seed, noise=opts["noise"])
+    # checked here, before rng sees a bad seed or noise; built one at a time below
+    suite = theory.iter_instance_suite(trials, seed=seed, noise=opts["noise"])
     records: list[theory.TheoremRecord] = []
 
     rng = np.random.default_rng(seed)

@@ -23,8 +23,13 @@ the angle between the truncation subspace and the optimum, the
 singular-value perturbation inequality, and the projected-cosine envelope,
 each as ``x <= bound + slack`` at a fixed slack: 1e-8 for the dominance
 interval, 1e-6 for the truncation angle, 1e-10 for the singular-value
-perturbation and 1e-9 for the cosine envelope.  The truncation check reads
-sigma_{h+1}(A) and the rank-h truncation subspace off one SVD of A.
+perturbation and 1e-9 for the cosine envelope.  An ideal instance is
+factored once: the truncation check reads sigma_{h+1}(A) and the rank-h
+truncation subspace off the SVD of A the optimum search ran on.  It reads
+eps_tilde = sigma_1(Dbar)^2 as the largest eigenvalue of the n x n Gram
+Dbar.T Dbar; forming the Gram moves it by about m * eps * ||Dbar||_F^2
+<= m * n * eps * eps_tilde (Weyl), an error relative to eps_tilde itself,
+since squaring loses digits only on eigenvalues far below the largest.
 
 The search scores each candidate through a low-rank identity rather than the
 n x n deviation: S is factored once as S ~= F.T J_S F (F = sqrt|lambda| V.T
@@ -72,9 +77,11 @@ iterative-solver residue.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -321,7 +328,13 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     a = linalg.as_matrix(a)
     smat = _check_similarity(s, a.shape[1])
     h_max = as_integer("h_max", h_max, 1)
-    res = linalg.svd(a)
+    return _optimum_of_svd(smat, a, linalg.svd(a), h_max)
+
+
+def _optimum_of_svd(
+    smat: np.ndarray, a: np.ndarray, res: linalg.SvdResult, h_max: int
+) -> OptimumSubspaceResult:
+    """optimum_subspace on checked inputs, given res = linalg.svd(a)."""
     r = res.rank
     if r == 0:
         raise ParameterError(linalg.ZERO_MATRIX)
@@ -348,7 +361,7 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
                                  eps_lower=max(float(lam[top]), t, 0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdealInstance:
     """A unit-column m x n matrix built directly from a topic model, with its
     ideal similarities rho.T @ rho (n x n)."""
@@ -359,6 +372,13 @@ class IdealInstance:
     optimum: OptimumSubspaceResult
     noise: float
     seed: int
+
+    @functools.cached_property
+    def svd(self) -> linalg.SvdResult:
+        """linalg.svd(matrix): construct_ideal_instance stores the one its
+        search ran on; any other instance (dataclasses.replace makes a new
+        one) computes its own on first use."""
+        return linalg.svd(self.matrix)
 
 
 def construct_ideal_instance(
@@ -391,14 +411,17 @@ def construct_ideal_instance(
         raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
     cols = cols / norms
     smat = rho.T @ rho
-    return IdealInstance(
+    res = linalg.svd(cols)
+    inst = IdealInstance(
         matrix=cols,
         topic_model=tm,
         similarity=smat,
-        optimum=optimum_subspace(smat, cols, h_max=tm.n_topics),
+        optimum=_optimum_of_svd(smat, cols, res, tm.n_topics),
         noise=noise,
         seed=seed,
     )
+    vars(inst)["svd"] = res  # the slot cached_property fills
+    return inst
 
 
 @dataclass
@@ -465,7 +488,11 @@ def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
     tan theta <= (dhat_max / dhat_min) (sqrt(eps_tilde) / dhat_min)
                  / (1 - eps_tilde / dhat_min^2).
     Also checks the two intermediate claims: sigma_{h+1}(A) <= sqrt(eps_tilde)
-    and |eps_tilde - eps_0| <= eps_opt.
+    and |eps_tilde - eps_0| <= eps_opt.  sigma_{h+1}(A) and the rank-h
+    truncation subspace come from ``instance.svd``, the SVD the optimum
+    search ran on; eps_tilde is the largest eigenvalue of the n x n Gram
+    Dbar.T Dbar, whose roundoff is small relative to eps_tilde itself
+    (module docstring).
     """
     a = instance.matrix
     basis = instance.optimum.basis
@@ -474,14 +501,14 @@ def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
     coords = basis.T @ a
     dhat = _padded_singular_values(coords, h)
     dbar = a - basis @ coords
-    eps_tilde = float(np.linalg.svd(dbar, compute_uv=False)[0]) ** 2
+    eps_tilde = max(float(np.linalg.eigvalsh(dbar.T @ dbar)[-1]), 0.0)
     eps0 = deviation_error(smat, a)
     eps_opt = instance.optimum.eps_opt
     sqrt_et = math.sqrt(eps_tilde)
     dhat_max, dhat_min = float(dhat[0]), float(dhat[h - 1])
     condition = dhat_min > sqrt_et
 
-    res = linalg.svd(a)
+    res = instance.svd
     sigma_next = float(res.s[h]) if h < len(res.s) else 0.0
     tan_measured = linalg.canonical_angles(res.u[:, :h], basis).tan_norm
     if condition:
@@ -591,20 +618,7 @@ def _m_for_noise(noise: float) -> int:
     return int(max(200, min(34000, round(84.0 / noise**2))))
 
 
-def standard_instance_suite(
-    count: int, seed: int = 0, noise: float | None = None
-) -> list[IdealInstance]:
-    """Deterministic family of noisy ideal instances with 2 and 5 topics.
-
-    Every fourth instance blends each document across the two topics so that
-    mingling is exercised; the rest are single-topic.  ``noise`` overrides the
-    default cycle over {0.05, 0.1, 0.2}.
-    """
-    as_integer("count", count, 1)
-    as_integer("seed", seed, 0)
-    if noise is not None:
-        as_real("noise", noise, 0)
-    out = []
+def _suite(count: int, seed: int, noise: float | None) -> Iterator[IdealInstance]:
     for t in range(count):
         inst_seed = seed * 1_000_003 + t
         inst_noise = _NOISE_LEVELS[t % 3] if noise is None else noise
@@ -620,9 +634,31 @@ def standard_instance_suite(
             rho = np.zeros((k, n))
             rho[main, docs], rho[(main + 1) % k, docs] = np.cos(mix), np.sin(mix)
         tm = TopicModel(relevance=rho, topic_ids=tuple(f"t{i}" for i in range(k)))
-        out.append(
-            construct_ideal_instance(
-                tm, m=_m_for_noise(inst_noise), noise=inst_noise, seed=inst_seed
-            )
+        yield construct_ideal_instance(
+            tm, m=_m_for_noise(inst_noise), noise=inst_noise, seed=inst_seed
         )
-    return out
+
+
+def iter_instance_suite(
+    count: int, seed: int = 0, noise: float | None = None
+) -> Iterator[IdealInstance]:
+    """standard_instance_suite one instance at a time: the arguments are
+    checked on the call, and each instance is built when iteration reaches
+    it, so only the caller's references keep earlier ones alive."""
+    as_integer("count", count, 1)
+    as_integer("seed", seed, 0)
+    if noise is not None:
+        as_real("noise", noise, 0)
+    return _suite(count, seed, noise)
+
+
+def standard_instance_suite(
+    count: int, seed: int = 0, noise: float | None = None
+) -> list[IdealInstance]:
+    """Deterministic family of noisy ideal instances with 2 and 5 topics.
+
+    Every fourth instance blends each document across the two topics so that
+    mingling is exercised; the rest are single-topic.  ``noise`` overrides the
+    default cycle over {0.05, 0.1, 0.2}.
+    """
+    return list(iter_instance_suite(count, seed, noise))

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrspace import cli, corpus, evalmetrics, matrixio, subspace
-from irrspace.errors import DataError
+from irrspace import cli, corpus, evalmetrics, matrixio, subspace, theory
+from irrspace.errors import DataError, ParameterError
 
 
 def _read_rows(path):
@@ -637,6 +638,59 @@ def test_verify_noise_zero_reports_exact_quantities(tmp_path):
     records = [json.loads(ln) for ln in out.read_text().splitlines()]
     dom = next(r for r in records if r["check"] == "dominance_interval")
     assert dom["quantities"]["max_deviation"] < 1e-10
+
+
+def test_verify_memory_does_not_grow_with_trials(tmp_path):
+    # each instance is built, checked and dropped before the next, so the peak
+    # is one instance's; tracemalloc counts numpy's buffers exactly, and a
+    # suite held whole reads 1.9x the peak at 16 trials that it reads at 4
+    peaks = []
+    for trials in (4, 16):
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify", "--seed", "42", "--trials", str(trials),
+                             "--out", str(tmp_path / f"{trials}.jsonl")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_verify_construction_error_mid_suite_writes_nothing(tmp_path, monkeypatch, capsys):
+    build, built = theory.construct_ideal_instance, []
+
+    def second_fails(*args, **kwargs):
+        built.append(args)
+        if len(built) == 2:
+            raise ParameterError("noise cancelled a document column")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "construct_ideal_instance", second_fails)
+    out = tmp_path / "v.jsonl"
+    assert cli.main(["verify", "--trials", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    assert len(built) == 2  # the third instance is never built
+
+
+def test_verify_records_match_the_suite_built_whole(tmp_path):
+    # the streamed instances give the bytes of the list standard_instance_suite returns
+    out = tmp_path / "v.jsonl"
+    assert cli.main(["verify", "--seed", "42", "--trials", "8", "--out", str(out)]) == 0
+    expected = []
+    for index, inst in enumerate(theory.standard_instance_suite(8, seed=42)):
+        instance = {
+            "index": index, "seed": inst.seed, "noise": inst.noise,
+            "topics": inst.topic_model.n_topics, "docs": inst.topic_model.n_docs,
+            "terms": inst.matrix.shape[0], "h": inst.optimum.h,
+            "eps_lower": inst.optimum.eps_lower,
+        }
+        for verify in (theory.verify_dominance_interval, theory.verify_truncation_angle,
+                       theory.verify_cosine_bound):
+            record = verify(inst)
+            record.instance = instance
+            expected.append(record.to_json())
+    assert out.read_text().splitlines()[8:-1] == expected
 
 
 def test_plotdata_aggregates_means(tmp_path):

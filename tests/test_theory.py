@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrspace import linalg, theory
+from irrspace import cli, linalg, theory
 from irrspace.corpus import TopicModel
 from irrspace.errors import DimensionError, ParameterError
 
@@ -551,6 +551,52 @@ def test_truncation_angle_next_singular_value_claim_is_tight():
     q = rec.quantities
     assert rec.condition_met and rec.holds
     assert q["sigma_h_plus_1"] == math.sqrt(q["eps_tilde"]) == 0.5
+
+
+def test_verify_factors_each_ideal_instance_once(monkeypatch, tmp_path):
+    # the truncation check reads the SVD the optimum search ran on: one
+    # linalg.svd per instance, none from the check itself
+    calls = []
+    svd = linalg.svd
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return svd(z)
+
+    monkeypatch.setattr(linalg, "svd", counted)
+    assert cli.main(["verify", "--seed", "42", "--trials", "8",
+                     "--out", str(tmp_path / "v.jsonl")]) == 0
+    assert len(calls) == 8
+
+
+def test_truncation_angle_reads_each_instance_own_svd():
+    # an instance built by hand, or by dataclasses.replace from a constructed
+    # one, computes the SVD of its own matrix, never the one stored on the
+    # instance it was copied from
+    hand = _hand_instance(np.diag([1.0, 0.5]), np.eye(2), np.eye(2)[:, :1], 1.0)
+    assert hand.svd.s.tolist() == [1.0, 0.5]
+    tm = _single_topic((4, 3))
+    inst = theory.construct_ideal_instance(tm, m=30, noise=0.2, seed=1)
+    other = theory.construct_ideal_instance(tm, m=30, noise=0.2, seed=2).matrix
+    moved = dataclasses.replace(inst, matrix=other)
+    fresh = theory.IdealInstance(matrix=other, topic_model=tm, similarity=inst.similarity,
+                                 optimum=inst.optimum, noise=inst.noise, seed=inst.seed)
+    got = theory.verify_truncation_angle(moved).to_json()
+    assert got == theory.verify_truncation_angle(fresh).to_json()
+    assert got != theory.verify_truncation_angle(inst).to_json()
+    assert np.array_equal(moved.svd.u, linalg.svd(other).u)
+
+
+@pytest.mark.parametrize("count, seed, noise", [(24, 42, None), (12, 0, None), (12, 0, 0.0)])
+def test_eps_tilde_from_the_gram_matches_the_svd(count, seed, noise):
+    # eps_tilde = lambda_max(Dbar.T Dbar) against sigma_1(Dbar)^2: measured
+    # within 2.3e-15 relative, and 3.6e-15 at noise 0, where it is roundoff
+    for inst in theory.standard_instance_suite(count, seed=seed, noise=noise):
+        basis, a = inst.optimum.basis, inst.matrix
+        dbar = a - basis @ (basis.T @ a)
+        want = float(np.linalg.svd(dbar, compute_uv=False)[0]) ** 2
+        got = theory.verify_truncation_angle(inst).quantities["eps_tilde"]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_cosine_bound_exact_instance():
