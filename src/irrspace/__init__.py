@@ -84,7 +84,6 @@ from .theory import (
     construct_ideal_instance,
     deviation_error,
     deviation_matrix,
-    iter_instance_suite,
     optimum_subspace,
     standard_instance_suite,
     topic_stats,
@@ -136,7 +135,6 @@ __all__ = [
     "floor_ceiling",
     "intra_topic_pairs",
     "irr",
-    "iter_instance_suite",
     "kappa_average_precision",
     "load_basis",
     "load_corpus_dir",

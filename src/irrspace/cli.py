@@ -408,7 +408,7 @@ def cmd_run(opts: dict) -> int:
 def cmd_verify(opts: dict) -> int:
     trials, seed = opts["trials"], opts["seed"]
     # checked here, before rng sees a bad seed or noise; built one at a time below
-    suite = theory.iter_instance_suite(trials, seed=seed, noise=opts["noise"])
+    suite = theory.standard_instance_suite(trials, seed=seed, noise=opts["noise"])
     records: list[theory.TheoremRecord] = []
 
     rng = np.random.default_rng(seed)

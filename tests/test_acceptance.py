@@ -46,7 +46,7 @@ def _single_topic_model(counts) -> corpus.TopicModel:
 @pytest.fixture(scope="module")
 def noisy_suite():
     t0 = perf_counter()
-    instances = theory.standard_instance_suite(100, seed=42)
+    instances = list(theory.standard_instance_suite(100, seed=42))
     return instances, perf_counter() - t0
 
 

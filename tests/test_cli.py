@@ -406,7 +406,7 @@ def test_run_reads_a_synth_directory_of_1000_documents_in_order(tmp_path):
         out = tmp_path / f"{key}.csv"
         assert cli.main(["run", *source, *shape, "--methods", "vsm",
                          "--metrics", "kappa", "--out", str(out)]) == 0
-        rows[key] = next(csv.DictReader(out.open()))
+        rows[key] = _read_rows(out)[0]
     assert rows["corpus"]["kappa"] == rows["dist"]["kappa"]
 
 
@@ -580,10 +580,10 @@ def _strict_json(line):
 
 
 def test_verify_writes_null_where_a_precondition_fails(tmp_path):
-    # at noise 5 neither the tangent bound nor the cosine envelope applies:
+    # at noise 10 neither the tangent bound nor the cosine envelope applies:
     # the bound is inf and the violations nan, which JSON cannot hold
     out = tmp_path / "checks.jsonl"
-    assert cli.main(["verify", "--trials", "2", "--noise", "5", "--out", str(out)]) == 0
+    assert cli.main(["verify", "--trials", "2", "--noise", "10", "--out", str(out)]) == 0
     records = [_strict_json(ln) for ln in out.read_text().splitlines()][:-1]
     angle = [r for r in records if r["check"] == "truncation_angle"]
     cosine = [r for r in records if r["check"] == "cosine_bound"]
@@ -597,6 +597,17 @@ def test_verify_writes_null_where_a_precondition_fails(tmp_path):
         assert r["quantities"]["lower_violation"] is None
         assert r["quantities"]["upper_violation"] is None
         assert r["quantities"]["eps"] >= 1.0
+
+
+@pytest.mark.parametrize("noise", ["2", "5"])
+def test_verify_every_check_holds_at_high_noise(tmp_path, noise):
+    # the suites where starting each size from the truncation moved eps_opt, h
+    # and which preconditions apply: every check still holds
+    out = tmp_path / "checks.jsonl"
+    assert cli.main(["verify", "--trials", "24", "--noise", noise, "--out", str(out)]) == 0
+    records = [_strict_json(ln) for ln in out.read_text().splitlines()]
+    assert records[-1]["summary"] is True and records[-1]["failures"] == 0
+    assert len(records[:-1]) == 96 and all(r["holds"] for r in records[:-1])
 
 
 def test_verify_noise_off_the_table_sizes_terms_by_formula(tmp_path):
@@ -674,7 +685,7 @@ def test_verify_construction_error_mid_suite_writes_nothing(tmp_path, monkeypatc
 
 
 def test_verify_records_match_the_suite_built_whole(tmp_path):
-    # the streamed instances give the bytes of the list standard_instance_suite returns
+    # verify's records are those of the suite's instances, verified one by one
     out = tmp_path / "v.jsonl"
     assert cli.main(["verify", "--seed", "42", "--trials", "8", "--out", str(out)]) == 0
     expected = []

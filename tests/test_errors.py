@@ -95,9 +95,6 @@ _CALLS = {
     "standard_instance_suite.count.zero": lambda: theory.standard_instance_suite(0),
     "standard_instance_suite.count.bool": lambda: theory.standard_instance_suite(True),
     "standard_instance_suite.seed.negative": lambda: theory.standard_instance_suite(1, -1),
-    # checked on the call, before iteration builds anything
-    "iter_instance_suite.count.zero": lambda: theory.iter_instance_suite(0),
-    "iter_instance_suite.seed.negative": lambda: theory.iter_instance_suite(1, -1),
     # a basis's ratios must be a list or tuple, and exhausted a bool
     "SubspaceBasis.residual_ratios.bare_none": lambda: subspace.SubspaceBasis(
         _BASIS, "lsi", residual_ratios=None),
@@ -143,12 +140,10 @@ _REAL_CALLS = {
         subspace.dimensionality_by_residual_ratio(_Z, 0.5, q=v)),
     "construct_ideal_instance.noise": lambda v: theory.construct_ideal_instance(_TM, 8, v, 0),
     "standard_instance_suite.noise": lambda v: theory.standard_instance_suite(1, noise=v),
-    "iter_instance_suite.noise": lambda v: theory.iter_instance_suite(1, noise=v),
 }
 # None is a valid value of these: it means "not set"
 _OPTIONAL = {"irr.q", "SubspaceBasis.q", "SubspaceBasis.alpha", "SubspaceBasis.beta",
-             "dimensionality_by_residual_ratio.q", "standard_instance_suite.noise",
-             "iter_instance_suite.noise"}
+             "dimensionality_by_residual_ratio.q", "standard_instance_suite.noise"}
 _OUT_OF_RANGE = {
     "irr.q": {"negative": -0.5},
     "irr.theta": {"zero": 0.0, "negative": -1.0},
@@ -161,7 +156,6 @@ _OUT_OF_RANGE = {
     "dimensionality_by_residual_ratio.q": {"negative": -2.0},
     "construct_ideal_instance.noise": {"negative": -0.5},
     "standard_instance_suite.noise": {"negative": -0.1},
-    "iter_instance_suite.noise": {"negative": -0.1},
 }
 _REALS = {
     f"{param}.{case}": (lambda call=call, value=value: call(value))
