@@ -155,8 +155,11 @@ def deviation_error(s, a, basis=None) -> float:
 class OptimumSubspaceResult:
     basis: np.ndarray
     eps_opt: float
-    h: int
     eps_lower: float
+
+    @property
+    def h(self) -> int:
+        return self.basis.shape[1]
 
 
 def _similarity_factor(smat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,20 +248,17 @@ def _least(lb: np.ndarray, bound: float, margin: float, score) -> tuple[int, flo
 
 
 def _best_subset(
-    factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, r: int, h: int
+    factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, h: int
 ) -> tuple[float, np.ndarray]:
     # the start of _refine, the top-h frame, scored; the name is kept for the
     # benchmark's wrap
-    return float(_eps_of_coords(factor, c[None, :h])[0]), np.eye(r, h)
+    return float(_eps_of_coords(factor, c[None, :h])[0]), np.eye(c.shape[0], h)
 
 
 def _refine(
     factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, w: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray]:
-    r, h = w.shape
-    if r == h:
-        return eps, w  # the subspace is the whole range; nothing to rotate into
-    iu, ju = np.triu_indices(r, 1)  # planes (i, j), i < j, in row-major order
+    iu, ju = np.triu_indices(w.shape[0], 1)  # planes (i, j), i < j, in row-major order
     angles = [s * t for t in _ANGLE_GRID for s in (1.0, -1.0)]
     pi, pj = np.repeat(iu, len(angles)), np.repeat(ju, len(angles))
     ct = np.cos(np.tile(angles, len(iu)))[:, None]
@@ -267,14 +267,9 @@ def _refine(
     margin = _prune_margin(factor, c)
     w = w.copy()
     for _ in range(_MAX_ROUNDS):
-        # a plane between two zero rows of w leaves w unchanged, so it cannot
-        # improve; dropping it keeps the order (and argmin) of the others
-        live = np.any(w != 0.0, axis=1)
-        keep = live[pi] | live[pj]
-        ki, kj, kc, ks = pi[keep], pj[keep], ct[keep], st[keep]
-        wi, wj = w[ki], w[kj]
-        new_i, new_j = kc * wi - ks * wj, ks * wi + kc * wj
-        moves = (ki, kj, new_i - wi, new_j - wj)
+        wi, wj = w[pi], w[pj]
+        new_i, new_j = ct * wi - st * wj, st * wi + ct * wj
+        moves = (pi, pj, new_i - wi, new_j - wj)
         m0 = w.T @ c
         # probes: the eigenvectors of the current deviation S~ - M0.T M0
         probes = np.linalg.eigh(s_tilde - m0.T @ m0)[1]
@@ -285,7 +280,7 @@ def _refine(
         if found is None:
             break  # no move lowers the norm by more than the tolerance
         k, eps = found
-        w[ki[k]], w[kj[k]] = new_i[k], new_j[k]
+        w[pi[k]], w[pj[k]] = new_i[k], new_j[k]
     return eps, w
 
 
@@ -327,31 +322,34 @@ def _optimum_of_svd(
     lam = np.sort(np.concatenate([factor[0], pad]))[::-1]
     top = min(h_max, r)
     margin = _prune_margin(factor, c)
-    best: tuple[float, int, np.ndarray] = (math.inf, 0, np.zeros((r, 0)))
+    best: tuple[float, np.ndarray] = (math.inf, np.zeros((r, 0)))
     for h in range(top, 0, -1):
         if lam[h] > best[0] + margin:
             continue  # no h-dimensional subspace can reach the best so far
-        eps_h, w_h = _best_subset(factor, c, r, h)
+        eps_h, w_h = _best_subset(factor, c, h)
         eps_h, w_h = _refine(factor, c, w_h, eps_h)
         if eps_h <= best[0]:
-            best = (eps_h, h, w_h)
-    eps, h, w = best
+            best = (eps_h, w_h)
+    eps, w = best
     t = float(np.linalg.eigvalsh(_similarity_matrix(factor) - a.T @ a)[-1])
-    return OptimumSubspaceResult(basis=u @ w, eps_opt=eps, h=h,
+    return OptimumSubspaceResult(basis=u @ w, eps_opt=eps,
                                  eps_lower=max(float(lam[top]), t, 0.0))
 
 
 @dataclass(frozen=True)
 class IdealInstance:
-    """A unit-column m x n matrix built directly from a topic model, with its
-    ideal similarities rho.T @ rho (n x n)."""
+    """A unit-column m x n matrix built directly from a topic model."""
 
     matrix: np.ndarray
     topic_model: TopicModel
-    similarity: np.ndarray
     optimum: OptimumSubspaceResult
     noise: float
     seed: int
+
+    @functools.cached_property
+    def similarity(self) -> np.ndarray:
+        """The ideal similarities rho.T @ rho (n x n) of ``topic_model``."""
+        return self.topic_model.relevance.T @ self.topic_model.relevance
 
     @functools.cached_property
     def svd(self) -> linalg.SvdResult:
@@ -390,16 +388,9 @@ def construct_ideal_instance(
     if not np.all((norms >= 1e-12) & (norms < np.inf)):
         raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
     cols = cols / norms
-    smat = rho.T @ rho
     res = linalg.svd(cols)
-    inst = IdealInstance(
-        matrix=cols,
-        topic_model=tm,
-        similarity=smat,
-        optimum=_optimum_of_svd(smat, cols, res, tm.n_topics),
-        noise=noise,
-        seed=seed,
-    )
+    optimum = _optimum_of_svd(rho.T @ rho, cols, res, tm.n_topics)
+    inst = IdealInstance(matrix=cols, topic_model=tm, optimum=optimum, noise=noise, seed=seed)
     vars(inst)["svd"] = res  # the slot cached_property fills
     return inst
 
@@ -595,7 +586,8 @@ def _m_for_noise(noise: float) -> int:
         return _M_FOR_NOISE[noise]
     if noise <= 0.0 or noise >= 1.0:
         return 200  # the formula below gives <= 200 from noise 1 on
-    return int(max(200, min(34000, round(84.0 / noise**2))))
+    # the formula is capped below noise 0.04 anyway; the floor keeps it finite
+    return int(max(200, min(34000, round(84.0 / max(noise, 0.04) ** 2))))
 
 
 def _suite(count: int, seed: int, noise: float | None) -> Iterator[IdealInstance]:

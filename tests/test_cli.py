@@ -610,13 +610,16 @@ def test_verify_every_check_holds_at_high_noise(tmp_path, noise):
     assert len(records[:-1]) == 96 and all(r["holds"] for r in records[:-1])
 
 
-def test_verify_noise_off_the_table_sizes_terms_by_formula(tmp_path):
-    # 0.3 is not a tabled noise level: m = round(84 / 0.3^2) = 933
+@pytest.mark.parametrize("noise, terms", [
+    ("0.3", 933), ("1e-160", 34000), ("1e-170", 34000), ("5e-324", 34000)])
+def test_verify_noise_off_the_table_sizes_terms_by_formula(tmp_path, noise, terms):
+    # an untabled noise level: m = round(84 / noise^2) clipped to [200, 34000],
+    # so 933 at 0.3, and the cap 34000 where 84 / noise^2 would overflow
     out = tmp_path / "checks.jsonl"
-    assert cli.main(["verify", "--trials", "1", "--noise", "0.3", "--out", str(out)]) == 0
+    assert cli.main(["verify", "--trials", "1", "--noise", noise, "--out", str(out)]) == 0
     records = [_strict_json(ln) for ln in out.read_text().splitlines()][1:-1]
     assert len(records) == 3
-    assert {r["instance"]["terms"] for r in records} == {933}
+    assert {r["instance"]["terms"] for r in records} == {terms}
     assert all(r["holds"] for r in records)
 
 

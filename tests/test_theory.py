@@ -245,7 +245,7 @@ def _search_every_size(s, a, h_max):
     factor = theory._similarity_factor(s)
     best = None
     for h in range(1, min(h_max, res.rank) + 1):
-        eps, w = theory._best_subset(factor, c, res.rank, h)
+        eps, w = theory._best_subset(factor, c, h)
         eps, w = theory._refine(factor, c, w, eps)
         if best is None or eps < best[0]:
             best = (eps, h, u @ w)
@@ -386,7 +386,7 @@ def test_best_subset_scores_the_top_h_frame():
     c = res.u[:, : res.rank].T @ a
     factor = theory._similarity_factor(s)
     for h in range(1, res.rank + 1):
-        eps, w = theory._best_subset(factor, c, res.rank, h)
+        eps, w = theory._best_subset(factor, c, h)
         assert np.array_equal(w, np.eye(res.rank, h))
         assert abs(eps - theory.deviation_error(s, a, res.u[:, :h])) <= _margin(s, a)
 
@@ -563,10 +563,8 @@ def test_truncation_angle_exact_instance():
 def _hand_instance(a, rho, basis, eps_opt):
     """An IdealInstance of matrix ``a``, S = rho.T rho and the given optimum."""
     tm = TopicModel(relevance=rho, topic_ids=tuple(f"t{t}" for t in range(len(rho))))
-    optimum = theory.OptimumSubspaceResult(basis=basis, eps_opt=eps_opt, h=basis.shape[1],
-                                           eps_lower=0.0)
-    return theory.IdealInstance(matrix=a, topic_model=tm, similarity=rho.T @ rho,
-                                optimum=optimum, noise=0.0, seed=0)
+    optimum = theory.OptimumSubspaceResult(basis=basis, eps_opt=eps_opt, eps_lower=0.0)
+    return theory.IdealInstance(matrix=a, topic_model=tm, optimum=optimum, noise=0.0, seed=0)
 
 
 def test_truncation_angle_agreement_and_angle_claims_are_tight():
@@ -623,12 +621,25 @@ def test_truncation_angle_reads_each_instance_own_svd():
     inst = theory.construct_ideal_instance(tm, m=30, noise=0.2, seed=1)
     other = theory.construct_ideal_instance(tm, m=30, noise=0.2, seed=2).matrix
     moved = dataclasses.replace(inst, matrix=other)
-    fresh = theory.IdealInstance(matrix=other, topic_model=tm, similarity=inst.similarity,
-                                 optimum=inst.optimum, noise=inst.noise, seed=inst.seed)
+    fresh = theory.IdealInstance(matrix=other, topic_model=tm, optimum=inst.optimum,
+                                 noise=inst.noise, seed=inst.seed)
     got = theory.verify_truncation_angle(moved).to_json()
     assert got == theory.verify_truncation_angle(fresh).to_json()
     assert got != theory.verify_truncation_angle(inst).to_json()
     assert np.array_equal(moved.svd.u, linalg.svd(other).u)
+
+
+def test_h_and_similarity_follow_a_replaced_input():
+    # both are read off the fields they derive from, so dataclasses.replace
+    # of the basis or the topic model cannot leave them stale
+    inst = theory.construct_ideal_instance(_single_topic((4, 3)), m=30, noise=0.2, seed=1)
+    tm2 = _single_topic((2, 5))
+    moved = dataclasses.replace(inst, topic_model=tm2)
+    assert np.array_equal(moved.similarity, tm2.relevance.T @ tm2.relevance)
+    assert not np.array_equal(moved.similarity, inst.similarity)
+    b = np.eye(30)[:, :3]
+    assert inst.optimum.h != 3
+    assert dataclasses.replace(inst.optimum, basis=b).h == b.shape[1] == 3
 
 
 @pytest.mark.parametrize("count, seed, noise", [(24, 42, None), (12, 0, None), (12, 0, 0.0)])
