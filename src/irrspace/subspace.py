@@ -8,10 +8,15 @@ long residuals (q > 0) pulls the basis toward minority topics that plain
 truncated SVD (the q = 0 special case) sacrifices on skewed collections.
 
 Every IRR direction lies in range(A), so for a tall m x n matrix A (m > n)
-the loop runs on the n x n core T of A = Q T, the idea of T. F. Chan's R-SVD
+the loop runs on the n x n factor R of A = Q R, the idea of T. F. Chan's R-SVD
 ("An improved algorithm for computing the singular value decomposition", ACM
-TOMS, 1982).  The change of variables is orthogonal, so it is backward
-stable and moves the basis only by roundoff.
+TOMS, 1982).  Q stays in LAPACK's factored form (Householder reflectors) and
+is applied once, to the finished basis.  The loop deflates by reflectors too:
+after step k the residual's rows are coordinates in the complement of the k
+directions so far, so its first k rows are zero and step k solves only on
+the r - k live rows (r = min(m, n)).  Both changes of variables are
+orthogonal, so they are backward stable and move the basis only by roundoff,
+and the basis is orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -118,23 +123,41 @@ def rescale(z, q: float) -> np.ndarray:
 
 
 def _leading_left_vector(r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """First left singular vector of the m x n matrix r scaled column-wise by
-    w, for m <= n (irr passes the n x n QR core of a tall input).
+    """First left singular vector, of either sign, of the k x n matrix r
+    scaled column-wise by w; irr passes the k live rows of its residual.
 
-    Only the top eigenpair of the m x m Gram (r w)(r w)^T is solved, by MRRR
-    (LAPACK ``evr``).  A dense symmetric eigen-solve is backward stable, but
-    the direction it returns is accurate only to about machine precision
-    times lambda_1 / (lambda_1 - lambda_2): when the top two eigenvalues
-    nearly coincide, the direction is not determined.
+    Only the top eigenpair of the k x k Gram (r w)(r w)^T is solved, by MRRR
+    (LAPACK ``dsyevr``) after a (4/3) k^3 reduction to tridiagonal form;
+    numpy forms the Gram as a symmetric rank-n update, k^2 n flops.  A dense
+    symmetric eigen-solve is backward stable, but the direction it returns is
+    accurate only to about machine precision times
+    lambda_1 / (lambda_1 - lambda_2): when the top two eigenvalues nearly
+    coincide, the direction is not determined.
 
     scipy is imported here, not at module level, so that only irr loads it.
     """
-    import scipy.linalg
+    from scipy.linalg import lapack
 
-    m = r.shape[0]
+    k = r.shape[0]
     rw = r * w
-    _, vec = scipy.linalg.eigh(rw @ rw.T, subset_by_index=[m - 1, m - 1], driver="evr")
-    return vec[:, 0] * linalg.column_signs(vec)
+    lwork, liwork, _ = lapack.dsyevr_lwork(k, lower=1)
+    _, vec, _, _, info = lapack.dsyevr(rw @ rw.T, range="I", lower=1, il=k, iu=k,
+                                       lwork=int(lwork), liwork=liwork, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return vec[:, 0]
+
+
+def _apply_reflectors(h: np.ndarray, tau: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Q c for Q = H_1 H_2 ... H_k, the Householder reflectors H_j = I -
+    tau_j v_j v_j^T held LAPACK-style below the diagonal of h (``ormqr``)."""
+    from scipy.linalg import lapack
+
+    _, work, _ = lapack.dormqr("L", "N", h, tau, c, -1)
+    qc, _, info = lapack.dormqr("L", "N", h, tau, c, int(work[0]), overwrite_c=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
+    return qc
 
 
 def irr(z, ell: int | None = None, theta: float | None = None, q: float | None = None,
@@ -145,12 +168,17 @@ def irr(z, ell: int | None = None, theta: float | None = None, q: float | None =
     ``q`` None takes it from auto_scale(z, alpha, beta), and the basis records
     alpha and beta.  Numpy scalars are read as their Python values.
 
-    For m > n the loop runs on the QR core T of A = Q T.  Q has orthonormal
-    columns, so a residual of T has the column norms and Frobenius norm of
-    the matching residual of A, and the zero rule reads the same.  The basis
-    is Q Y, with the sign rule (``linalg.column_signs``) applied to its
-    columns.  That costs one m x n QR and one m x n x ell product; each step
-    works on n x n matrices.  For m <= n the loop runs on A itself.
+    The loop runs on an r x n residual, r = min(m, n): A itself for m <= n,
+    the QR factor R of A = Q R for m > n.  Q has orthonormal columns, so a
+    residual of R has the column norms and Frobenius norm of the matching
+    residual of A, and the zero rule reads the same.  Step k solves on the
+    r - k live rows only: the reflector that maps the new direction u to
+    -+e_1 is applied to them, and the leading one, which then holds the
+    coefficients along u, is dropped.  That costs (r - k)^2 n + (4/3)(r - k)^3
+    flops for the solve and 4 (r - k) n for the deflation.  The basis is formed
+    once, by applying the stored reflectors and then Q (kept factored, never
+    formed) to I[:, :ell], with the sign rule (``linalg.column_signs``)
+    applied to its columns.
     """
     ell, theta = _stopping_rule(ell, theta)
     q, alpha, beta = as_python(q), as_python(alpha), as_python(beta)
@@ -170,43 +198,53 @@ def irr(z, ell: int | None = None, theta: float | None = None, q: float | None =
     else:
         alpha = beta = None  # recorded only for an auto-scaled q
 
-    # In theta mode a residual that meets the zero rule, ratio 0, ends the
-    # loop by this bound at the latest.
-    limit = ell if theta is None else min(m, n)
+    import scipy.linalg
 
-    frame, resid = np.linalg.qr(a) if m > n else (None, a.copy())
+    r = min(m, n)
+    # In theta mode a residual that meets the zero rule, ratio 0, ends the
+    # loop by this bound at the latest.  After r steps no live row is left,
+    # so the residual is 0 and k never exceeds r.
+    limit = ell if theta is None else r
+    if m > n:
+        frame, resid = scipy.linalg.qr(a, mode="raw", check_finite=False)
+    else:
+        frame, resid = None, a.copy()
     vanish = linalg.ZERO_RTOL * initial_fro
     ratios = [initial_fro**2 / n]
-    cols: list[np.ndarray] = []
+    reflectors = np.zeros((r, min(limit, r)), order="F")
+    taus = np.zeros(min(limit, r))
+    k = 0
     exhausted = False
-    while len(cols) < limit:
+    while k < limit:
         if ratios[-1] == 0.0:
             exhausted = True
             break
+        live = resid[k:]
         # The solve only needs the direction, so weight by (|r_i| / top)^q / top:
         # the longest weighted column has norm 1, so no q under- or overflows.
-        norms = np.linalg.norm(resid, axis=0)
+        norms = np.linalg.norm(live, axis=0)
         top = float(np.max(norms))
-        b = _leading_left_vector(resid, np.power(norms / top, q) / top)
-        if cols:
-            # Deflation leaves roundoff along earlier directions, which
-            # dominates b once the residual is tiny; project it out again.
-            prev = np.column_stack(cols)
-            b -= prev @ (prev.T @ b)
-            b /= np.linalg.norm(b)
-        resid -= np.outer(b, b @ resid)
-        cols.append(b)
+        u = _leading_left_vector(live, np.power(norms / top, q) / top)
+        # The reflector H = I - tau v v^T (v[0] = 1) maps u to -+e_1.  The
+        # first row of H live, the coefficients along u, is the part that
+        # deflation drops, so only the rows below it are formed.
+        v = u / (u[0] + math.copysign(1.0, u[0]))
+        v[0] = 1.0
+        taus[k] = 2.0 / (v @ v)
+        reflectors[k + 1:, k] = v[1:]
+        live[1:] -= np.outer(v[1:], taus[k] * (v @ live))
+        k += 1
         # a residual that meets the zero rule is recorded as ratio 0
-        fro = float(np.linalg.norm(resid))
+        fro = float(np.linalg.norm(resid[k:]))
         ratios.append(fro**2 / n if fro > vanish else 0.0)
         if theta is not None and ratios[-1] <= theta:
             break
-    if not cols:
+    if k == 0:
         raise ParameterError(linalg.ZERO_MATRIX)
-    basis = np.column_stack(cols)
+    basis = _apply_reflectors(reflectors[:, :k], taus[:k], np.eye(r, k, order="F"))
     if frame is not None:
-        basis = frame @ basis
-        basis *= linalg.column_signs(basis)
+        basis = _apply_reflectors(frame[0], frame[1], np.vstack([basis, np.zeros((m - n, k))]))
+    basis *= linalg.column_signs(basis)
     return SubspaceBasis(
         basis=basis,
         method="irr",

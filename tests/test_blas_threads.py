@@ -71,13 +71,30 @@ def test_verify_agrees_across_blas_thread_counts(tmp_path):
     _assert_close(_leaves(records[0]), _leaves(records[1]))
 
 
-def test_run_agrees_across_blas_thread_counts(tmp_path):
-    argv = ["run", "--dist", "1380,120", "--seeds", "0", "--noise", "0.3",
-            "--methods", "vsm,lsi,irr", "--metrics", "kappa", "--out", "r.csv"]
+def _run_rows(tmp_path, argv):
+    """The CSV rows of ``run <argv> --out r.csv`` at 1 and at 2 BLAS threads,
+    without ``elapsed_ms``."""
     rows = []
     for t in (1, 2):
-        with open(_outputs(tmp_path, t, argv) / "r.csv", newline="") as f:
+        with open(_outputs(tmp_path, t, [*argv, "--out", "r.csv"]) / "r.csv", newline="") as f:
             rows.append([{k: _cell(v) for k, v in row.items() if k != "elapsed_ms"}
                          for row in csv.DictReader(f)])
+    return rows
+
+
+def test_run_agrees_across_blas_thread_counts(tmp_path):
+    argv = ["run", "--dist", "1380,120", "--seeds", "0", "--noise", "0.3",
+            "--methods", "vsm,lsi,irr", "--metrics", "kappa"]
+    rows = _run_rows(tmp_path, argv)
     assert len(rows[0]) == len(rows[1]) == 3
+    _assert_close(_leaves(rows[0]), _leaves(rows[1]))
+
+
+def test_tall_irr_agrees_across_blas_thread_counts(tmp_path):
+    # about 1100 terms x 320 documents: irr runs on the QR core of a tall matrix
+    argv = ["run", "--dist", "200,60,30,15,10,5", "--seeds", "0", "--noise", "0.3",
+            "--methods", "irr", "--vocab-per-topic", "120", "--shared-vocab", "400",
+            "--doc-length", "60", "--ell", "ratio:0.5", "--metrics", "kappa"]
+    rows = _run_rows(tmp_path, argv)
+    assert len(rows[0]) == len(rows[1]) == 1
     _assert_close(_leaves(rows[0]), _leaves(rows[1]))

@@ -127,10 +127,9 @@ def test_leading_left_vector_matches_full_eigh_of_weighted_gram(shape):
         if (lam[-1] - lam[-2]) / lam[-1] < 1e-2:
             continue
         want = vecs[:, -1]
-        if want[np.argmax(np.abs(want))] < 0.0:
-            want = -want
         got = subspace._leading_left_vector(r, w)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        # the sign is irr's to choose, once, on the finished basis
+        assert np.max(np.abs(got * np.sign(got @ want) - want)) <= 1e-12
         checked += 1
 
 
@@ -547,8 +546,8 @@ def test_irr_on_tall_input_rotates_with_the_term_space(seed, n, extra, q, data):
     assert _sin_largest_angle(u @ b, rotated.basis) <= 1e-8
 
 
-@pytest.mark.parametrize("stop", [{"ell": 6}, {"theta": 0.5}])
-def test_irr_on_tall_input_solves_only_on_the_qr_core(monkeypatch, stop):
+def _solve_shapes(monkeypatch, z, stop):
+    """irr's result on z and the shape of every matrix it solved on."""
     seen = []
     solve = subspace._leading_left_vector
 
@@ -557,10 +556,105 @@ def test_irr_on_tall_input_solves_only_on_the_qr_core(monkeypatch, stop):
         return solve(r, w)
 
     monkeypatch.setattr(subspace, "_leading_left_vector", spy)
-    z = np.random.default_rng(5).standard_normal((600, 40))
-    got = subspace.irr(z, q=1.0, **stop)
-    assert got.basis.shape == (600, got.ell)
-    assert seen == [(40, 40)] * got.ell
+    return subspace.irr(z, q=1.0, **stop), seen
+
+
+@pytest.mark.parametrize("stop", [{"ell": 6}, {"theta": 0.5}])
+def test_irr_on_tall_input_solves_only_on_the_qr_core(monkeypatch, stop):
+    # step k solves on the n - k live rows of the n x n core
+    m, n = 600, 40
+    got, seen = _solve_shapes(monkeypatch, np.random.default_rng(5).standard_normal((m, n)), stop)
+    assert got.basis.shape == (m, got.ell)
+    assert seen == [(n - k, n) for k in range(got.ell)]
+
+
+@pytest.mark.parametrize("stop", [{"ell": 6}, {"theta": 0.5}])
+def test_irr_on_wide_input_solves_only_on_the_live_rows(monkeypatch, stop):
+    m, n = 40, 600
+    got, seen = _solve_shapes(monkeypatch, np.random.default_rng(5).standard_normal((m, n)), stop)
+    assert got.basis.shape == (m, got.ell)
+    assert seen == [(m - k, n) for k in range(got.ell)]
+
+
+def _reference_irr(z, q, ell=None, theta=None):
+    """irr's loop before deflation by reflectors: each step solves the full
+    r x r weighted Gram of the residual (r = min(m, n), on the QR core for a
+    tall input), subtracts the projection on the new direction from the whole
+    residual, and projects the direction off the earlier ones again."""
+    import scipy.linalg
+
+    m, n = z.shape
+    fro0 = np.linalg.norm(z)
+    frame, resid = np.linalg.qr(z) if m > n else (None, z.copy())
+    ratios = [fro0**2 / n]
+    cols = []
+    exhausted = False
+    while len(cols) < (ell if theta is None else min(m, n)):
+        if ratios[-1] == 0.0:
+            exhausted = True
+            break
+        norms = np.linalg.norm(resid, axis=0)
+        top = np.max(norms)
+        rw = resid * (np.power(norms / top, q) / top)
+        k = rw.shape[0]
+        b = scipy.linalg.eigh(rw @ rw.T, subset_by_index=[k - 1, k - 1], driver="evr")[1][:, 0]
+        if cols:
+            prev = np.column_stack(cols)
+            b -= prev @ (prev.T @ b)
+            b /= np.linalg.norm(b)
+        resid -= np.outer(b, b @ resid)
+        cols.append(b)
+        fro = np.linalg.norm(resid)
+        ratios.append(fro**2 / n if fro > linalg.ZERO_RTOL * fro0 else 0.0)
+        if theta is not None and ratios[-1] <= theta:
+            break
+    basis = np.column_stack(cols)
+    if frame is not None:
+        basis = frame @ basis
+    return basis * linalg.column_signs(basis), ratios, exhausted
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["tall", "wide", "square"]),
+    small=st.integers(1, 7),
+    extra=st.integers(1, 8),
+    q=st.one_of(st.just(0.0), st.none(), st.floats(0.0, 1e4)),
+    data=st.data(),
+)
+def test_irr_matches_the_undeflated_reference_loop(seed, shape, small, extra, q, data):
+    m, n = {"tall": (small + extra, small), "wide": (small, small + extra),
+            "square": (small, small)}[shape]
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, n)) * rng.uniform(0.1, 2.0, n)
+    if data.draw(st.booleans(), label="theta mode"):
+        stop = {"theta": data.draw(st.floats(1e-6, 1.0), label="theta") * np.sum(z**2) / n}
+    else:
+        stop = {"ell": data.draw(st.integers(1, min(m, n) + 1), label="ell")}
+    got = subspace.irr(z, q=q, **stop)
+    want, ratios, exhausted = _reference_irr(z, got.q, **stop)
+    assert (got.ell, got.exhausted) == (want.shape[1], exhausted)
+    assert np.max(np.abs(np.subtract(got.residual_ratios, ratios))) <= 1e-12 * ratios[0]
+    b = got.basis
+    assert np.all(b[np.argmax(np.abs(b), axis=0), np.arange(got.ell)] > 0.0)
+    if _least_rescaled_gap(z, want, got.q) >= 1e-2:
+        sines = np.linalg.norm(b - want * np.sum(want * b, axis=0), axis=0)
+        assert np.max(sines) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(30, 80), (80, 30)], ids=["wide", "tall"])
+def test_irr_basis_stays_orthonormal_to_the_last_direction(shape):
+    # the last directions come from residuals near roundoff, where the
+    # undeflated loop had to project each one off the earlier ones again
+    rng = np.random.default_rng(3)
+    full = rng.standard_normal(shape)
+    rank3 = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+    for q in (0.0, 1.0, None):
+        for z, ell, rank in ((full, min(shape), min(shape)), (rank3, 10, 3)):
+            got = subspace.irr(z, q=q, ell=ell)
+            assert (got.ell, got.exhausted) == (rank, ell > rank)
+            assert np.max(np.abs(got.basis.T @ got.basis - np.eye(rank))) <= 1e-13
 
 
 @pytest.mark.parametrize("c", [1e76, 1e77, 1e154, 1e300])
