@@ -149,8 +149,6 @@ _RUN_FLAGS = {
     "seeds": (_parse_seeds, "0", "seed list 1,2,3 or range 0:10, for --dist datasets"),
     "methods": (_parse_list, ",".join(subspace.METHODS), "comma list of methods"),
     "q": (_parse_q, "auto", "'auto' or a nonnegative float, for irr"),
-    "alpha": (float, str(subspace.ALPHA), "auto-scale slope"),
-    "beta": (float, str(subspace.BETA), "auto-scale intercept"),
     "ell": (_parse_stop, None, "dimensionality: int, or ratio:<theta>"),
     "metrics": (_parse_list, "kappa,cluster",
                 "comma list from kappa,cluster ('none' with --save-basis)"),
@@ -349,8 +347,7 @@ def _run_cell(dataset: str, dist_label: str, seed: str, load, opts: dict,
             if method == "lsi":
                 basis = subspace.lsi(z, **stop)
             else:
-                basis = subspace.irr(z, **stop, q=opts["q"], alpha=opts["alpha"],
-                                     beta=opts["beta"])
+                basis = subspace.irr(z, **stop, q=opts["q"])
             # cosines and spherical k-means read the same on the ell x n
             # coordinates B^T z as on the projection B B^T z (B orthonormal)
             x = basis.basis.T @ z

@@ -1,6 +1,7 @@
 """File formats.  Every input text file is read by ``read_text`` (UTF-8, a
 leading BOM dropped) and every CSV by ``read_csv`` (rows of one length); a file
-they cannot read is a DataError that names it.
+they cannot read is a DataError that names it, as is a matrix file of no rows
+or columns or with an entry that is NaN or past the float range.
 
 Two matrix formats are read, and only the packed one is written:
 
@@ -10,7 +11,8 @@ Two matrix formats are read, and only the packed one is written:
   row-major order.
 
 A basis saved with save_basis is the binary matrix plus a ``<path>.json``
-sidecar holding ``ell`` and every ``SubspaceBasis`` field but the matrix.
+sidecar holding ``ell`` and every ``SubspaceBasis`` field but the matrix;
+load_basis skips other keys, as the ``alpha`` and ``beta`` of older sidecars.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .errors import DataError, ParameterError
+from .errors import DataError, InvalidInputError, ParameterError
 from .subspace import SubspaceBasis
 
 MAGIC = b"SSM1"
@@ -65,11 +67,12 @@ def read_matrix_binary(path) -> np.ndarray:
     if len(blob) < 20:
         raise DataError(f"{p}: truncated header")
     rows, cols = struct.unpack("<QQ", blob[4:20])
+    if rows == 0 or cols == 0:
+        raise DataError(f"{p}: empty {rows}x{cols} matrix")
     want = 20 + rows * cols * 8
     if len(blob) != want:
         raise DataError(f"{p}: expected {want} bytes for {rows}x{cols}, got {len(blob)}")
-    a = np.frombuffer(blob[20:], dtype="<f8").reshape(rows, cols)
-    return linalg.as_matrix(a)
+    return _as_matrix(p, np.frombuffer(blob[20:], dtype="<f8").reshape(rows, cols))
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str] | None]:
@@ -88,7 +91,15 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str] | None]:
         a = np.array([[float(x) for x in r] for r in rows])
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric entry: {exc}") from exc
-    return linalg.as_matrix(a), header
+    return _as_matrix(path, a), header
+
+
+def _as_matrix(path, a) -> np.ndarray:
+    """``linalg.as_matrix(a)``, whose error is a DataError naming ``path``."""
+    try:
+        return linalg.as_matrix(a)
+    except InvalidInputError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _sidecar(path) -> Path:
@@ -96,7 +107,7 @@ def _sidecar(path) -> Path:
 
 
 # ell and each SubspaceBasis field but the matrix, in the order they are written
-_SIDECAR_KEYS = ("method", "q", "ell", "residual_ratios", "alpha", "beta", "exhausted")
+_SIDECAR_KEYS = ("method", "q", "ell", "residual_ratios", "exhausted")
 
 
 def save_basis(path, basis: SubspaceBasis) -> None:

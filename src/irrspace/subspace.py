@@ -6,6 +6,9 @@ left singular vector of the rescaled matrix becomes the next basis vector,
 and its projection is subtracted from the *unrescaled* residuals.  Amplifying
 long residuals (q > 0) pulls the basis toward minority topics that plain
 truncated SVD (the q = 0 special case) sacrifices on skewed collections.
+Without a given q, auto_scale sets it by a rule with no settings, q = ALPHA
+* (||A^T A||_F / n)^2.  irr and auto_scale read their input in C order, so
+its layout (Fortran order, strides) cannot move the last bits of a result.
 
 Every IRR direction lies in range(A), so for a tall m x n matrix A (m > n)
 the loop runs on the n x n factor R of A = Q R, the idea of T. F. Chan's R-SVD
@@ -30,7 +33,7 @@ from . import linalg
 from .errors import ParameterError, as_integer, as_python, as_real
 
 METHODS = ("vsm", "lsi", "irr")
-ALPHA, BETA = 3.5, 0.0  # auto_scale's default slope and intercept
+ALPHA = 3.5  # auto_scale's slope
 
 
 def _stopping_rule(ell, theta) -> tuple:
@@ -60,8 +63,6 @@ class SubspaceBasis:
     method: str
     q: float | None = None
     residual_ratios: tuple[float, ...] = ()
-    alpha: float | None = None
-    beta: float | None = None
     exhausted: bool = False
 
     def __post_init__(self) -> None:
@@ -69,11 +70,9 @@ class SubspaceBasis:
             raise ParameterError("method must be 'lsi' or 'irr'")
         self.basis = linalg.as_matrix(self.basis, "basis")
         linalg.require_orthonormal(self.basis)
-        for name, low in (("q", 0), ("alpha", None), ("beta", None)):
-            value = as_python(getattr(self, name))
-            if value is not None:
-                as_real(name, value, low)
-            setattr(self, name, value)
+        self.q = as_python(self.q)
+        if self.q is not None:
+            as_real("q", self.q, 0)
         self.exhausted = as_python(self.exhausted)
         if not isinstance(self.exhausted, bool):
             raise ParameterError(f"exhausted must be a bool, got {self.exhausted!r}")
@@ -94,21 +93,20 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def auto_scale(z, alpha: float = ALPHA, beta: float = BETA) -> float:
-    """Data-driven rescaling exponent max(0, alpha * f + beta).
+def auto_scale(z) -> float:
+    """Data-driven rescaling exponent q = ALPHA * f (f >= 0, so no clip at 0).
 
     f = (||A^T A||_F / n)^2 estimates topic-dominance non-uniformity from the
     matrix alone; it is invariant under column permutation.  The norm is
     taken on the smaller Gram matrix, since ||A^T A||_F = ||A A^T||_F.  An
     input large enough for f or q to overflow is a ParameterError.
     """
-    a = linalg.as_matrix(z)
-    alpha, beta = as_real("alpha", alpha), as_real("beta", beta)
+    a = np.ascontiguousarray(linalg.as_matrix(z))
     m, n = a.shape
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the Gram
         gram = a @ a.T if m < n else a.T @ a
         f = (float(np.linalg.norm(gram)) / n) ** 2
-    q = max(0.0, alpha * f + beta)
+    q = ALPHA * f
     if not (math.isfinite(f) and math.isfinite(q)):
         raise ParameterError("input matrix is too large: the auto_scale estimate overflows")
     return q
@@ -160,13 +158,12 @@ def _apply_reflectors(h: np.ndarray, tau: np.ndarray, c: np.ndarray) -> np.ndarr
     return qc
 
 
-def irr(z, ell: int | None = None, theta: float | None = None, q: float | None = None,
-        alpha: float = ALPHA, beta: float = BETA) -> SubspaceBasis:
+def irr(z, ell: int | None = None, theta: float | None = None,
+        q: float | None = None) -> SubspaceBasis:
     """Iterative residual rescaling with exponent ``q``, to ``ell`` directions
     or to residual ratio ``theta`` (exactly one, as in lsi).
 
-    ``q`` None takes it from auto_scale(z, alpha, beta), and the basis records
-    alpha and beta.  Numpy scalars are read as their Python values.
+    ``q`` None takes it from auto_scale(z).  A numpy scalar reads as its value.
 
     The loop runs on an r x n residual, r = min(m, n): A itself for m <= n,
     the QR factor R of A = Q R for m > n.  Q has orthonormal columns, so a
@@ -181,12 +178,10 @@ def irr(z, ell: int | None = None, theta: float | None = None, q: float | None =
     applied to its columns.
     """
     ell, theta = _stopping_rule(ell, theta)
-    q, alpha, beta = as_python(q), as_python(alpha), as_python(beta)
+    q = as_python(q)
     if q is not None:
         as_real("q", q, 0)
-    as_real("alpha", alpha)
-    as_real("beta", beta)
-    a = linalg.as_matrix(z)
+    a = np.ascontiguousarray(linalg.as_matrix(z))
     m, n = a.shape
     with np.errstate(over="ignore"):
         initial_fro = float(np.linalg.norm(a))
@@ -194,9 +189,7 @@ def irr(z, ell: int | None = None, theta: float | None = None, q: float | None =
         # a finite ||A||_F^2 keeps every Gram entry finite: |r_i . r_j| <= ||A||_F^2
         raise ParameterError("input matrix is too large: its squared norm overflows")
     if q is None:
-        q = auto_scale(a, alpha, beta)
-    else:
-        alpha = beta = None  # recorded only for an auto-scaled q
+        q = auto_scale(a)
 
     import scipy.linalg
 
@@ -250,8 +243,6 @@ def irr(z, ell: int | None = None, theta: float | None = None, q: float | None =
         method="irr",
         q=float(q),
         residual_ratios=tuple(ratios),
-        alpha=alpha,
-        beta=beta,
         exhausted=exhausted,
     )
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -268,8 +269,6 @@ def test_topic_count_flags_are_gone(flag, tmp_path, capsys):
     [
         _RUN + ["--jobs", "x"],
         _RUN + ["--noise", "abc"],
-        _RUN + ["--alpha", "q"],
-        _RUN + ["--beta", "b"],
         _RUN + ["--vocab-per-topic", "x"],
         _RUN + ["--ell", "ratio:half"],
         _RUN + ["--seeds", "a:b"],
@@ -446,6 +445,19 @@ def test_config_file_errors(tmp_path):
     assert cli.main(["run", "--dist", "4,4", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_auto_scale_constants_are_not_settable(key, tmp_path, capsys):
+    # auto_scale's rule is fixed in subspace: no flag or config key sets it
+    out = tmp_path / "o.csv"
+    assert cli.main(_RUN + [f"--{key}", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = 2\n")
+    assert cli.main(_RUN + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: config keys not recognized")
+    assert not out.exists()
+
+
 def test_config_jobs_key_is_data_error(tmp_path):
     cfg = tmp_path / "jobs.cfg"
     cfg.write_text("jobs = 2\n")
@@ -475,7 +487,6 @@ def test_config_key_that_names_no_value_flag_is_data_error(argv, config, tmp_pat
 @pytest.mark.parametrize(
     ("argv", "key", "value"),
     [
-        (_RUN, "alpha", "x"),
         (["run", "--methods", "lsi"], "dist", "4,x"),
         (["run", "--methods", "lsi"], "dist", "4,4;4,x"),
         (_RUN, "ell", "ratio:half"),
@@ -508,8 +519,6 @@ def test_defaults_come_from_the_library(tmp_path):
     (row,) = _read_rows(out)
     z, _ = cli._load_synth((8, 4), {}, 0)
     assert row["q"] == repr(subspace.auto_scale(z))
-    assert subspace.auto_scale(z) == subspace.auto_scale(
-        z, subspace.ALPHA, subspace.BETA)
 
 
 @pytest.mark.parametrize(
@@ -770,10 +779,13 @@ _CORPUS = {"c/d0.txt": b"alpha beta\n", "c/d1.txt": b"gamma delta\n",
 _REPORT = b"run_id,method,nonuniformity,kappa\na,lsi,1.0,0.5\n"
 _LONG_FIELD = b"1" * 200_000  # csv's field limit is 131,072 characters
 _MATRIX = ["run", "--matrix", "m.csv"]
+_MATRIX_SSM1 = ["run", "--matrix", "m.ssm1", "--methods", "lsi", "--ell", "1",
+                "--metrics", "none", "--save-basis", "b.ssm1"]
 _PLOTDATA = ["plotdata", "--report", "r.csv"]
 
 # fault -> (files written, argv, the file the error names); argv None reads
-# the sidecar of a basis b.ssm1 through load_basis, since no command does
+# a basis b.ssm1 (a valid matrix unless the fault writes one) and its sidecar
+# through load_basis, since no command does
 _FILE_FAULTS = {
     "config.non_utf8": ({"c.cfg": b"seeds = 0\xff\n"},
                         ["run", "--dist", "3,3", "--config", "c.cfg"], "c.cfg"),
@@ -783,6 +795,13 @@ _FILE_FAULTS = {
                             ["run", "--corpus", "c"], "c/topics.tsv"),
     "matrix_csv.non_utf8": ({"m.csv": b"1.0,2.0\n3.0,\xff\n"}, _MATRIX, "m.csv"),
     "matrix_csv.long_field": ({"m.csv": b"1.0," + _LONG_FIELD + b"\n"}, _MATRIX, "m.csv"),
+    "matrix_csv.nan": ({"m.csv": b"1.0,nan\n3.0,4.0\n"}, _MATRIX, "m.csv"),
+    "matrix_ssm1.huge_by_zero": ({"m.ssm1": b"SSM1" + struct.pack("<QQ", 2**63, 0)},
+                                 _MATRIX_SSM1, "m.ssm1"),
+    "matrix_ssm1.zero_by_huge": ({"m.ssm1": b"SSM1" + struct.pack("<QQ", 0, 2**63)},
+                                 _MATRIX_SSM1, "m.ssm1"),
+    "matrix_ssm1.zero_rows": ({"m.ssm1": b"SSM1" + struct.pack("<QQ", 0, 5)},
+                              _MATRIX_SSM1, "m.ssm1"),
     "report.non_utf8": ({"r.csv": _REPORT + b"b,irr,\xff,0.5\n"}, _PLOTDATA, "r.csv"),
     "report.long_field": ({"r.csv": _REPORT + b"b,irr,1.0," + _LONG_FIELD + b"\n"},
                           _PLOTDATA, "r.csv"),
@@ -790,6 +809,8 @@ _FILE_FAULTS = {
     "report.long_row": ({"r.csv": _REPORT + b"b,irr,1.0,0.5,9\n"}, _PLOTDATA, "r.csv"),
     "sidecar.non_utf8": ({"b.ssm1.json": b'{"method": "lsi\xff"}'}, None, "b.ssm1.json"),
     "sidecar.not_json": ({"b.ssm1.json": b"{method: lsi"}, None, "b.ssm1.json"),
+    "basis_ssm1.huge_by_zero": ({"b.ssm1": b"SSM1" + struct.pack("<QQ", 2**63, 0)}, None,
+                                "b.ssm1"),
 }
 
 
@@ -803,9 +824,9 @@ def _write_files(root, files):
                          ids=_FILE_FAULTS.keys())
 def test_input_file_fault_is_a_data_error(files, argv, named, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    matrixio.write_matrix_binary("b.ssm1", np.eye(2)[:, :1])
     _write_files(tmp_path, files)
     if argv is None:
-        matrixio.write_matrix_binary("b.ssm1", np.eye(2)[:, :1])
         with pytest.raises(DataError, match=re.escape(named)):
             matrixio.load_basis("b.ssm1")
         return
@@ -894,8 +915,6 @@ _RUN_FLAGS = {
     ),
     "--ell": st.one_of(_INTS, _FLOATS.map(lambda f: f"ratio:{f}")),
     "--q": st.one_of(_FLOATS, st.just("auto")),
-    "--alpha": _FLOATS,
-    "--beta": _FLOATS,
     "--noise": _FLOATS,
     "--doc-length": st.integers(-(10**30), 300).map(str),
 }

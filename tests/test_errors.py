@@ -22,7 +22,7 @@ import pytest
 import irrspace
 from irrspace import cli, corpus, evalmetrics, linalg, matrixio, subspace, theory
 from irrspace.errors import (DataError, DimensionError, InvalidInputError, ParameterError,
-                             UndefinedMetricError)
+                             UndefinedMetricError, as_real)
 
 _TM = corpus.TopicModel(relevance=np.repeat(np.eye(2), 3, axis=1), topic_ids=("a", "b"))
 _Z = theory.construct_ideal_instance(_TM, m=8, noise=0.1, seed=0).matrix
@@ -122,16 +122,10 @@ _BAD_REALS = {
 _REAL_CALLS = {
     "irr.q": lambda v: subspace.irr(_Z, q=v, ell=2),
     "irr.theta": lambda v: subspace.irr(_Z, theta=v),
-    "irr.alpha": lambda v: subspace.irr(_Z, ell=2, alpha=v),
-    "irr.beta": lambda v: subspace.irr(_Z, ell=2, beta=v),
     "SubspaceBasis.q": lambda v: subspace.SubspaceBasis(_BASIS, "irr", q=v),
-    "SubspaceBasis.alpha": lambda v: subspace.SubspaceBasis(_BASIS, "irr", alpha=v),
-    "SubspaceBasis.beta": lambda v: subspace.SubspaceBasis(_BASIS, "irr", beta=v),
     "SubspaceBasis.residual_ratios": lambda v: subspace.SubspaceBasis(
         _BASIS, "irr", residual_ratios=(1.0, 0.5, v)),
     "SynthSpec.noise_rate": lambda v: corpus.SynthSpec((3, 3), noise_rate=v),
-    "auto_scale.alpha": lambda v: subspace.auto_scale(_Z, alpha=v),
-    "auto_scale.beta": lambda v: subspace.auto_scale(_Z, beta=v),
     "rescale.q": lambda v: subspace.rescale(_Z, v),
     "lsi.theta": lambda v: subspace.lsi(_Z, theta=v),
     "dimensionality_by_residual_ratio.theta": lambda v: (
@@ -142,8 +136,8 @@ _REAL_CALLS = {
     "standard_instance_suite.noise": lambda v: theory.standard_instance_suite(1, noise=v),
 }
 # None is a valid value of these: it means "not set"
-_OPTIONAL = {"irr.q", "SubspaceBasis.q", "SubspaceBasis.alpha", "SubspaceBasis.beta",
-             "dimensionality_by_residual_ratio.q", "standard_instance_suite.noise"}
+_OPTIONAL = {"irr.q", "SubspaceBasis.q", "dimensionality_by_residual_ratio.q",
+             "standard_instance_suite.noise"}
 _OUT_OF_RANGE = {
     "irr.q": {"negative": -0.5},
     "irr.theta": {"zero": 0.0, "negative": -1.0},
@@ -277,8 +271,7 @@ def test_suite_seed_is_reported_as_given():
          r"^q must be a finite number >= 0, got True$"),
         (lambda: corpus.SynthSpec((3,), noise_rate=2),
          r"^noise_rate must be a finite number in \[0, 1\], got 2$"),
-        (lambda: subspace.auto_scale(_Z, alpha=math.nan),
-         r"^alpha must be a finite number, got nan$"),
+        (lambda: as_real("kappa", math.nan), r"^kappa must be a finite number, got nan$"),
         (lambda: corpus.SynthSpec(distribution="46,4"),
          r"^distribution must be a nonempty sequence of counts, got '46,4'$"),
     ],
@@ -300,15 +293,11 @@ def test_valid_values_are_stored_as_given():
 
 def test_numpy_scalars_are_stored_as_python_values(tmp_path):
     # a numpy scalar is stored as its .item(), so the basis and the manifest save as JSON
-    basis = subspace.irr(_Z, ell=np.int64(2), alpha=np.int64(3), beta=np.float16(0.5))
-    assert (basis.ell, basis.alpha, basis.beta) == (2, 3, 0.5)
-    assert (type(basis.alpha), type(basis.beta)) == (int, float)
+    basis = subspace.irr(_Z, ell=np.int64(2), q=np.float16(0.5))
+    assert (basis.ell, basis.q) == (2, 0.5) and type(basis.q) is float
     matrixio.save_basis(tmp_path / "b.ssm1", basis)
-    loaded = matrixio.load_basis(tmp_path / "b.ssm1")
-    assert (loaded.alpha, loaded.beta) == (3, 0.5)
-    direct = subspace.SubspaceBasis(_BASIS, "irr", q=np.float32(1.5), alpha=np.int8(-2),
-                                    beta=np.float16(0.25))
-    assert [type(v) for v in (direct.q, direct.alpha, direct.beta)] == [float, int, float]
+    assert matrixio.load_basis(tmp_path / "b.ssm1").q == 0.5
+    assert type(subspace.SubspaceBasis(_BASIS, "irr", q=np.float32(1.5)).q) is float
     spec = corpus.SynthSpec((3, 3), noise_rate=np.float32(0.25))
     assert type(spec.noise_rate) is float
     assert json.loads(json.dumps(asdict(spec)))["noise_rate"] == 0.25

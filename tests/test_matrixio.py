@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -45,12 +47,10 @@ def test_binary_rejects_truncated_payload(tmp_path):
 
 
 def test_binary_rejects_nonfinite_payload(tmp_path):
-    import struct
-
     payload = np.array([[np.inf, 1.0], [0.0, 1.0]]).tobytes()
     path = tmp_path / "inf.ssm1"
     path.write_bytes(b"SSM1" + struct.pack("<QQ", 2, 2) + payload)
-    with pytest.raises(Exception):
+    with pytest.raises(DataError, match=re.escape(f"{path}: matrix has non-finite entries")):
         matrixio.read_matrix_binary(path)
 
 
@@ -91,15 +91,13 @@ def test_basis_round_trip(tmp_path):
     assert back.method == "irr"
     assert back.q == basis.q
     assert back.residual_ratios == basis.residual_ratios
-    assert back.alpha == basis.alpha and back.beta == basis.beta
 
 
 def _rank_two(rng):
     return rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
 
 
-# built by each method, with exhausted set and not, and irr with auto q so
-# that alpha and beta are set
+# built by each method, with exhausted set and not, and irr with auto q
 _SAVED_BASES = {
     "irr_auto_q_exhausted": lambda rng: subspace.irr(_rank_two(rng), ell=4),
     "lsi_exhausted": lambda rng: subspace.lsi(_rank_two(rng), 4),
@@ -121,7 +119,20 @@ def test_basis_round_trip_keeps_every_field(tmp_path, build):
     for name in fields[1:]:
         assert getattr(back, name) == getattr(basis, name), name
     if basis.method == "irr":
-        assert basis.exhausted and basis.alpha is not None and basis.beta is not None
+        assert basis.exhausted
+
+
+def test_sidecar_with_the_retired_alpha_and_beta_keys_still_loads(tmp_path):
+    # a sidecar of an auto-q irr basis once held the auto-scale constants too
+    basis = _SAVED_BASES["irr_auto_q_exhausted"](np.random.default_rng(5))
+    path = tmp_path / "basis.ssm1"
+    matrixio.save_basis(path, basis)
+    sidecar = path.with_name(path.name + ".json")
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "alpha": 3.5, "beta": 0.0}))
+    back = matrixio.load_basis(path)
+    assert np.array_equal(back.basis, basis.basis)
+    assert dataclasses.astuple(back)[1:] == dataclasses.astuple(basis)[1:]
 
 
 def test_sidecar_without_exhausted_reads_false(tmp_path):
@@ -172,8 +183,6 @@ _SIDECAR_FAULTS = {
     "ratios_null": lambda meta: {**meta, "residual_ratios": None},
     "q_list": lambda meta: {**meta, "q": [1]},
     "q_string": lambda meta: {**meta, "q": "0"},
-    "alpha_bool": lambda meta: {**meta, "alpha": True},
-    "beta_object": lambda meta: {**meta, "beta": {}},
     "ratios_nan": lambda meta: {**meta, "residual_ratios": [math.nan] * 3},
     "q_infinity": lambda meta: {**meta, "q": math.inf},
     "ell_true": lambda meta: {**meta, "ell": True},
