@@ -279,6 +279,8 @@ def test_topic_count_flags_are_gone(flag, tmp_path, capsys):
         ["verify", "--seed", "x"],
         ["verify", "--trials", "many"],
         ["verify", "--noise", "low"],
+        _RUN + ["--q", "fast"],
+        _RUN + ["--doc-length", "long"],
     ],
 )
 def test_non_numeric_flag_is_usage_error(argv, tmp_path, capsys):
@@ -487,6 +489,7 @@ def test_config_key_that_names_no_value_flag_is_data_error(argv, config, tmp_pat
 @pytest.mark.parametrize(
     ("argv", "key", "value"),
     [
+        (_RUN, "noise", "high"),
         (["run", "--methods", "lsi"], "dist", "4,x"),
         (["run", "--methods", "lsi"], "dist", "4,4;4,x"),
         (_RUN, "ell", "ratio:half"),

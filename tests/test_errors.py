@@ -45,56 +45,19 @@ _CALLS = {
     "suite_bool_seed": lambda: theory.standard_instance_suite(1, seed=True),
     "suite_string_seed": lambda: theory.standard_instance_suite(1, seed="x"),
     "suite_fractional_seed": lambda: theory.standard_instance_suite(1, seed=2.5),
-    # counts and seeds out of range, or not integers at all
-    "irr.ell.zero": lambda: subspace.irr(_Z, ell=0),
-    "irr.ell.string": lambda: subspace.irr(_Z, ell="2"),
-    "lsi.ell.zero": lambda: subspace.lsi(_Z, ell=0),
-    "lsi.ell.string": lambda: subspace.lsi(_Z, ell="2"),
-    "lsi.ell.bool": lambda: subspace.lsi(_Z, ell=True),
-    "SynthSpec.distribution.zero": lambda: corpus.SynthSpec(distribution=(3, 0)),
-    "SynthSpec.distribution.string": lambda: corpus.SynthSpec(distribution=("3", 3)),
+    # a distribution that is not a nonempty sequence, and inputs too small to use
     "SynthSpec.distribution.empty": lambda: corpus.SynthSpec(distribution=()),
     "SynthSpec.distribution.int": lambda: corpus.SynthSpec(distribution=5),
     "SynthSpec.distribution.none": lambda: corpus.SynthSpec(distribution=None),
     "SynthSpec.distribution.text": lambda: corpus.SynthSpec(distribution="46,4"),
-    "SynthSpec.vocab_per_topic.zero": lambda: corpus.SynthSpec((3, 3), vocab_per_topic=0),
-    "SynthSpec.shared_vocab.zero": lambda: corpus.SynthSpec((3, 3), shared_vocab=0),
-    "SynthSpec.shared_vocab.string": lambda: corpus.SynthSpec((3, 3), shared_vocab="150"),
-    "SynthSpec.doc_length.zero": lambda: corpus.SynthSpec((3, 3), doc_length=0),
-    "SynthSpec.rng_seed.negative": lambda: corpus.SynthSpec((3, 3), rng_seed=-1),
-    "SynthSpec.rng_seed.string": lambda: corpus.SynthSpec((3, 3), rng_seed="0"),
-    "cluster.k.zero": lambda: evalmetrics.cluster(_Z, 0, "single_link"),
-    "cluster.k.above_n": lambda: evalmetrics.cluster(_Z, 7, "group_average"),
-    "cluster.k.string": lambda: evalmetrics.cluster(_Z, "2", "single_link"),
     "build_matrix.docs.empty": lambda: corpus.build_matrix([]),
     "rank_pairs.z.one_doc": lambda: evalmetrics.rank_pairs(np.ones((3, 1))),
     "contingency_table.labels.text": lambda: evalmetrics.contingency_table(
         np.array(["a", "b", "b"]), _LABELS, 2, 2),
-    "contingency_table.n_clusters.float": lambda: evalmetrics.contingency_table(
-        _LABELS, _LABELS, 2.0, 2),
-    "contingency_table.n_clusters.negative": lambda: evalmetrics.contingency_table(
-        _LABELS, _LABELS, -1, 2),
-    "contingency_table.n_clusters.string": lambda: evalmetrics.contingency_table(
-        _LABELS, _LABELS, "2", 2),
-    "contingency_table.n_topics.bool": lambda: evalmetrics.contingency_table(
-        _LABELS, _LABELS, 2, True),
-    "contingency_table.n_topics.negative": lambda: evalmetrics.contingency_table(
-        _LABELS, _LABELS, 2, -1),
     "contingency_score.table.fractional": lambda: evalmetrics.contingency_score(
         [[1.5, 0.2], [0.1, 2.7]]),
     "contingency_score.table.negative": lambda: evalmetrics.contingency_score(
         [[-3, 1], [1, 5]]),
-    "optimum_subspace.h_max.zero": lambda: theory.optimum_subspace(np.eye(6), _Z, 0),
-    "optimum_subspace.h_max.string": lambda: theory.optimum_subspace(np.eye(6), _Z, "1"),
-    "construct_ideal_instance.m.below_topics": lambda: theory.construct_ideal_instance(
-        _TM, 1, 0.1, 0),
-    "construct_ideal_instance.m.string": lambda: theory.construct_ideal_instance(
-        _TM, "8", 0.1, 0),
-    "construct_ideal_instance.seed.string": lambda: theory.construct_ideal_instance(
-        _TM, 8, 0.1, "0"),
-    "standard_instance_suite.count.zero": lambda: theory.standard_instance_suite(0),
-    "standard_instance_suite.count.bool": lambda: theory.standard_instance_suite(True),
-    "standard_instance_suite.seed.negative": lambda: theory.standard_instance_suite(1, -1),
     # a basis's ratios must be a list or tuple, and exhausted a bool
     "SubspaceBasis.residual_ratios.bare_none": lambda: subspace.SubspaceBasis(
         _BASIS, "lsi", residual_ratios=None),
@@ -107,6 +70,63 @@ _CALLS = {
         _BASIS, "lsi", exhausted="yes"),
     "SubspaceBasis.exhausted.none": lambda: subspace.SubspaceBasis(
         _BASIS, "lsi", exhausted=None),
+}
+
+# every count and seed gets each of these, and its out-of-range values below
+_BAD_INTEGERS = {
+    "bool": True,
+    "string": "2",
+    "fractional": 2.5,
+    "float": 2.0,
+    "nan": math.nan,
+    "none": None,
+}
+_INTEGER_CALLS = {
+    "irr.ell": lambda v: subspace.irr(_Z, ell=v),
+    "lsi.ell": lambda v: subspace.lsi(_Z, ell=v),
+    "SynthSpec.distribution": lambda v: corpus.SynthSpec(distribution=(3, v)),
+    "SynthSpec.vocab_per_topic": lambda v: corpus.SynthSpec((3, 3), vocab_per_topic=v),
+    "SynthSpec.shared_vocab": lambda v: corpus.SynthSpec((3, 3), shared_vocab=v),
+    "SynthSpec.doc_length": lambda v: corpus.SynthSpec((3, 3), doc_length=v),
+    "SynthSpec.rng_seed": lambda v: corpus.SynthSpec((3, 3), rng_seed=v),
+    "cluster.k": lambda v: evalmetrics.cluster(_Z, v, "single_link"),
+    "contingency_table.n_clusters": lambda v: evalmetrics.contingency_table(
+        _LABELS, _LABELS, v, 2),
+    "contingency_table.n_topics": lambda v: evalmetrics.contingency_table(
+        _LABELS, _LABELS, 2, v),
+    "optimum_subspace.h_max": lambda v: theory.optimum_subspace(np.eye(6), _Z, v),
+    "construct_ideal_instance.m": lambda v: theory.construct_ideal_instance(_TM, v, 0.1, 0),
+    "construct_ideal_instance.seed": lambda v: theory.construct_ideal_instance(_TM, 8, 0.1, v),
+    "standard_instance_suite.count": lambda v: theory.standard_instance_suite(v),
+    "standard_instance_suite.seed": lambda v: theory.standard_instance_suite(1, seed=v),
+}
+# None is a valid ell: it means "stop by theta"
+_OPTIONAL_INTEGERS = {"irr.ell", "lsi.ell"}
+_INTEGER_OUT_OF_RANGE = {
+    "irr.ell": {"zero": 0},
+    "lsi.ell": {"zero": 0},
+    "SynthSpec.distribution": {"zero": 0},
+    "SynthSpec.vocab_per_topic": {"zero": 0},
+    "SynthSpec.shared_vocab": {"zero": 0},
+    "SynthSpec.doc_length": {"zero": 0},
+    "SynthSpec.rng_seed": {"negative": -1},
+    "cluster.k": {"zero": 0, "above_n": 7},
+    "contingency_table.n_clusters": {"negative": -1},
+    "contingency_table.n_topics": {"negative": -1},
+    "optimum_subspace.h_max": {"zero": 0},
+    "construct_ideal_instance.m": {"below_topics": 1},
+    "construct_ideal_instance.seed": {"negative": -1},
+    "standard_instance_suite.count": {"zero": 0},
+    "standard_instance_suite.seed": {"negative": -1},
+}
+_INTEGERS = {
+    **_CALLS,
+    **{
+        f"{param}.{case}": (lambda call=call, value=value: call(value))
+        for param, call in _INTEGER_CALLS.items()
+        for case, value in {**_BAD_INTEGERS, **_INTEGER_OUT_OF_RANGE[param]}.items()
+        if not (case == "none" and param in _OPTIONAL_INTEGERS)
+    },
 }
 
 # every real parameter gets each of these, and its out-of-range values below
@@ -230,7 +250,7 @@ _RESULT_CONTAINERS = {
 }
 
 
-@pytest.mark.parametrize("call", _CALLS.values(), ids=_CALLS.keys())
+@pytest.mark.parametrize("call", _INTEGERS.values(), ids=_INTEGERS.keys())
 def test_count_arguments_must_be_integers(call):
     with pytest.raises(ParameterError):
         call()
@@ -315,7 +335,7 @@ def test_ideal_instance_stores_numpy_scalars_as_python_values():
 
 def test_every_numeric_parameter_has_a_bad_input_case():
     covered = {key.rsplit(".", 1)[0]
-               for key in (*_CALLS, *_REALS, *_MATRICES, *_FAULTS) if "." in key}
+               for key in (*_INTEGERS, *_REALS, *_MATRICES, *_FAULTS) if "." in key}
     missing = []
     for name in irrspace.__all__:
         obj = getattr(irrspace, name)

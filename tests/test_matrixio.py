@@ -183,6 +183,8 @@ _SIDECAR_FAULTS = {
     "ratios_null": lambda meta: {**meta, "residual_ratios": None},
     "q_list": lambda meta: {**meta, "q": [1]},
     "q_string": lambda meta: {**meta, "q": "0"},
+    "q_bool": lambda meta: {**meta, "q": True},
+    "q_object": lambda meta: {**meta, "q": {}},
     "ratios_nan": lambda meta: {**meta, "residual_ratios": [math.nan] * 3},
     "q_infinity": lambda meta: {**meta, "q": math.inf},
     "ell_true": lambda meta: {**meta, "ell": True},
