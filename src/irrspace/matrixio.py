@@ -1,7 +1,8 @@
 """File formats.  Every input text file is read by ``read_text`` (UTF-8, a
 leading BOM dropped) and every CSV by ``read_csv`` (rows of one length); a file
-they cannot read is a DataError that names it, as is a matrix file of no rows
-or columns or with an entry that is NaN or past the float range.
+they or ``read_matrix_binary`` cannot read is a DataError that names it, as is
+a matrix file of no rows or columns or with an entry that is NaN or past the
+float range.
 
 Two matrix formats are read, and only the packed one is written:
 
@@ -61,7 +62,10 @@ def write_matrix_binary(path, z) -> None:
 
 def read_matrix_binary(path) -> np.ndarray:
     p = Path(path)
-    blob = p.read_bytes()
+    try:
+        blob = p.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {p}: {exc}") from exc
     if blob[:4] != MAGIC:
         raise DataError(f"{p}: bad magic, not a packed matrix file")
     if len(blob) < 20:

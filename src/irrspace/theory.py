@@ -45,16 +45,26 @@ cannot win.  For unit probe vectors u_l,
 LB = max_l |u_l.T (S~ - M.T M) u_l| <= ||S~ - M.T M||_2 by Courant-Fischer,
 where S~ is S rebuilt from the kept (lambda, W), the matrix _eps_of_coords
 measures.  Each round probes with the eigenvectors of its deviation
-S~ - M0.T M0, and a candidate's M u is M0 u plus two rank-1 terms, so LB
-costs O(h n) per candidate.  _least picks, given the value v a candidate
-must beat (the round's norm - 1e-8): skip the candidates with
-LB >= v + margin, score the one with the least LB alone, skip those with
-LB > min(v, its norm) + margin, score the rest in their original order, and
-take the first argmin if it is < v.  The margin,
+S~ - M0.T M0 and bounds each plane (i, j) once, for all its angles.  With
+a = cos t - 1, b = sin t, x = C_i u, y = C_j u, p = w_i M0 u, q = w_j M0 u
+and G = w w.T, M' u = M0 u + a (x w_i + y w_j) + b (y w_i - x w_j), so
+||M' u||^2 - ||M0 u||^2 = a^2 E1 + b^2 E2 + 2ab E3 + 2a E4 + 2b E5, where
+E1 = x^2 G_ii + 2xy G_ij + y^2 G_jj, E2 = y^2 G_ii - 2xy G_ij + x^2 G_jj,
+E3 = xy (G_ii - G_jj) + (y^2 - x^2) G_ij, E4 = xp + yq and E5 = yp - xq.
+So a round's bounds are one (8 x 5) @ (5 x n planes) product, O(r^2 n) for
+r = rank A, and no candidate's h x n coordinates are formed to bound it.
+_least then scores best first (Land & Doig's branch and bound), given the
+value v a candidate must beat (the round's norm - 1e-8): it drops the
+candidates with LB >= v + margin, stable-sorts the rest by LB, scores them in
+chunks of 1, 2, 4, ..., stops at the first LB above
+min(v, least norm so far) + margin, and takes the least (norm, index) if its
+norm is < v.  Only the candidates scored, and the one accepted, have their
+rotated rows w'_i, w'_j formed.  The margin,
 100 * n * eps * (||S~||_2 + ||C||_F^2), covers the roundoff of both sides:
 each is within a few n * eps * (||S~||_2 + ||M||_2^2) of the exact value and
-||M||_2 <= sigma_1(A) <= ||C||_F.  So the argmin, its first-index tie-break
-and every returned bit are those of scoring them all.
+||M||_2 <= sigma_1(A) <= ||C||_F.  So every candidate that could tie the
+least norm is scored, and the argmin, its first-index tie-break and every
+returned bit are those of scoring them all.
 
 Whole sizes are skipped by a certified lower bound.  An h-dimensional
 subspace gives coordinates M with M.T M of rank <= h, so by Weyl
@@ -90,6 +100,8 @@ from .errors import DimensionError, ParameterError, as_integer, as_python, as_re
 
 # the fixed refinement schedule of the module docstring
 _ANGLE_GRID = (0.3, 0.1, 0.03, 0.01)
+# each plane's candidate angles, in the order _refine numbers them
+_ANGLES = np.array([s * t for t in _ANGLE_GRID for s in (1.0, -1.0)])
 _IMPROVE_TOL = 1e-8
 _MAX_ROUNDS = 80
 # c in the pruning margin c * n * eps * (||S~||_2 + ||C||_F^2) of the module docstring
@@ -213,38 +225,63 @@ def _prune_margin(factor: tuple[np.ndarray, np.ndarray], c: np.ndarray) -> float
 
 
 def _probe_bounds(
-    s_tilde: np.ndarray, probes: np.ndarray, sq_norms: np.ndarray
+    s_tilde: np.ndarray, c: np.ndarray, w: np.ndarray, planes: tuple, coef: np.ndarray
 ) -> np.ndarray:
-    """max_l |u_l.T S~ u_l - ||M u_l||^2| per candidate, for the unit columns
-    u_l of ``probes`` and sq_norms[:, l] = ||M u_l||^2.  Each term is a
-    Rayleigh quotient of S~ - M.T M, so by Courant-Fischer the result is at
-    most ||S~ - M.T M||_2."""
-    s_probe = np.sum(probes * (s_tilde @ probes), axis=0)
-    return np.max(np.abs(s_probe - sq_norms), axis=1)
+    """max_l |u_l.T (S~ - M'.T M') u_l| for every candidate M' of a round.
 
-
-def _moved(m0: np.ndarray, c: np.ndarray, moves: tuple, sel=slice(None)) -> np.ndarray:
-    """M0 + (w'_i - w_i).T C_i + (w'_j - w_j).T C_j for the rotations ``sel``
-    of moves = (i, j, w'_i - w_i, w'_j - w_j); given M0 U and C U in place of
-    M0 and C, it is each candidate's M U."""
-    ki, kj, di, dj = (x[sel] for x in moves)
-    out = m0 + di[:, :, None] * c[ki][:, None, :]
-    out += dj[:, :, None] * c[kj][:, None, :]
-    return out
+    The probes u_l are the eigenvectors of S~ - M0.T M0, M0 = w.T C, and
+    u_l.T (S~ - M0.T M0) u_l is read as their eigenvalue.  The candidates run
+    over planes = (i, j) and in each over the angles t of coef's columns,
+    coef = [a^2, b^2, 2ab, 2a, 2b] with a = cos t - 1, b = sin t.  Each
+    result is a Rayleigh quotient of S~ - M'.T M', so by Courant-Fischer it
+    is at most ||S~ - M'.T M'||_2, up to the roundoff the pruning margin
+    covers; the plane terms E1..E5 of the module docstring make a round's
+    bounds one (angles x 5) @ (5 x n planes) product.
+    """
+    m0 = w.T @ c
+    d0, probes = np.linalg.eigh(s_tilde - m0.T @ m0)
+    # probe-major (n x planes) arrays, so the max over probes runs down rows
+    cu, wm, g = probes.T @ c.T, probes.T @ m0.T @ w.T, w @ w.T
+    iu, ju = planes
+    x, y, p, q = cu[:, iu], cu[:, ju], wm[:, iu], wm[:, ju]
+    gii, gjj, gij = g[iu, iu], g[ju, ju], g[iu, ju]
+    xx, yy, xy = x * x, y * y, x * y
+    cross = 2.0 * xy * gij
+    e = np.array([xx * gii + cross + yy * gjj,
+                  yy * gii - cross + xx * gjj,
+                  xy * (gii - gjj) + (yy - xx) * gij,
+                  x * p + y * q,
+                  y * p - x * q])
+    # ||M' u_l||^2 - ||M0 u_l||^2 - d0_l, angles x n x planes, kept in place
+    moved = (coef.T @ e.reshape(5, x.size)).reshape(coef.shape[1], *x.shape)
+    moved -= d0[:, None]
+    return np.abs(moved, out=moved).max(axis=1).T.ravel()
 
 
 def _least(lb: np.ndarray, bound: float, margin: float, score) -> tuple[int, float] | None:
     """(index, norm) of the least-norm candidate, the first on a tie, if its
-    norm is < bound, else None; score(sel) gives the norms of candidates sel."""
+    norm is < bound, else None; score(sel) gives the norms of candidates sel.
+
+    Best first: the candidates with lb < bound + margin are scored in order of
+    lb (a stable sort), in chunks of 1, 2, 4, ..., and the loop stops at the
+    first lb above min(bound, least norm so far) + margin.
+    """
     cand = np.flatnonzero(lb < bound + margin)
-    if cand.size == 0:
-        return None
-    i = int(np.argmin(lb[cand]))
-    cap = min(bound, float(score(cand[i : i + 1])[0]))
-    cand = cand[lb[cand] <= cap + margin]
-    eps = score(cand)
-    k = int(np.argmin(eps))
-    return (int(cand[k]), float(eps[k])) if eps[k] < bound else None
+    cand = cand[np.argsort(lb[cand], kind="stable")]
+    ordered = lb[cand]
+    best = (math.inf, -1)  # (norm, index)
+    start, size = 0, 1
+    while True:
+        stop = int(np.searchsorted(ordered, min(bound, best[0]) + margin, side="right"))
+        end = min(start + size, stop)
+        if end <= start:
+            break
+        sel = cand[start:end]
+        eps = score(sel)
+        k = int(np.lexsort((sel, eps))[0])
+        best = min(best, (float(eps[k]), int(sel[k])))
+        start, size = end, 2 * size
+    return (best[1], best[0]) if best[0] < bound else None
 
 
 def _best_subset(
@@ -259,28 +296,35 @@ def _refine(
     factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, w: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray]:
     iu, ju = np.triu_indices(w.shape[0], 1)  # planes (i, j), i < j, in row-major order
-    angles = [s * t for t in _ANGLE_GRID for s in (1.0, -1.0)]
-    pi, pj = np.repeat(iu, len(angles)), np.repeat(ju, len(angles))
-    ct = np.cos(np.tile(angles, len(iu)))[:, None]
-    st = np.sin(np.tile(angles, len(iu)))[:, None]
+    pi, pj = np.repeat(iu, len(_ANGLES)), np.repeat(ju, len(_ANGLES))
+    ct = np.cos(np.tile(_ANGLES, len(iu)))[:, None]
+    st = np.sin(np.tile(_ANGLES, len(iu)))[:, None]
+    a, b = np.cos(_ANGLES) - 1.0, np.sin(_ANGLES)
+    coef = np.array([a * a, b * b, 2.0 * a * b, 2.0 * a, 2.0 * b])
     s_tilde = _similarity_matrix(factor)
     margin = _prune_margin(factor, c)
     w = w.copy()
+
+    def rotated(sel):  # the planes (i, j) of candidates sel; rows i, j before and after
+        i, j, cs, sn = pi[sel], pj[sel], ct[sel], st[sel]
+        wi, wj = w[i], w[j]
+        return i, j, wi, wj, cs * wi - sn * wj, sn * wi + cs * wj
+
+    def score(sel):  # M0 + (w'_i - w_i).T C_i + (w'_j - w_j).T C_j, scored
+        i, j, wi, wj, new_i, new_j = rotated(sel)
+        m = m0 + (new_i - wi)[:, :, None] * c[i][:, None, :]
+        m += (new_j - wj)[:, :, None] * c[j][:, None, :]
+        return _eps_of_coords(factor, m)
+
     for _ in range(_MAX_ROUNDS):
-        wi, wj = w[pi], w[pj]
-        new_i, new_j = ct * wi - st * wj, st * wi + ct * wj
-        moves = (pi, pj, new_i - wi, new_j - wj)
         m0 = w.T @ c
-        # probes: the eigenvectors of the current deviation S~ - M0.T M0
-        probes = np.linalg.eigh(s_tilde - m0.T @ m0)[1]
-        mu = _moved(m0 @ probes, c @ probes, moves)
-        lb = _probe_bounds(s_tilde, probes, np.sum(mu * mu, axis=1))
-        found = _least(lb, eps - _IMPROVE_TOL, margin,
-                       lambda sel: _eps_of_coords(factor, _moved(m0, c, moves, sel)))
+        lb = _probe_bounds(s_tilde, c, w, (iu, ju), coef)
+        found = _least(lb, eps - _IMPROVE_TOL, margin, score)
         if found is None:
             break  # no move lowers the norm by more than the tolerance
         k, eps = found
-        w[pi[k]], w[pj[k]] = new_i[k], new_j[k]
+        i, j, _, _, new_i, new_j = rotated([k])
+        w[i], w[j] = new_i, new_j
     return eps, w
 
 

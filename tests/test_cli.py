@@ -786,9 +786,9 @@ _MATRIX_SSM1 = ["run", "--matrix", "m.ssm1", "--methods", "lsi", "--ell", "1",
                 "--metrics", "none", "--save-basis", "b.ssm1"]
 _PLOTDATA = ["plotdata", "--report", "r.csv"]
 
-# fault -> (files written, argv, the file the error names); argv None reads
-# a basis b.ssm1 (a valid matrix unless the fault writes one) and its sidecar
-# through load_basis, since no command does
+# fault -> (files written, argv, the file the error names); an argv that is a
+# path reads the basis there and its sidecar through load_basis, since no
+# command does (b.ssm1 is a valid matrix unless the fault writes one)
 _FILE_FAULTS = {
     "config.non_utf8": ({"c.cfg": b"seeds = 0\xff\n"},
                         ["run", "--dist", "3,3", "--config", "c.cfg"], "c.cfg"),
@@ -805,15 +805,20 @@ _FILE_FAULTS = {
                                  _MATRIX_SSM1, "m.ssm1"),
     "matrix_ssm1.zero_rows": ({"m.ssm1": b"SSM1" + struct.pack("<QQ", 0, 5)},
                               _MATRIX_SSM1, "m.ssm1"),
+    "matrix_ssm1.missing": ({}, _MATRIX_SSM1, "m.ssm1"),
+    "matrix_ssm1.directory": ({"m.ssm1/x": b""}, _MATRIX_SSM1, "m.ssm1"),
     "report.non_utf8": ({"r.csv": _REPORT + b"b,irr,\xff,0.5\n"}, _PLOTDATA, "r.csv"),
     "report.long_field": ({"r.csv": _REPORT + b"b,irr,1.0," + _LONG_FIELD + b"\n"},
                           _PLOTDATA, "r.csv"),
     "report.short_row": ({"r.csv": _REPORT + b"b,irr,1.0\n"}, _PLOTDATA, "r.csv"),
     "report.long_row": ({"r.csv": _REPORT + b"b,irr,1.0,0.5,9\n"}, _PLOTDATA, "r.csv"),
-    "sidecar.non_utf8": ({"b.ssm1.json": b'{"method": "lsi\xff"}'}, None, "b.ssm1.json"),
-    "sidecar.not_json": ({"b.ssm1.json": b"{method: lsi"}, None, "b.ssm1.json"),
-    "basis_ssm1.huge_by_zero": ({"b.ssm1": b"SSM1" + struct.pack("<QQ", 2**63, 0)}, None,
-                                "b.ssm1"),
+    "sidecar.non_utf8": ({"b.ssm1.json": b'{"method": "lsi\xff"}'}, "b.ssm1",
+                         "b.ssm1.json"),
+    "sidecar.not_json": ({"b.ssm1.json": b"{method: lsi"}, "b.ssm1", "b.ssm1.json"),
+    "basis_ssm1.huge_by_zero": ({"b.ssm1": b"SSM1" + struct.pack("<QQ", 2**63, 0)},
+                                "b.ssm1", "b.ssm1"),
+    "basis_ssm1.missing": ({}, "gone.ssm1", "gone.ssm1"),
+    "basis_ssm1.directory": ({"d.ssm1/x": b""}, "d.ssm1", "d.ssm1"),
 }
 
 
@@ -829,9 +834,9 @@ def test_input_file_fault_is_a_data_error(files, argv, named, tmp_path, monkeypa
     monkeypatch.chdir(tmp_path)
     matrixio.write_matrix_binary("b.ssm1", np.eye(2)[:, :1])
     _write_files(tmp_path, files)
-    if argv is None:
+    if isinstance(argv, str):
         with pytest.raises(DataError, match=re.escape(named)):
-            matrixio.load_basis("b.ssm1")
+            matrixio.load_basis(argv)
         return
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

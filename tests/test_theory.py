@@ -175,12 +175,45 @@ def test_pruned_search_is_bit_identical_to_unpruned(name, case, monkeypatch):
     assert got.basis.tobytes() == want.basis.tobytes(), name
 
 
+def test_pruned_search_at_rank_40_is_bit_identical_to_unpruned(monkeypatch):
+    # 4 topics x 10 documents: A has rank 40, so each round bounds 780 planes
+    # at 8 angles and best-first scoring visits few of them (72 rounds)
+    tm = TopicModel(relevance=np.repeat(np.eye(4), 10, axis=1),
+                    topic_ids=tuple(f"t{t}" for t in range(4)))
+    inst = theory.construct_ideal_instance(tm, m=200, noise=0.2, seed=0)
+    assert inst.svd.rank == 40
+    monkeypatch.setattr(theory, "_refine", _unpruned_refine)
+    want = theory.optimum_subspace(inst.similarity, inst.matrix, h_max=4)
+    got = inst.optimum
+    assert got.eps_opt == want.eps_opt
+    assert got.h == want.h
+    assert got.basis.tobytes() == want.basis.tobytes()
+
+
 def test_duplicated_columns_tie_on_eps():
     # the tie-break case above is real: several subsets share the least eps
     s, a = _duplicated_columns()
     c = np.linalg.svd(a, full_matrices=False)[0][:, :4].T @ a
     eps = theory._eps_of_coords(theory._similarity_factor(s), c[:, None, :])
     assert np.sum(eps == eps.min()) >= 2
+
+
+def _every_candidate(c, w):
+    """Each candidate's coordinates M' = w'.T C, planes (i, j), i < j, in
+    row-major order and the angles in _refine's order within a plane."""
+    out = []
+    for i, j in zip(*np.triu_indices(w.shape[0], 1)):
+        for t in theory._ANGLES:
+            moved = w.copy()
+            moved[i] = math.cos(t) * w[i] - math.sin(t) * w[j]
+            moved[j] = math.sin(t) * w[i] + math.cos(t) * w[j]
+            out.append(moved.T @ c)
+    return np.array(out).reshape(-1, w.shape[1], c.shape[1])
+
+
+def _plane_coefficients():
+    a, b = np.cos(theory._ANGLES) - 1.0, np.sin(theory._ANGLES)
+    return np.array([a * a, b * b, 2.0 * a * b, 2.0 * a, 2.0 * b])
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,23 +225,29 @@ def test_duplicated_columns_tie_on_eps():
     c_scale=st.floats(1e-3, 1e3),
 )
 def test_probe_bound_never_exceeds_deviation_norm(seed, n, h, s_scale, c_scale):
-    """Courant-Fischer: each probe bound is at most the candidate's scored
-    norm, up to the pruning margin, for the refinement's probes."""
+    """Courant-Fischer: each candidate's per-plane probe bound is at most its
+    scored norm, up to the pruning margin, and it is the direct
+    max_l |u_l.T S~ u_l - ||M' u_l||^2| over the round's probes, up to that
+    margin too."""
     rng = np.random.default_rng(seed)
     h = min(h, n)
     g = rng.standard_normal((int(rng.integers(1, n + 1)), n))
     factor = theory._similarity_factor(s_scale * (g.T @ g))
     r = int(rng.integers(h, n + 1))
     c = c_scale * rng.standard_normal((r, n))
-    frames = np.linalg.qr(rng.standard_normal((40, r, h)))[0]
-    m_stack = frames.transpose(0, 2, 1) @ c
+    w = np.linalg.qr(rng.standard_normal((r, h)))[0]
+    m0 = w.T @ c
     s_tilde = theory._similarity_matrix(factor)
-    probes = np.linalg.eigh(s_tilde - m_stack[0].T @ m_stack[0])[1]
-    eps = theory._eps_of_coords(factor, m_stack)
+    lb = theory._probe_bounds(s_tilde, c, w, np.triu_indices(r, 1), _plane_coefficients())
+    m_stack = _every_candidate(c, w)
+    assert lb.shape == (len(m_stack),)
     margin = theory._prune_margin(factor, c)
-    sq_norms = np.sum((m_stack @ probes) ** 2, axis=1)
-    lb = theory._probe_bounds(s_tilde, probes, sq_norms)
-    assert np.all(lb <= eps + margin)
+    if len(m_stack):
+        assert np.all(lb <= theory._eps_of_coords(factor, m_stack) + margin)
+    probes = np.linalg.eigh(s_tilde - m0.T @ m0)[1]
+    s_probe = np.sum(probes * (s_tilde @ probes), axis=0)
+    direct = np.max(np.abs(s_probe - np.sum((m_stack @ probes) ** 2, axis=1)), axis=1)
+    assert np.all(np.abs(lb - direct) <= margin)
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,7 +273,14 @@ def test_least_matches_scoring_every_candidate(cases, margin, bound):
     k = int(np.argmin(eps))
     want = (k, float(eps[k])) if eps[k] < bound else None
     assert theory._least(lb, bound, margin, score) == want
-    assert len(scored) in (0, 2)
+    # whatever the schedule: nothing is scored twice or bounded out by
+    # ``bound``, and nothing is left unscored that could tie the result
+    done = np.concatenate([np.zeros(0, int), *scored])
+    assert len(set(done.tolist())) == done.size
+    assert np.all(lb[done] < bound + margin)
+    cap = bound if want is None else want[1]
+    must = np.flatnonzero((lb <= cap + margin) & (lb < bound + margin))
+    assert set(must.tolist()) <= set(done.tolist())
 
 
 def _search_every_size(s, a, h_max):
