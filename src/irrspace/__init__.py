@@ -13,6 +13,8 @@ relating all of these, synthetic corpus generation, clustering/ranking
 evaluation, and a command line front end (``irrspace``).
 """
 
+import types as _types
+
 from .corpus import (
     Document,
     SynthSpec,
@@ -95,70 +97,9 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "CanonicalAngles",
-    "ClusteringOutcome",
-    "DEFAULT_STOPWORDS",
-    "DataError",
-    "DimensionError",
-    "Document",
-    "EmptyVocabularyError",
-    "IdealInstance",
-    "InvalidBasisError",
-    "InvalidInputError",
-    "IrrspaceError",
-    "METHODS",
-    "OptimumSubspaceResult",
-    "ParameterError",
-    "RankedPairs",
-    "SubspaceBasis",
-    "SvdResult",
-    "SynthSpec",
-    "TermDocumentMatrix",
-    "TheoremRecord",
-    "TopicModel",
-    "TopicStats",
-    "UndefinedMetricError",
-    "auto_scale",
-    "build_matrix",
-    "canonical_angles",
-    "chance_precision",
-    "cluster",
-    "construct_ideal_instance",
-    "contingency_score",
-    "contingency_table",
-    "cosine_matrix",
-    "deviation_error",
-    "deviation_matrix",
-    "dimensionality_by_residual_ratio",
-    "floor_ceiling",
-    "intra_topic_pairs",
-    "irr",
-    "kappa_average_precision",
-    "load_basis",
-    "load_corpus_dir",
-    "lsi",
-    "optimum_subspace",
-    "pairwise_average_precision",
-    "porter_stem",
-    "project",
-    "rank_pairs",
-    "read_matrix_binary",
-    "read_matrix_csv",
-    "represent",
-    "rescale",
-    "save_basis",
-    "standard_instance_suite",
-    "svd",
-    "synthesize_collection",
-    "tokenize",
-    "topic_model_from_docs",
-    "topic_stats",
-    "verify_cosine_bound",
-    "verify_dominance_interval",
-    "verify_sv_perturbation",
-    "verify_truncation_angle",
-    "write_corpus_dir",
-    "write_matrix_binary",
-]
+# the public names imported above, sorted
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

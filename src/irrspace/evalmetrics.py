@@ -16,20 +16,14 @@ from . import linalg
 from .corpus import TopicModel
 from .errors import DimensionError, ParameterError, UndefinedMetricError, as_integer
 
-ALGORITHMS = (
-    "single_link",
-    "complete_link",
-    "group_average",
-    "kmeans_single_link",
-    "kmeans_complete_link",
-    "kmeans_group_average",
-)
-
 _LINKAGE = {
     "single_link": "single",
     "complete_link": "complete",
     "group_average": "average",
 }
+
+# each linkage, then k-means seeded by it; cluster reads the base off the prefix
+ALGORITHMS = (*_LINKAGE, *(f"kmeans_{name}" for name in _LINKAGE))
 
 _KMEANS_MAX_ITER = 100
 

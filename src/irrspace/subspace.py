@@ -158,6 +158,16 @@ def _apply_reflectors(h: np.ndarray, tau: np.ndarray, c: np.ndarray) -> np.ndarr
     return qc
 
 
+def _frobenius_norm(a: np.ndarray) -> float:
+    """||A||_F; lsi and irr refuse an A whose squared norm overflows, since a
+    finite ||A||_F^2 keeps every Gram entry finite: |r_i . r_j| <= ||A||_F^2."""
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a))
+    if not math.isfinite(fro):
+        raise ParameterError("input matrix is too large: its squared norm overflows")
+    return fro
+
+
 def irr(z, ell: int | None = None, theta: float | None = None,
         q: float | None = None) -> SubspaceBasis:
     """Iterative residual rescaling with exponent ``q``, to ``ell`` directions
@@ -183,11 +193,7 @@ def irr(z, ell: int | None = None, theta: float | None = None,
         as_real("q", q, 0)
     a = np.ascontiguousarray(linalg.as_matrix(z))
     m, n = a.shape
-    with np.errstate(over="ignore"):
-        initial_fro = float(np.linalg.norm(a))
-    if not math.isfinite(initial_fro):
-        # a finite ||A||_F^2 keeps every Gram entry finite: |r_i . r_j| <= ||A||_F^2
-        raise ParameterError("input matrix is too large: its squared norm overflows")
+    initial_fro = _frobenius_norm(a)
     if q is None:
         q = auto_scale(a)
 
@@ -258,6 +264,7 @@ def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
     """
     ell, theta = _stopping_rule(ell, theta)
     a = linalg.as_matrix(z)
+    _frobenius_norm(a)
     res = linalg.svd(a)
     rank = res.rank
     if rank == 0:

@@ -225,11 +225,12 @@ def _prune_margin(factor: tuple[np.ndarray, np.ndarray], c: np.ndarray) -> float
 
 
 def _probe_bounds(
-    s_tilde: np.ndarray, c: np.ndarray, w: np.ndarray, planes: tuple, coef: np.ndarray
+    s_tilde: np.ndarray, c: np.ndarray, w: np.ndarray, m0: np.ndarray, planes: tuple,
+    coef: np.ndarray,
 ) -> np.ndarray:
     """max_l |u_l.T (S~ - M'.T M') u_l| for every candidate M' of a round.
 
-    The probes u_l are the eigenvectors of S~ - M0.T M0, M0 = w.T C, and
+    The probes u_l are the eigenvectors of S~ - M0.T M0, M0 = m0 = w.T C, and
     u_l.T (S~ - M0.T M0) u_l is read as their eigenvalue.  The candidates run
     over planes = (i, j) and in each over the angles t of coef's columns,
     coef = [a^2, b^2, 2ab, 2a, 2b] with a = cos t - 1, b = sin t.  Each
@@ -238,7 +239,6 @@ def _probe_bounds(
     covers; the plane terms E1..E5 of the module docstring make a round's
     bounds one (angles x 5) @ (5 x n planes) product.
     """
-    m0 = w.T @ c
     d0, probes = np.linalg.eigh(s_tilde - m0.T @ m0)
     # probe-major (n x planes) arrays, so the max over probes runs down rows
     cu, wm, g = probes.T @ c.T, probes.T @ m0.T @ w.T, w @ w.T
@@ -296,17 +296,16 @@ def _refine(
     factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, w: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray]:
     iu, ju = np.triu_indices(w.shape[0], 1)  # planes (i, j), i < j, in row-major order
-    pi, pj = np.repeat(iu, len(_ANGLES)), np.repeat(ju, len(_ANGLES))
-    ct = np.cos(np.tile(_ANGLES, len(iu)))[:, None]
-    st = np.sin(np.tile(_ANGLES, len(iu)))[:, None]
-    a, b = np.cos(_ANGLES) - 1.0, np.sin(_ANGLES)
+    cos_t, sin_t = np.cos(_ANGLES), np.sin(_ANGLES)
+    a, b = cos_t - 1.0, sin_t
     coef = np.array([a * a, b * b, 2.0 * a * b, 2.0 * a, 2.0 * b])
     s_tilde = _similarity_matrix(factor)
     margin = _prune_margin(factor, c)
     w = w.copy()
 
     def rotated(sel):  # the planes (i, j) of candidates sel; rows i, j before and after
-        i, j, cs, sn = pi[sel], pj[sel], ct[sel], st[sel]
+        plane, angle = np.divmod(sel, len(_ANGLES))  # _probe_bounds' candidate order
+        i, j, cs, sn = iu[plane], ju[plane], cos_t[angle, None], sin_t[angle, None]
         wi, wj = w[i], w[j]
         return i, j, wi, wj, cs * wi - sn * wj, sn * wi + cs * wj
 
@@ -318,7 +317,7 @@ def _refine(
 
     for _ in range(_MAX_ROUNDS):
         m0 = w.T @ c
-        lb = _probe_bounds(s_tilde, c, w, (iu, ju), coef)
+        lb = _probe_bounds(s_tilde, c, w, m0, (iu, ju), coef)
         found = _least(lb, eps - _IMPROVE_TOL, margin, score)
         if found is None:
             break  # no move lowers the norm by more than the tolerance
@@ -414,9 +413,9 @@ def construct_ideal_instance(
     whose deviation is zero.
     """
     m = as_integer("m", m, tm.n_topics)
-    noise, seed = as_python(noise), as_python(seed)  # stored, so saved as JSON
+    noise = as_python(noise)  # stored as given, so saved as JSON
     as_real("noise", noise, 0)
-    as_integer("seed", seed, 0)
+    seed = as_integer("seed", seed, 0)
     rho = tm.relevance
     rng = np.random.default_rng(seed)
     qmat, rmat = np.linalg.qr(rng.standard_normal((m, tm.n_topics)))
@@ -617,12 +616,12 @@ def verify_cosine_bound(instance: IdealInstance) -> TheoremRecord:
 
 _TWO_TOPIC_DISTS = ((10, 6), (12, 4), (8, 8), (11, 5))
 _FIVE_TOPIC_DISTS = ((6, 3, 3, 2, 2), (4, 3, 3, 3, 3), (7, 2, 2, 2, 2))
-_NOISE_LEVELS = (0.05, 0.1, 0.2)
 
 # Term-space dimension per noise level.  Large enough that projection
 # shrinkage (diagonal deviation, ~noise^2) dominates the random cross terms
 # (~noise/sqrt(m)); the cosine envelope is only claimed in that regime.
 _M_FOR_NOISE = {0.05: 34000, 0.1: 8600, 0.2: 2200}
+_NOISE_LEVELS = tuple(_M_FOR_NOISE)
 
 
 def _m_for_noise(noise: float) -> int:
@@ -666,8 +665,9 @@ def standard_instance_suite(
     call; each instance is built when iteration reaches it, so only the
     caller's references keep earlier ones alive (wrap it in ``list`` to index).
     """
-    as_integer("count", count, 1)
-    as_integer("seed", seed, 0)
+    count = as_integer("count", count, 1)
+    seed = as_integer("seed", seed, 0)
+    noise = as_python(noise)  # a float16 would size m (_m_for_noise) at float16 precision
     if noise is not None:
         as_real("noise", noise, 0)
     return _suite(count, seed, noise)

@@ -12,7 +12,10 @@ every public callable.
 import inspect
 import json
 import math
+import pickle
 import re
+import warnings
+from collections.abc import Iterator
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,8 +24,8 @@ import pytest
 
 import irrspace
 from irrspace import cli, corpus, evalmetrics, linalg, matrixio, subspace, theory
-from irrspace.errors import (DataError, DimensionError, InvalidInputError, ParameterError,
-                             UndefinedMetricError, as_real)
+from irrspace.errors import (DataError, DimensionError, InvalidInputError, IrrspaceError,
+                             ParameterError, UndefinedMetricError, as_real)
 
 _TM = corpus.TopicModel(relevance=np.repeat(np.eye(2), 3, axis=1), topic_ids=("a", "b"))
 _Z = theory.construct_ideal_instance(_TM, m=8, noise=0.1, seed=0).matrix
@@ -178,6 +181,56 @@ _REALS = {
     if not (case == "none" and param in _OPTIONAL)
 }
 
+# a valid value of every count and seed, fed as numpy integers; 10**13 times
+# the suite's seed stride overflows int64
+_VALID_INTEGERS = {
+    "irr.ell": (2,),
+    "lsi.ell": (2,),
+    "SynthSpec.distribution": (3,),
+    "SynthSpec.vocab_per_topic": (5,),
+    "SynthSpec.shared_vocab": (5,),
+    "SynthSpec.doc_length": (5,),
+    "SynthSpec.rng_seed": (2, 10**13),
+    "cluster.k": (2,),
+    "contingency_table.n_clusters": (2,),
+    "contingency_table.n_topics": (2,),
+    "optimum_subspace.h_max": (2,),
+    "construct_ideal_instance.m": (8,),
+    "construct_ideal_instance.seed": (2, 10**13),
+    "standard_instance_suite.count": (1,),
+    "standard_instance_suite.seed": (2, 10**13),
+}
+_NUMPY_INTEGERS = {"int8": np.int8, "uint64": np.uint64, "int64": np.int64, "array": np.array}
+# a valid value of every real parameter, fed as numpy floats
+_VALID_REALS = {
+    "irr.q": 1.5,
+    "irr.theta": 0.5,
+    "SubspaceBasis.q": 1.5,
+    "SubspaceBasis.residual_ratios": 0.25,
+    "SynthSpec.noise_rate": 0.25,
+    "rescale.q": 1.5,
+    "lsi.theta": 0.5,
+    "dimensionality_by_residual_ratio.theta": 0.5,
+    "dimensionality_by_residual_ratio.q": 1.5,
+    "construct_ideal_instance.noise": 0.1,
+    "standard_instance_suite.noise": 0.1,
+}
+_NUMPY_REALS = {"float16": np.float16, "float32": np.float32, "float64": np.float64}
+_NUMPY_VALUES = {
+    **{
+        f"{param}.{kind}.{value}": (call, make(value))
+        for param, call in _INTEGER_CALLS.items()
+        for value in _VALID_INTEGERS[param]
+        for kind, make in _NUMPY_INTEGERS.items()
+        if value <= np.iinfo(make(0).dtype).max
+    },
+    **{
+        f"{param}.{kind}": (call, make(_VALID_REALS[param]))
+        for param, call in _REAL_CALLS.items()
+        for kind, make in _NUMPY_REALS.items()
+    },
+}
+
 _MATRICES = {
     "svd.z.string": lambda: linalg.svd([["a", "b"], ["c", "d"]]),
     "svd.z.ragged": lambda: linalg.svd([[1.0, 2.0], [3.0]]),
@@ -274,6 +327,22 @@ def test_shape_and_data_faults_raise_their_documented_error(error, message, call
     monkeypatch.chdir(tmp_path)
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize(("call", "value"), _NUMPY_VALUES.values(), ids=_NUMPY_VALUES.keys())
+def test_numpy_values_act_as_their_python_values(call, value):
+    def result(v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = call(v)
+            return list(out) if isinstance(out, Iterator) else out
+
+    try:
+        got = result(value)
+    except IrrspaceError:
+        return
+    # pickle tells the types apart too, so a numpy scalar stored for an int shows
+    assert pickle.dumps(got) == pickle.dumps(result(value.item()))
 
 
 def test_suite_seed_is_reported_as_given():

@@ -1,11 +1,12 @@
 """The README's library quick start runs against the package as it is, its
-command lines parse, the package exports what it names, and the output
+command lines parse, the package exports only its own names, and the output
 columns and record keys it lists are the ones the commands write."""
 
+import importlib
 import json
+import pkgutil
 import re
 import shlex
-import types
 from pathlib import Path
 
 import irrspace
@@ -36,13 +37,17 @@ def test_readme_command_lines_parse_and_convert():
         assert set(opts) == set(cli._COMMANDS[argv[0]][2])
 
 
-def test_public_names_are_the_export_list():
-    public = {
-        name
-        for name, value in vars(irrspace).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert public == set(irrspace.__all__)
+def test_export_list_holds_only_the_package_own_names():
+    # __all__ is derived from the imports, so a stray import would join it
+    modules = [importlib.import_module(f"irrspace.{info.name}")
+               for info in pkgutil.iter_modules(irrspace.__path__)]
+    strays = []
+    for name in irrspace.__all__:
+        value = getattr(irrspace, name)
+        owners = [m.__name__ for m in modules if getattr(m, name, None) is value]
+        if not owners or getattr(value, "__module__", owners[0]) not in owners:
+            strays.append(name)
+    assert not strays, f"not defined by an irrspace module: {strays}"
 
 
 def _section(heading):

@@ -363,10 +363,13 @@ def test_irr_tiny_input_is_not_zero():
 @pytest.mark.parametrize("m", [30, 8])
 @pytest.mark.parametrize("q", [0.0, 2.0, None])
 def test_irr_input_whose_squared_norm_overflows_is_a_parameter_error(m, q):
+    # lsi keeps irr's rule; it has no q
     z = np.random.default_rng(0).standard_normal((m, 20)) * 1e154
-    with warnings.catch_warnings(), pytest.raises(ParameterError, match="too large"):
-        warnings.simplefilter("error")
-        subspace.irr(z, q=q, ell=3)
+    for build in (lambda: subspace.irr(z, q=q, ell=3), lambda: subspace.lsi(z, ell=3),
+                  lambda: subspace.lsi(z, theta=0.5)):
+        with warnings.catch_warnings(), pytest.raises(ParameterError, match="too large"):
+            warnings.simplefilter("error")
+            build()
 
 
 def _planted(m, n, s, seed):

@@ -238,7 +238,7 @@ def test_probe_bound_never_exceeds_deviation_norm(seed, n, h, s_scale, c_scale):
     w = np.linalg.qr(rng.standard_normal((r, h)))[0]
     m0 = w.T @ c
     s_tilde = theory._similarity_matrix(factor)
-    lb = theory._probe_bounds(s_tilde, c, w, np.triu_indices(r, 1), _plane_coefficients())
+    lb = theory._probe_bounds(s_tilde, c, w, m0, np.triu_indices(r, 1), _plane_coefficients())
     m_stack = _every_candidate(c, w)
     assert lb.shape == (len(m_stack),)
     margin = theory._prune_margin(factor, c)
