@@ -57,6 +57,10 @@ CSV_COLUMNS = (
     "elapsed_ms",
 )
 
+# the values --metrics accepts besides 'none', in the order of its default
+_METRICS = ("kappa", "cluster")
+
+
 class _UsageError(Exception):
     pass
 
@@ -150,8 +154,8 @@ _RUN_FLAGS = {
     "methods": (_parse_list, ",".join(subspace.METHODS), "comma list of methods"),
     "q": (_parse_q, "auto", "'auto' or a nonnegative float, for irr"),
     "ell": (_parse_stop, None, "dimensionality: int, or ratio:<theta>"),
-    "metrics": (_parse_list, "kappa,cluster",
-                "comma list from kappa,cluster ('none' with --save-basis)"),
+    "metrics": (_parse_list, ",".join(_METRICS),
+                f"comma list from {','.join(_METRICS)} ('none' with --save-basis)"),
     **_SHAPE_FLAGS,
     "save_basis": (str, None, "write the basis of a single-method single-dataset run"),
     "out": (str, None, "output CSV path (default stdout)"),
@@ -385,7 +389,7 @@ def _plan_run(opts: dict, cells: list[tuple]) -> frozenset[str]:
         if not opts["save_basis"]:
             raise _UsageError("--metrics none is only valid with --save-basis")
         metrics = ()
-    bad = set(metrics) - {"kappa", "cluster"}
+    bad = set(metrics) - set(_METRICS)
     if bad:
         raise _UsageError(f"unknown metrics: {sorted(bad)}")
     if opts["save_basis"] and (len(cells) != 1 or len(set(methods) - {"vsm"}) != 1):

@@ -109,12 +109,11 @@ def build_matrix(docs: list[Document]) -> TermDocumentMatrix:
     # integer counts are exact, so this equals adding 1.0 per token
     a = np.bincount(rows * n + cols, minlength=len(vocab) * n)
     a = a.reshape(len(vocab), n).astype(np.float64)
-    norms = np.linalg.norm(a, axis=0)
-    empty = [ids[j] for j in range(len(docs)) if norms[j] == 0.0]
+    empty = [doc_id for doc_id, tokens in zip(ids, token_lists) if not tokens]
     if empty:
         warnings.warn(f"documents with no indexed terms kept as zero columns: {empty}")
-    np.divide(a, norms, out=a, where=norms > 0.0)
-    return TermDocumentMatrix(matrix=a, terms=tuple(vocab), doc_ids=tuple(ids))
+    return TermDocumentMatrix(matrix=linalg.unit_columns(a), terms=tuple(vocab),
+                              doc_ids=tuple(ids))
 
 
 def topic_model_from_docs(docs: list[Document]) -> TopicModel:

@@ -28,18 +28,9 @@ ALGORITHMS = (*_LINKAGE, *(f"kmeans_{name}" for name in _LINKAGE))
 _KMEANS_MAX_ITER = 100
 
 
-def unit_columns(z) -> np.ndarray:
-    """Columns scaled to unit norm; zero columns stay zero."""
-    a = linalg.as_matrix(z)
-    norms = np.linalg.norm(a, axis=0)
-    out = np.array(a)
-    np.divide(out, norms, out=out, where=norms > 0.0)
-    return out
-
-
 def cosine_matrix(z) -> np.ndarray:
     """Pairwise column cosines; pairs involving a zero column get cosine 0."""
-    x = unit_columns(z)
+    x = linalg.unit_columns(z)
     c = np.clip(x.T @ x, -1.0, 1.0)
     np.fill_diagonal(c, 1.0)
     return c
@@ -170,7 +161,7 @@ def _spherical_kmeans(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     reseeded with the point farthest from its previous centroid, the first on
     a tie.  Stops when assignments are stable or after a fixed iteration cap.
     """
-    units = unit_columns(x)
+    units = linalg.unit_columns(x)
     labels = labels.copy()
     centroids = np.zeros((units.shape[0], k))
     for _ in range(_KMEANS_MAX_ITER):

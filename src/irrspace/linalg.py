@@ -1,9 +1,13 @@
-"""Dense real matrix kernels: SVD, projection, canonical angles.
+"""Dense real matrix kernels: unit columns, SVD, projection, canonical angles.
 
 All functions accept anything ``np.asarray`` can turn into a 2-D float64 array
 and validate it first with ``as_matrix``, the package's one array rule.  Results
 are deterministic for a fixed input: the SVD sign ambiguity is resolved by
 making the largest-magnitude coordinate of each left singular vector positive.
+``unit_columns`` is the package's one column normalization, read by the
+term-document matrix and by every cosine, so cosines and the clusterings
+built on them are scale-invariant: a column scaled by any power of two that
+keeps its nonzero entries normal numbers keeps them bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +47,23 @@ def as_matrix(z, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return a
+
+
+def unit_columns(z) -> np.ndarray:
+    """Columns scaled to unit norm; zero columns stay zero.
+
+    A column whose largest |entry| has a binary exponent beyond +-400 is first
+    scaled by an exact power of two, so its squared norm neither underflows
+    nor overflows and its unit column is that of any other scaling of it.
+    """
+    out = np.array(as_matrix(z))
+    exp = np.frexp(np.max(np.abs(out), axis=0))[1]
+    far = np.abs(exp) > 400
+    if far.any():
+        out[:, far] = np.ldexp(out[:, far], -exp[far])
+    norms = np.linalg.norm(out, axis=0)
+    np.divide(out, norms, out=out, where=norms > 0.0)
+    return out
 
 
 def require_orthonormal(b: np.ndarray, name: str = "basis") -> None:
@@ -95,11 +116,8 @@ def svd(z) -> SvdResult:
     """Full economy SVD with deterministic signs."""
     a = as_matrix(z)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt.T.copy()
     signs = column_signs(u)
-    u = u * signs
-    v = v * signs
-    return SvdResult(u=u, s=s, v=v)
+    return SvdResult(u=u * signs, s=s, v=vt.T * signs)
 
 
 def project(basis, z) -> np.ndarray:

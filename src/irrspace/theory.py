@@ -102,6 +102,11 @@ from .errors import DimensionError, ParameterError, as_integer, as_python, as_re
 _ANGLE_GRID = (0.3, 0.1, 0.03, 0.01)
 # each plane's candidate angles, in the order _refine numbers them
 _ANGLES = np.array([s * t for t in _ANGLE_GRID for s in (1.0, -1.0)])
+_COS, _SIN = np.cos(_ANGLES), np.sin(_ANGLES)
+# per angle, [a^2, b^2, 2ab, 2a, 2b] with a = cos t - 1, b = sin t: the
+# weights of the plane terms E1..E5 of the module docstring
+_COEF = np.array([(_COS - 1.0) ** 2, _SIN**2, 2.0 * (_COS - 1.0) * _SIN,
+                  2.0 * (_COS - 1.0), 2.0 * _SIN])
 _IMPROVE_TOL = 1e-8
 _MAX_ROUNDS = 80
 # c in the pruning margin c * n * eps * (||S~||_2 + ||C||_F^2) of the module docstring
@@ -225,19 +230,17 @@ def _prune_margin(factor: tuple[np.ndarray, np.ndarray], c: np.ndarray) -> float
 
 
 def _probe_bounds(
-    s_tilde: np.ndarray, c: np.ndarray, w: np.ndarray, m0: np.ndarray, planes: tuple,
-    coef: np.ndarray,
+    s_tilde: np.ndarray, c: np.ndarray, w: np.ndarray, m0: np.ndarray, planes: tuple
 ) -> np.ndarray:
     """max_l |u_l.T (S~ - M'.T M') u_l| for every candidate M' of a round.
 
     The probes u_l are the eigenvectors of S~ - M0.T M0, M0 = m0 = w.T C, and
     u_l.T (S~ - M0.T M0) u_l is read as their eigenvalue.  The candidates run
-    over planes = (i, j) and in each over the angles t of coef's columns,
-    coef = [a^2, b^2, 2ab, 2a, 2b] with a = cos t - 1, b = sin t.  Each
-    result is a Rayleigh quotient of S~ - M'.T M', so by Courant-Fischer it
-    is at most ||S~ - M'.T M'||_2, up to the roundoff the pruning margin
-    covers; the plane terms E1..E5 of the module docstring make a round's
-    bounds one (angles x 5) @ (5 x n planes) product.
+    over planes = (i, j) and in each over the angles of _ANGLES.  Each result
+    is a Rayleigh quotient of S~ - M'.T M', so by Courant-Fischer it is at
+    most ||S~ - M'.T M'||_2, up to the roundoff the pruning margin covers;
+    the plane terms E1..E5 of the module docstring, weighted by _COEF, make
+    a round's bounds one (angles x 5) @ (5 x n planes) product.
     """
     d0, probes = np.linalg.eigh(s_tilde - m0.T @ m0)
     # probe-major (n x planes) arrays, so the max over probes runs down rows
@@ -253,7 +256,7 @@ def _probe_bounds(
                   x * p + y * q,
                   y * p - x * q])
     # ||M' u_l||^2 - ||M0 u_l||^2 - d0_l, angles x n x planes, kept in place
-    moved = (coef.T @ e.reshape(5, x.size)).reshape(coef.shape[1], *x.shape)
+    moved = (_COEF.T @ e.reshape(5, x.size)).reshape(len(_ANGLES), *x.shape)
     moved -= d0[:, None]
     return np.abs(moved, out=moved).max(axis=1).T.ravel()
 
@@ -296,16 +299,13 @@ def _refine(
     factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, w: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray]:
     iu, ju = np.triu_indices(w.shape[0], 1)  # planes (i, j), i < j, in row-major order
-    cos_t, sin_t = np.cos(_ANGLES), np.sin(_ANGLES)
-    a, b = cos_t - 1.0, sin_t
-    coef = np.array([a * a, b * b, 2.0 * a * b, 2.0 * a, 2.0 * b])
     s_tilde = _similarity_matrix(factor)
     margin = _prune_margin(factor, c)
     w = w.copy()
 
     def rotated(sel):  # the planes (i, j) of candidates sel; rows i, j before and after
         plane, angle = np.divmod(sel, len(_ANGLES))  # _probe_bounds' candidate order
-        i, j, cs, sn = iu[plane], ju[plane], cos_t[angle, None], sin_t[angle, None]
+        i, j, cs, sn = iu[plane], ju[plane], _COS[angle, None], _SIN[angle, None]
         wi, wj = w[i], w[j]
         return i, j, wi, wj, cs * wi - sn * wj, sn * wi + cs * wj
 
@@ -317,7 +317,7 @@ def _refine(
 
     for _ in range(_MAX_ROUNDS):
         m0 = w.T @ c
-        lb = _probe_bounds(s_tilde, c, w, m0, (iu, ju), coef)
+        lb = _probe_bounds(s_tilde, c, w, m0, (iu, ju))
         found = _least(lb, eps - _IMPROVE_TOL, margin, score)
         if found is None:
             break  # no move lowers the norm by more than the tolerance

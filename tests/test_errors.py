@@ -78,6 +78,7 @@ _CALLS = {
 # every count and seed gets each of these, and its out-of-range values below
 _BAD_INTEGERS = {
     "bool": True,
+    "numpy_bool": np.True_,
     "string": "2",
     "fractional": 2.5,
     "float": 2.0,
@@ -135,6 +136,7 @@ _INTEGERS = {
 # every real parameter gets each of these, and its out-of-range values below
 _BAD_REALS = {
     "bool": True,
+    "numpy_bool": np.True_,
     "string": "1",
     "nan": math.nan,
     "inf": math.inf,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -431,6 +432,27 @@ def test_floor_ceiling_brackets_all_scores():
     assert out.floor == min(out.scores.values())
     assert out.ceiling == max(out.scores.values())
     assert out.floor == pytest.approx(1.0)  # trivially separable blobs
+
+
+@pytest.mark.parametrize("columns", [slice(None), [2, 7, 15]], ids=["all", "three"])
+@pytest.mark.parametrize("e", [-700, -550, 520, 660])
+def test_cosine_metrics_ignore_column_scale(e, columns):
+    # squared norms of columns scaled by 2**e underflow or overflow; every
+    # cosine metric must still give the unscaled result, bit for bit
+    z = np.random.default_rng(20010909).uniform(0.0, 1.0, (30, 20))
+    scaled = z.copy()
+    scaled[:, columns] = np.ldexp(z[:, columns], e)
+    rho = np.repeat(np.eye(2), 10, axis=1)
+    tm = TopicModel(relevance=rho, topic_ids=("a", "b"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want, got = evalmetrics.rank_pairs(z), evalmetrics.rank_pairs(scaled)
+        for field in ("i", "j", "cosine"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        for algorithm in evalmetrics.ALGORITHMS:
+            assert np.array_equal(evalmetrics.cluster(scaled, 3, algorithm),
+                                  evalmetrics.cluster(z, 3, algorithm)), algorithm
+        assert evalmetrics.floor_ceiling(scaled, tm) == evalmetrics.floor_ceiling(z, tm)
 
 
 def test_floor_ceiling_requires_single_topic_docs():

@@ -211,11 +211,6 @@ def _every_candidate(c, w):
     return np.array(out).reshape(-1, w.shape[1], c.shape[1])
 
 
-def _plane_coefficients():
-    a, b = np.cos(theory._ANGLES) - 1.0, np.sin(theory._ANGLES)
-    return np.array([a * a, b * b, 2.0 * a * b, 2.0 * a, 2.0 * b])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -238,7 +233,7 @@ def test_probe_bound_never_exceeds_deviation_norm(seed, n, h, s_scale, c_scale):
     w = np.linalg.qr(rng.standard_normal((r, h)))[0]
     m0 = w.T @ c
     s_tilde = theory._similarity_matrix(factor)
-    lb = theory._probe_bounds(s_tilde, c, w, m0, np.triu_indices(r, 1), _plane_coefficients())
+    lb = theory._probe_bounds(s_tilde, c, w, m0, np.triu_indices(r, 1))
     m_stack = _every_candidate(c, w)
     assert lb.shape == (len(m_stack),)
     margin = theory._prune_margin(factor, c)
