@@ -228,7 +228,10 @@ def contingency_score(table) -> float:
     t = linalg.as_matrix(table, "contingency table")
     if (t < 0).any() or (t != np.round(t)).any():
         raise ParameterError("contingency table must hold counts >= 0")
-    n = t.sum()
+    with np.errstate(over="ignore"):
+        n = t.sum()
+    if not math.isfinite(n):
+        raise ParameterError("contingency table is too large: its total overflows")
     if n == 0:
         raise UndefinedMetricError("empty contingency table")
     row_max = t == t.max(axis=1, keepdims=True)

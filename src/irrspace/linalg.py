@@ -1,9 +1,9 @@
 """Dense real matrix kernels: unit columns, SVD, projection, canonical angles.
 
 All functions accept anything ``np.asarray`` can turn into a 2-D float64 array
-and validate it first with ``as_matrix``, the package's one array rule.  Results
-are deterministic for a fixed input: the SVD sign ambiguity is resolved by
-making the largest-magnitude coordinate of each left singular vector positive.
+and validate it first with ``as_matrix``, the package's one array rule, whose
+C-ordered result keeps an input's memory layout from moving any result.  The
+SVD sign rule: each left singular vector's largest-magnitude entry is positive.
 ``unit_columns`` is the package's one column normalization, read by the
 term-document matrix and by every cosine, so cosines and the clusterings
 built on them are scale-invariant: a column scaled by any power of two that
@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     InvalidBasisError,
     InvalidInputError,
+    ParameterError,
 )
 
 # The one rule for numerical zero: what is left of a matrix counts as zero
@@ -32,12 +33,22 @@ ZERO_MATRIX = "input matrix is zero; no directions to extract"
 ORTHO_TOL = 1e-8
 
 
+def frobenius_norm(a: np.ndarray) -> float:
+    """||A||_F; a matrix whose squared norm overflows is refused, since a
+    finite ||A||_F^2 keeps every Gram entry finite: |a_i . a_j| <= ||A||_F^2."""
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a))
+    if not math.isfinite(fro):
+        raise ParameterError("input matrix is too large: its squared norm overflows")
+    return fro
+
+
 def as_matrix(z, name: str = "matrix") -> np.ndarray:
-    """Return ``z`` as a nonempty 2-D float64 array with finite entries."""
+    """Return ``z`` as a nonempty C-ordered 2-D float64 array with finite entries."""
     try:
         if np.iscomplexobj(z):  # np.asarray would drop the imaginary part
             raise TypeError("complex entries")
-        a = np.asarray(z, dtype=np.float64)
+        a = np.asarray(z, dtype=np.float64, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{name} must hold real numbers: {exc}") from exc
     if a.ndim != 2:

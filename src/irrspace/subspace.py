@@ -7,8 +7,7 @@ and its projection is subtracted from the *unrescaled* residuals.  Amplifying
 long residuals (q > 0) pulls the basis toward minority topics that plain
 truncated SVD (the q = 0 special case) sacrifices on skewed collections.
 Without a given q, auto_scale sets it by a rule with no settings, q = ALPHA
-* (||A^T A||_F / n)^2.  irr and auto_scale read their input in C order, so
-its layout (Fortran order, strides) cannot move the last bits of a result.
+* (||A^T A||_F / n)^2.
 
 Every IRR direction lies in range(A), so for a tall m x n matrix A (m > n)
 the loop runs on the n x n factor R of A = Q R, the idea of T. F. Chan's R-SVD
@@ -101,7 +100,7 @@ def auto_scale(z) -> float:
     taken on the smaller Gram matrix, since ||A^T A||_F = ||A A^T||_F.  An
     input large enough for f or q to overflow is a ParameterError.
     """
-    a = np.ascontiguousarray(linalg.as_matrix(z))
+    a = linalg.as_matrix(z)
     m, n = a.shape
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in the Gram
         gram = a @ a.T if m < n else a.T @ a
@@ -158,16 +157,6 @@ def _apply_reflectors(h: np.ndarray, tau: np.ndarray, c: np.ndarray) -> np.ndarr
     return qc
 
 
-def _frobenius_norm(a: np.ndarray) -> float:
-    """||A||_F; lsi and irr refuse an A whose squared norm overflows, since a
-    finite ||A||_F^2 keeps every Gram entry finite: |r_i . r_j| <= ||A||_F^2."""
-    with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(a))
-    if not math.isfinite(fro):
-        raise ParameterError("input matrix is too large: its squared norm overflows")
-    return fro
-
-
 def irr(z, ell: int | None = None, theta: float | None = None,
         q: float | None = None) -> SubspaceBasis:
     """Iterative residual rescaling with exponent ``q``, to ``ell`` directions
@@ -191,9 +180,9 @@ def irr(z, ell: int | None = None, theta: float | None = None,
     q = as_python(q)
     if q is not None:
         as_real("q", q, 0)
-    a = np.ascontiguousarray(linalg.as_matrix(z))
+    a = linalg.as_matrix(z)
     m, n = a.shape
-    initial_fro = _frobenius_norm(a)
+    initial_fro = linalg.frobenius_norm(a)
     if q is None:
         q = auto_scale(a)
 
@@ -264,7 +253,7 @@ def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
     """
     ell, theta = _stopping_rule(ell, theta)
     a = linalg.as_matrix(z)
-    _frobenius_norm(a)
+    linalg.frobenius_norm(a)
     res = linalg.svd(a)
     rank = res.rank
     if rank == 0:
@@ -276,7 +265,7 @@ def lsi(z, ell: int | None = None, theta: float | None = None) -> SubspaceBasis:
     exhausted = ell > rank
     ell = min(ell, rank)
     return SubspaceBasis(
-        basis=res.u[:, :ell].copy(),
+        basis=res.u[:, :ell],
         method="lsi",
         q=0.0,
         residual_ratios=tuple(ratios[: ell + 1]),

@@ -154,8 +154,10 @@ def _check_similarity(s, n: int) -> np.ndarray:
 
 
 def deviation_matrix(s, a, basis=None) -> np.ndarray:
-    """E(X) = S - (P_X A).T (P_X A); basis None means no projection (VSM)."""
+    """E(X) = S - (P_X A).T (P_X A); basis None means no projection (VSM).
+    An A whose squared norm overflows is refused (linalg.frobenius_norm)."""
     a = linalg.as_matrix(a)
+    linalg.frobenius_norm(a)
     smat = _check_similarity(s, a.shape[1])
     if basis is None:
         x = a
@@ -342,8 +344,10 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     more than that margin is skipped, and a norm <= the best replaces it, so
     ties still go to the smallest h.  ``eps_lower`` (module docstring) bounds
     the deviation of every subspace of at most h_max dimensions from below.
+    An A whose squared norm overflows is refused (linalg.frobenius_norm).
     """
     a = linalg.as_matrix(a)
+    linalg.frobenius_norm(a)
     smat = _check_similarity(s, a.shape[1])
     h_max = as_integer("h_max", h_max, 1)
     return _optimum_of_svd(smat, a, linalg.svd(a), h_max)
@@ -551,16 +555,20 @@ def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
 
 
 def verify_sv_perturbation(x1, x2) -> TheoremRecord:
-    """|sigma_i(X1) - sigma_i(X2)| <= ||X1 - X2||_2 <= ||X1 - X2||_F."""
+    """|sigma_i(X1) - sigma_i(X2)| <= ||X1 - X2||_2 <= ||X1 - X2||_F; X1, X2
+    and X1 - X2 are checked by linalg.frobenius_norm before any SVD."""
     a1 = linalg.as_matrix(x1, "first matrix")
     a2 = linalg.as_matrix(x2, "second matrix")
     if a1.shape != a2.shape:
         raise DimensionError(f"shapes differ: {a1.shape} vs {a2.shape}")
+    with np.errstate(over="ignore"):  # an infinite entry fails the norm check
+        diff = a1 - a2
+    linalg.frobenius_norm(a1)
+    linalg.frobenius_norm(a2)
+    fro = linalg.frobenius_norm(diff)
     s1 = np.linalg.svd(a1, compute_uv=False)
     s2 = np.linalg.svd(a2, compute_uv=False)
-    diff = a1 - a2
     spec = float(np.linalg.svd(diff, compute_uv=False)[0])
-    fro = float(np.linalg.norm(diff))
     max_shift = float(np.max(np.abs(s1 - s2)))
     return TheoremRecord(
         check="sv_perturbation",

@@ -280,6 +280,14 @@ def test_contingency_score_hand_case():
     assert evalmetrics.contingency_score(table) == pytest.approx(5 / 6, abs=1e-15)
 
 
+def test_contingency_score_whose_total_overflows_is_refused():
+    # unchecked, the total overflows to inf and the score is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="too large"):
+            evalmetrics.contingency_score([[1e308, 0], [0, 1e308]])
+
+
 def test_contingency_score_ties_do_not_count():
     table = np.array([[2, 2], [1, 0]])
     assert evalmetrics.contingency_score(table) == 0.0

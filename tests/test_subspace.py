@@ -1,5 +1,6 @@
 """Basis extraction: truncation, rescaled iteration, and scale selection."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irrspace import linalg, subspace, theory
+from irrspace import evalmetrics, linalg, subspace, theory
 from irrspace.corpus import TopicModel
-from irrspace.errors import InvalidBasisError, ParameterError
+from irrspace.errors import InvalidBasisError, IrrspaceError, ParameterError
 
 
 _STOPPING_RULE_FAULTS = {
@@ -672,34 +673,94 @@ def test_auto_scale_that_overflows_is_a_parameter_error(c):
     assert math.isfinite(subspace.auto_scale(z / c * 1e75))
 
 
-def _layouts(z):
-    """The values of ``z`` in C order, Fortran order, read-only, strided
-    into a larger buffer, and with negative strides."""
-    read_only = z.copy()
-    read_only.flags.writeable = False
+def _read_only(z):
+    out = z.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _strided(z):
     padded = np.zeros((2 * z.shape[0], 3 * z.shape[1]))
     padded[::2, ::3] = z
-    return {"c": np.ascontiguousarray(z), "fortran": np.asfortranarray(z),
-            "read_only": read_only, "strided": padded[::2, ::3],
-            "reversed": z[::-1, ::-1].copy()[::-1, ::-1]}
+    return padded[::2, ::3]
 
 
-def _bits(basis):
-    return (basis.basis.shape, basis.basis.tobytes(), basis.q, basis.residual_ratios,
-            basis.exhausted)
+# the values of a matrix in C order, Fortran order, read-only, strided into a
+# larger buffer, and with negative strides
+_layouts = {"c": np.ascontiguousarray, "fortran": np.asfortranarray, "read_only": _read_only,
+            "strided": _strided, "reversed": lambda z: z[::-1, ::-1].copy()[::-1, ::-1]}
 
 
+def _bits(result):
+    """Every bit of a result: arrays by shape and bytes, floats by hex, and
+    dataclasses, dicts and tuples item by item."""
+    if isinstance(result, np.ndarray):
+        return result.shape, result.dtype.str, result.tobytes()
+    if isinstance(result, float):
+        return result.hex()
+    if dataclasses.is_dataclass(result):
+        return tuple(_bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, dict):
+        return tuple((key, _bits(value)) for key, value in result.items())
+    if isinstance(result, tuple):
+        return tuple(_bits(value) for value in result)
+    return result
+
+
+def _outcome(call, args):
+    """The bits of call(*args), or the type and message of its refusal (one
+    document is too few to rank or cluster)."""
+    try:
+        return _bits(call(*args))
+    except IrrspaceError as exc:
+        return type(exc), str(exc)
+
+
+def _instance(rho):
+    inst = theory.construct_ideal_instance(TopicModel(rho, ("a", "b")), m=12, noise=0.1, seed=0)
+    return inst, inst.svd
+
+
+# every public function that takes a matrix, as a call on (z, b1, b2, s, rho):
+# z is m x n, b1 and b2 are orthonormal with m rows, s is an n x n similarity
+# and rho a single-topic relevance (2 x n)
+_MATRIX_CALLS = {
+    "cosine_matrix": lambda z, b1, b2, s, rho: evalmetrics.cosine_matrix(z),
+    "rank_pairs": lambda z, b1, b2, s, rho: evalmetrics.rank_pairs(z),
+    **{f"cluster_{name}": lambda z, b1, b2, s, rho, name=name: evalmetrics.cluster(z, 2, name)
+       for name in evalmetrics.ALGORITHMS},
+    "floor_ceiling": lambda z, b1, b2, s, rho: evalmetrics.floor_ceiling(
+        z, TopicModel(rho, ("a", "b"))),
+    "svd": lambda z, b1, b2, s, rho: linalg.svd(z),
+    "project": lambda z, b1, b2, s, rho: linalg.project(b1, z),
+    "canonical_angles": lambda z, b1, b2, s, rho: linalg.canonical_angles(b1, b2),
+    "lsi": lambda z, b1, b2, s, rho: subspace.lsi(z, ell=b1.shape[1]),
+    "irr_q0": lambda z, b1, b2, s, rho: subspace.irr(z, ell=b1.shape[1], q=0.0),
+    "irr_auto": lambda z, b1, b2, s, rho: subspace.irr(z, ell=b1.shape[1]),
+    "auto_scale": lambda z, b1, b2, s, rho: subspace.auto_scale(z),
+    "deviation_error": lambda z, b1, b2, s, rho: theory.deviation_error(s, z, b1),
+    "optimum_subspace": lambda z, b1, b2, s, rho: theory.optimum_subspace(s, z, 2),
+    "topic_stats": lambda z, b1, b2, s, rho: theory.topic_stats(TopicModel(rho, ("a", "b"))),
+    "construct_ideal_instance": lambda z, b1, b2, s, rho: _instance(rho),
+}
+
+
+@pytest.mark.parametrize("call", _MATRIX_CALLS.values(), ids=_MATRIX_CALLS.keys())
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), small=st.integers(1, 12), extra=st.integers(1, 20),
        data=st.data())
-def test_array_layout_cannot_move_a_basis(seed, small, extra, data):
-    tall = np.random.default_rng(seed).standard_normal((small + extra, small))
+def test_array_layout_cannot_move_a_basis(call, seed, small, extra, data):
+    # every matrix argument of a call takes each layout in turn
+    rng = np.random.default_rng(seed)
+    tall = rng.standard_normal((small + extra, small))
     ell = data.draw(st.integers(1, small), label="ell")
     for z in (tall, tall.T):
-        results = {
-            name: (_bits(subspace.lsi(a, ell=ell)), _bits(subspace.irr(a, ell=ell, q=0.0)),
-                   _bits(subspace.irr(a, ell=ell)), subspace.auto_scale(a))
-            for name, a in _layouts(z).items()
-        }
-        for name, got in results.items():
-            assert got == results["c"], name
+        m, n = z.shape
+        b1 = np.linalg.qr(rng.standard_normal((m, ell)))[0]
+        b2 = np.linalg.qr(rng.standard_normal((m, min(m, ell + 1))))[0]
+        rho = np.eye(2)[:, np.arange(n) % 2]
+        mixed = rng.random((2, n)) + 0.05
+        mixed /= np.linalg.norm(mixed, axis=0)
+        args = (z, b1, b2, mixed.T @ mixed, rho)
+        results = {name: _outcome(call, map(lay, args)) for name, lay in _layouts.items()}
+        assert [name for name, got in results.items() if got != results["c"]] == []

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,40 @@ def test_deviation_matrix_identity_cases():
     s = np.eye(4)
     assert np.allclose(theory.deviation_matrix(s, a), s - a.T @ a, atol=1e-14)
     assert theory.deviation_error(a.T @ a, a) == pytest.approx(0.0, abs=1e-10)
+
+
+# a 30 x 8 matrix of unit columns, ||A||_F^2 = 8, and the similarities of
+# two topics of 5 and 3 documents
+_UNIT_A = np.random.default_rng(0).standard_normal((30, 8))
+_UNIT_A /= np.linalg.norm(_UNIT_A, axis=0)
+_UNIT_RHO = np.repeat(np.eye(2), (5, 3), axis=1)
+_UNIT_S = _UNIT_RHO.T @ _UNIT_RHO
+
+# every entry point of this module that squares A
+_SQUARING_CALLS = {
+    "optimum_subspace": lambda a: theory.optimum_subspace(_UNIT_S, a, 3),
+    "deviation_error": lambda a: theory.deviation_error(_UNIT_S, a),
+    "verify_sv_perturbation": lambda a: theory.verify_sv_perturbation(a, 1.1 * a),
+}
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
+@pytest.mark.parametrize("call", _SQUARING_CALLS.values(), ids=_SQUARING_CALLS.keys())
+def test_input_whose_squared_norm_overflows_is_refused(call, scale):
+    # squaring such an A overflows: unchecked, it warns, gives inf or ends in LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="too large"):
+            call(_UNIT_A * scale)
+
+
+def test_optimum_subspace_just_below_the_overflow_is_finite():
+    # ||A||_F^2 = 8 * 1.6e307 = 1.28e308, below the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = theory.optimum_subspace(_UNIT_S, _UNIT_A * 4e153, 3)
+    assert math.isfinite(got.eps_opt) and math.isfinite(got.eps_lower)
+    assert np.isfinite(got.basis).all()
 
 
 def _random_instance(seed, k=2, n=6, m=8):
@@ -280,7 +315,9 @@ def test_least_matches_scoring_every_candidate(cases, margin, bound):
 
 def _search_every_size(s, a, h_max):
     """The search without size skipping: every h in ascending order, a
-    strictly lower norm replacing the best, so ties go to the smallest h."""
+    strictly lower norm replacing the best, so ties go to the smallest h.
+    A is read through linalg.as_matrix, in C order, as the search reads it."""
+    a = linalg.as_matrix(a)
     res = linalg.svd(a)
     u, c = res.u[:, : res.rank], res.u[:, : res.rank].T @ a
     factor = theory._similarity_factor(s)
