@@ -60,6 +60,27 @@ def as_matrix(z, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_similarity(s, a) -> tuple[np.ndarray, np.ndarray]:
+    """(S, A) checked for the deviation S - A.T A, each by ``as_matrix`` and
+    the too-large rule (``frobenius_norm``); once ||S||_F^2 and ||A||_F^2 are
+    finite, no entry of S - A.T A overflows.  S must be n x n, n the columns
+    of A, and symmetric by the zero rule: max|S - S.T| <= ZERO_RTOL * max|S|.
+    A deviation norm is read off one triangle (eigvalsh), so a non-symmetric S
+    would be misread; the tolerance admits a Gram formed by gemm, which can
+    differ from its transpose in the last bits."""
+    a = as_matrix(a)
+    frobenius_norm(a)
+    smat = as_matrix(s, "similarity matrix")
+    n = a.shape[1]
+    if smat.shape != (n, n):
+        raise DimensionError(f"similarity matrix must be {n}x{n}, got {smat.shape}")
+    frobenius_norm(smat)  # first, so that S - S.T cannot overflow
+    skew = float(np.max(np.abs(smat - smat.T)))
+    if skew > ZERO_RTOL * float(np.max(np.abs(smat))):
+        raise ParameterError(f"similarity matrix is not symmetric: max|S - S.T| = {skew:.3e}")
+    return smat, a
+
+
 def unit_columns(z) -> np.ndarray:
     """Columns scaled to unit norm; zero columns stay zero.
 

@@ -146,23 +146,12 @@ def _sym_spectral_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
-def _check_similarity(s, n: int) -> np.ndarray:
-    mat = linalg.as_matrix(s, "similarity matrix")
-    if mat.shape != (n, n):
-        raise DimensionError(f"similarity matrix must be {n}x{n}, got {mat.shape}")
-    return mat
-
-
 def deviation_matrix(s, a, basis=None) -> np.ndarray:
     """E(X) = S - (P_X A).T (P_X A); basis None means no projection (VSM).
-    An A whose squared norm overflows is refused (linalg.frobenius_norm)."""
-    a = linalg.as_matrix(a)
-    linalg.frobenius_norm(a)
-    smat = _check_similarity(s, a.shape[1])
-    if basis is None:
-        x = a
-    else:
-        x = linalg.project(basis, a)
+    S and A are checked by linalg.as_similarity: S is n x n and symmetric,
+    and neither squared norm overflows."""
+    smat, a = linalg.as_similarity(s, a)
+    x = a if basis is None else linalg.project(basis, a)
     return smat - x.T @ x
 
 
@@ -344,11 +333,9 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     more than that margin is skipped, and a norm <= the best replaces it, so
     ties still go to the smallest h.  ``eps_lower`` (module docstring) bounds
     the deviation of every subspace of at most h_max dimensions from below.
-    An A whose squared norm overflows is refused (linalg.frobenius_norm).
+    S and A are checked by linalg.as_similarity, as for deviation_matrix.
     """
-    a = linalg.as_matrix(a)
-    linalg.frobenius_norm(a)
-    smat = _check_similarity(s, a.shape[1])
+    smat, a = linalg.as_similarity(s, a)
     h_max = as_integer("h_max", h_max, 1)
     return _optimum_of_svd(smat, a, linalg.svd(a), h_max)
 
@@ -436,6 +423,7 @@ def construct_ideal_instance(
         raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
     cols = cols / norms
     res = linalg.svd(cols)
+    # S = rho.T rho of a checked TopicModel (unit columns) passes as_similarity
     optimum = _optimum_of_svd(rho.T @ rho, cols, res, tm.n_topics)
     inst = IdealInstance(matrix=cols, topic_model=tm, optimum=optimum, noise=noise, seed=seed)
     vars(inst)["svd"] = res  # the slot cached_property fills
@@ -580,8 +568,8 @@ def verify_sv_perturbation(x1, x2) -> TheoremRecord:
 
 def verify_cosine_bound(instance: IdealInstance) -> TheoremRecord:
     """Projected cosines stay inside the envelope set by the largest
-    deviation entry eps, applicable when eps < 1 and no projected column
-    vanishes.
+    deviation entry eps, applicable when eps < 1, no projected column
+    vanishes and there is a document pair to bound.
 
     With unit self-similarities, |x_i.x_i - 1| <= eps puts each projected
     norm product ||x_i|| ||x_j|| in [1 - eps, 1 + eps], and
@@ -597,7 +585,7 @@ def verify_cosine_bound(instance: IdealInstance) -> TheoremRecord:
     e = smat - gram
     eps = float(np.max(np.abs(e)))
     norms = np.linalg.norm(x, axis=0)
-    applicable = eps < 1.0 and bool(np.all(norms > 0.0))
+    applicable = eps < 1.0 and bool(np.all(norms > 0.0)) and a.shape[1] > 1
     if applicable:
         cos = gram / np.outer(norms, norms)
         iu = np.triu_indices(a.shape[1], k=1)

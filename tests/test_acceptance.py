@@ -225,6 +225,31 @@ def test_criterion_06_cosine_envelope(noisy_suite):
     )
 
 
+# each check's largest headroom on the seed-42 suite, against a floor that
+# a bound loosened twofold falls below: dominance max_deviation / bound read
+# 0.9994 (0.50 with the bound doubled), truncation tan_measured / tan_bound
+# 0.720 (0.36), and the cosine envelope's largest lower and upper violations
+# -8.3e-4 and -9.2e-4 (-2.8e-3 and -2.9e-3 with eps doubled in the envelope)
+_HEADROOM_FLOORS = {"dominance": 0.99, "truncation": 0.6, "cosine_lower": -1.5e-3,
+                    "cosine_upper": -1.5e-3}
+
+
+def test_no_bound_is_loose_on_every_instance(noisy_suite):
+    instances, _ = noisy_suite
+    dominance = [theory.verify_dominance_interval(inst).quantities for inst in instances]
+    truncation = [theory.verify_truncation_angle(inst) for inst in instances]
+    cosine = [theory.verify_cosine_bound(inst) for inst in instances]
+    headroom = {
+        "dominance": max(q["max_deviation"] / q["bound"] for q in dominance),
+        "truncation": max(r.quantities["tan_measured"] / r.quantities["tan_bound"]
+                          for r in truncation if r.condition_met),
+        "cosine_lower": max(r.quantities["lower_violation"] for r in cosine if r.condition_met),
+        "cosine_upper": max(r.quantities["upper_violation"] for r in cosine if r.condition_met),
+    }
+    print(", ".join(f"{key} {value:.4g}" for key, value in headroom.items()))
+    assert [key for key, floor in _HEADROOM_FLOORS.items() if headroom[key] < floor] == []
+
+
 def test_criterion_07_skewed_sweep_degradation(sweep):
     rows = sweep["rows"]
     lsi_even = _mean(rows, (25, 25), "lsi", "kappa")

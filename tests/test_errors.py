@@ -245,6 +245,8 @@ _MATRICES = {
     "project.basis.complex": lambda: linalg.project(_BASIS.astype(complex), np.ones((3, 2))),
     "deviation_matrix.basis.empty": lambda: theory.deviation_matrix(
         np.eye(6), _Z, np.zeros((8, 0))),
+    "deviation_matrix.s.nan": lambda: theory.deviation_matrix(np.full((6, 6), math.nan), _Z),
+    "optimum_subspace.s.complex": lambda: theory.optimum_subspace(1j * np.eye(6), _Z, 2),
     "rank_pairs.z.string": lambda: evalmetrics.rank_pairs([["x", "y"]]),
     "contingency_score.table.nan": lambda: evalmetrics.contingency_score([[math.nan, 1]]),
     "contingency_score.table.string": lambda: evalmetrics.contingency_score([["x", 1]]),
@@ -291,6 +293,19 @@ _FAULTS = {
     "canonical_angles.b2.rows": (
         DimensionError, "3 vs 4 rows",
         lambda: linalg.canonical_angles(np.eye(3)[:, :2], np.eye(4)[:, :2])),
+    # S is n x n for the n documents of A, symmetric, and not too large
+    "deviation_matrix.s.shape": (
+        DimensionError, "similarity matrix must be 6x6, got (5, 5)",
+        lambda: theory.deviation_matrix(np.eye(5), _Z)),
+    "deviation_error.s.skewed": (
+        ParameterError, "similarity matrix is not symmetric: max|S - S.T| = 1.000e+00",
+        lambda: theory.deviation_error(np.triu(np.ones((6, 6))), _Z)),
+    "optimum_subspace.s.skewed": (
+        ParameterError, "similarity matrix is not symmetric",
+        lambda: theory.optimum_subspace(np.tril(np.ones((6, 6))), _Z, 2)),
+    "optimum_subspace.s.too_large": (
+        ParameterError, "input matrix is too large: its squared norm overflows",
+        lambda: theory.optimum_subspace(1e200 * np.eye(6), _Z, 2)),
 }
 
 # public classes that only carry results; their fields are not arguments

@@ -764,3 +764,24 @@ def test_array_layout_cannot_move_a_basis(call, seed, small, extra, data):
         args = (z, b1, b2, mixed.T @ mixed, rho)
         results = {name: _outcome(call, map(lay, args)) for name, lay in _layouts.items()}
         assert [name for name, got in results.items() if got != results["c"]] == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int8, np.bool_])
+@pytest.mark.parametrize("call", _MATRIX_CALLS.values(), ids=_MATRIX_CALLS.keys())
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), small=st.integers(1, 12), extra=st.integers(1, 20))
+def test_matrix_dtype_gives_the_bits_of_its_float64_values(call, dtype, seed, small, extra):
+    # every matrix argument of a call in the dtype, against its values cast to
+    # float64 first; the bases are coordinate axes and S an integer Gram, so
+    # each dtype holds them exactly
+    rng = np.random.default_rng(seed)
+    tall = 4.0 * rng.standard_normal((small + extra, small))
+    for z in (tall, tall.T):
+        m, n = z.shape
+        axes = np.eye(m)[:, rng.permutation(m)]
+        ell = int(rng.integers(1, min(m, n) + 1))
+        counts = rng.integers(0, 3, (2, n)).astype(np.float64)
+        rho = np.eye(2)[:, np.arange(n) % 2]
+        args = [x.astype(dtype) for x in (z, axes[:, :ell], axes[:, -min(m, ell + 1):],
+                                          counts.T @ counts, rho)]
+        assert _outcome(call, args) == _outcome(call, [x.astype(np.float64) for x in args])

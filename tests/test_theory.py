@@ -69,10 +69,16 @@ _UNIT_A /= np.linalg.norm(_UNIT_A, axis=0)
 _UNIT_RHO = np.repeat(np.eye(2), (5, 3), axis=1)
 _UNIT_S = _UNIT_RHO.T @ _UNIT_RHO
 
+# every entry point of this module that reads S, as a call on (S, A)
+_SIMILARITY_CALLS = {
+    "optimum_subspace": lambda s, a: theory.optimum_subspace(s, a, 3),
+    "deviation_error": theory.deviation_error,
+    "deviation_matrix": theory.deviation_matrix,
+}
+
 # every entry point of this module that squares A
 _SQUARING_CALLS = {
-    "optimum_subspace": lambda a: theory.optimum_subspace(_UNIT_S, a, 3),
-    "deviation_error": lambda a: theory.deviation_error(_UNIT_S, a),
+    **{name: lambda a, call=call: call(_UNIT_S, a) for name, call in _SIMILARITY_CALLS.items()},
     "verify_sv_perturbation": lambda a: theory.verify_sv_perturbation(a, 1.1 * a),
 }
 
@@ -87,13 +93,55 @@ def test_input_whose_squared_norm_overflows_is_refused(call, scale):
             call(_UNIT_A * scale)
 
 
-def test_optimum_subspace_just_below_the_overflow_is_finite():
-    # ||A||_F^2 = 8 * 1.6e307 = 1.28e308, below the largest double
+_SKEWED_S = np.array([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+# (S, A, refusal): what every call of _SIMILARITY_CALLS raises as a
+# ParameterError, or None where its result must be finite
+_SIMILARITY_CASES = {
+    # read through one triangle, S gave deviation 0 and S.T gave 5
+    "skewed": (_SKEWED_S, np.eye(3), "not symmetric"),
+    "skewed_transposed": (_SKEWED_S.T, np.eye(3), "not symmetric"),
+    # ||A||_F^2 = 1.69e308 is finite, ||S||_F^2 is not: S - A.T A overflowed
+    "too_large": (-1.7e308 * np.eye(2), np.diag([1.3e154, 1.0]), "too large"),
+    # just below the overflow, ||S||_F^2 = 34 * 4e306 = 1.36e308 and
+    # ||A||_F^2 = 8 * 1.6e307 = 1.28e308: S - A.T A is finite
+    **{f"s{s_scale:g}_a{a_scale:g}": (s_scale * _UNIT_S, a_scale * _UNIT_A, None)
+       for s_scale in (1.0, 2e153, -2e153) for a_scale in (1.0, 4e153)},
+}
+
+
+def _finite(result):
+    if isinstance(result, theory.OptimumSubspaceResult):
+        return all(map(_finite, (result.basis, result.eps_opt, result.eps_lower)))
+    return bool(np.isfinite(result).all())
+
+
+@pytest.mark.parametrize(("s", "a", "refusal"), _SIMILARITY_CASES.values(),
+                         ids=_SIMILARITY_CASES.keys())
+@pytest.mark.parametrize("call", _SIMILARITY_CALLS.values(), ids=_SIMILARITY_CALLS.keys())
+def test_similarity_matrix_rule(call, s, a, refusal):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = theory.optimum_subspace(_UNIT_S, _UNIT_A * 4e153, 3)
-    assert math.isfinite(got.eps_opt) and math.isfinite(got.eps_lower)
-    assert np.isfinite(got.basis).all()
+        if refusal is None:
+            assert _finite(call(s, a))
+        else:
+            with pytest.raises(ParameterError, match=refusal):
+                call(s, a)
+
+
+@pytest.mark.parametrize("call", _SIMILARITY_CALLS.values(), ids=_SIMILARITY_CALLS.keys())
+def test_gram_formed_by_gemm_is_symmetric_enough(call):
+    # a.T.copy() @ a runs gemm, not syrk, and can differ from its transpose in
+    # the last bits; the symmetry rule's tolerance takes such an S
+    rng = np.random.default_rng(0)
+    mats = (rng.standard_normal(rng.integers(2, 60, size=2)) for _ in range(30))
+    pairs = [(a.T.copy() @ a, a) for a in mats]
+    skewed = [(s, a) for s, a in pairs if (s != s.T).any()]
+    assert len(skewed) >= 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, a in skewed[:3]:
+            assert _finite(call(s, a))
 
 
 def _random_instance(seed, k=2, n=6, m=8):
@@ -738,6 +786,13 @@ def test_cosine_bound_exact_instance():
     rec = theory.verify_cosine_bound(inst)
     assert rec.condition_met and rec.holds
     assert rec.quantities["eps"] < 1e-10
+    # one document leaves no pair to bound: recorded as eps >= 1 is
+    one = theory.construct_ideal_instance(TopicModel(np.ones((1, 1)), ("a",)), m=5, noise=0.1,
+                                          seed=0)
+    rec = theory.verify_cosine_bound(one)
+    assert not rec.condition_met and rec.holds
+    quantities = json.loads(rec.to_json())["quantities"]
+    assert quantities["lower_violation"] is None and quantities["upper_violation"] is None
 
 
 def test_cosine_bound_holds_where_sim_is_below_eps():
