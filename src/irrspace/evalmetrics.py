@@ -159,7 +159,9 @@ def _spherical_kmeans(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
     Assignment ties go to the lowest cluster index; a cluster left empty is
     reseeded with the point farthest from its previous centroid, the first on
-    a tie.  Stops when assignments are stable or after a fixed iteration cap.
+    a tie.  A reseed can empty another cluster, so fewer than k groups may
+    come back: columns (1,0), (1,0), (0,1) at k = 3 give [0 0 2].  Stops when
+    assignments are stable or after a fixed iteration cap.
     """
     units = linalg.unit_columns(x)
     labels = labels.copy()
@@ -184,7 +186,9 @@ def _spherical_kmeans(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def cluster(z, k: int, algorithm: str) -> np.ndarray:
-    """Cluster columns into exactly k groups; returns a label per column."""
+    """A label in [0, k) per column: exactly k groups from a linkage, and
+    possibly fewer from a k-means variant (see _spherical_kmeans), as when
+    the columns point in fewer than k distinct directions."""
     x = linalg.as_matrix(z)
     n = x.shape[1]
     if algorithm not in ALGORITHMS:

@@ -4,10 +4,10 @@ All functions accept anything ``np.asarray`` can turn into a 2-D float64 array
 and validate it first with ``as_matrix``, the package's one array rule, whose
 C-ordered result keeps an input's memory layout from moving any result.  The
 SVD sign rule: each left singular vector's largest-magnitude entry is positive.
-``unit_columns`` is the package's one column normalization, read by the
-term-document matrix and by every cosine, so cosines and the clusterings
-built on them are scale-invariant: a column scaled by any power of two that
-keeps its nonzero entries normal numbers keeps them bit for bit.
+``unit_columns`` is the package's one column normalization, read by
+``build_matrix``, ``cosine_matrix`` and spherical k-means, so cosines and the
+clusterings built on them are scale-invariant: a column scaled by any power
+of two that keeps its nonzero entries normal numbers keeps them bit for bit.
 """
 
 from __future__ import annotations

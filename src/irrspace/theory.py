@@ -142,10 +142,6 @@ def topic_stats(tm: TopicModel) -> TopicStats:
     )
 
 
-def _sym_spectral_norm(m: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-
-
 def deviation_matrix(s, a, basis=None) -> np.ndarray:
     """E(X) = S - (P_X A).T (P_X A); basis None means no projection (VSM).
     S and A are checked by linalg.as_similarity: S is n x n and symmetric,
@@ -156,7 +152,7 @@ def deviation_matrix(s, a, basis=None) -> np.ndarray:
 
 
 def deviation_error(s, a, basis=None) -> float:
-    return _sym_spectral_norm(deviation_matrix(s, a, basis))
+    return float(np.max(np.abs(np.linalg.eigvalsh(deviation_matrix(s, a, basis)))))
 
 
 @dataclass
@@ -170,20 +166,22 @@ class OptimumSubspaceResult:
         return self.basis.shape[1]
 
 
-def _similarity_factor(smat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, W): the k eigenvalues of S with |lambda| > n * eps * max|lambda|
-    and all n eigenvectors, those k first.
+def _similarity_factor(smat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lambda, W, S~): the k eigenvalues of S with |lambda| > n * eps *
+    max|lambda|, all n eigenvectors, those k first, and S~ = W_k diag(lambda)
+    W_k.T, the matrix _eps_of_coords measures, formed once per factor.
 
     The other eigenvalues are taken as zero; by Weyl that moves no deviation
     norm by more than n * eps * ||S||_2.
     """
     lam, vec = np.linalg.eigh(smat)
     keep = np.abs(lam) > smat.shape[0] * np.finfo(float).eps * np.max(np.abs(lam))
-    return lam[keep], np.concatenate([vec[:, keep], vec[:, ~keep]], axis=1)
+    lam, head = lam[keep], vec[:, keep]
+    return lam, np.concatenate([head, vec[:, ~keep]], axis=1), (head * lam) @ head.T
 
 
 def _eps_of_coords(
-    factor: tuple[np.ndarray, np.ndarray], m_stack: np.ndarray
+    factor: tuple[np.ndarray, ...], m_stack: np.ndarray
 ) -> np.ndarray:
     """Deviation norms ||S - M.T M||_2 for a stack of (h x n) coordinate blocks.
 
@@ -196,7 +194,7 @@ def _eps_of_coords(
     R J R.T = diag(lambda, 0) - Z Z.T with Z = [P; R2].  Each norm is the
     largest |eigenvalue| of that matrix, of size k + min(h, n - k) <= n.
     """
-    lam, basis = factor
+    lam, basis, _ = factor
     k = len(lam)
     g = basis.T @ m_stack.transpose(0, 2, 1)
     z = np.concatenate([g[:, :k], np.linalg.qr(g[:, k:], mode="r")], axis=1)
@@ -205,17 +203,10 @@ def _eps_of_coords(
     return np.max(np.abs(np.linalg.eigvalsh(core)), axis=1)
 
 
-def _similarity_matrix(factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """S~ = W_k diag(lambda) W_k.T, the matrix _eps_of_coords measures."""
-    lam, basis = factor
-    head = basis[:, : len(lam)]
-    return (head * lam) @ head.T
-
-
-def _prune_margin(factor: tuple[np.ndarray, np.ndarray], c: np.ndarray) -> float:
+def _prune_margin(factor: tuple[np.ndarray, ...], c: np.ndarray) -> float:
     """The roundoff allowance between a probe bound and _eps_of_coords (see
     the module docstring); ||C||_F^2 >= sigma_1(A)^2 >= ||M.T M||_2."""
-    lam, basis = factor
+    lam, basis, _ = factor
     scale = float(np.max(np.abs(lam), initial=0.0)) + float(np.sum(c * c))
     return _PRUNE_ROUNDOFF * basis.shape[0] * np.finfo(float).eps * scale
 
@@ -279,7 +270,7 @@ def _least(lb: np.ndarray, bound: float, margin: float, score) -> tuple[int, flo
 
 
 def _best_subset(
-    factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, h: int
+    factor: tuple[np.ndarray, ...], c: np.ndarray, h: int
 ) -> tuple[float, np.ndarray]:
     # the start of _refine, the top-h frame, scored; the name is kept for the
     # benchmark's wrap
@@ -287,10 +278,9 @@ def _best_subset(
 
 
 def _refine(
-    factor: tuple[np.ndarray, np.ndarray], c: np.ndarray, w: np.ndarray, eps: float
+    factor: tuple[np.ndarray, ...], c: np.ndarray, w: np.ndarray, eps: float
 ) -> tuple[float, np.ndarray]:
     iu, ju = np.triu_indices(w.shape[0], 1)  # planes (i, j), i < j, in row-major order
-    s_tilde = _similarity_matrix(factor)
     margin = _prune_margin(factor, c)
     w = w.copy()
 
@@ -308,7 +298,7 @@ def _refine(
 
     for _ in range(_MAX_ROUNDS):
         m0 = w.T @ c
-        lb = _probe_bounds(s_tilde, c, w, m0, (iu, ju))
+        lb = _probe_bounds(factor[2], c, w, m0, (iu, ju))
         found = _least(lb, eps - _IMPROVE_TOL, margin, score)
         if found is None:
             break  # no move lowers the norm by more than the tolerance
@@ -365,7 +355,7 @@ def _optimum_of_svd(
         if eps_h <= best[0]:
             best = (eps_h, w_h)
     eps, w = best
-    t = float(np.linalg.eigvalsh(_similarity_matrix(factor) - a.T @ a)[-1])
+    t = float(np.linalg.eigvalsh(factor[2] - a.T @ a)[-1])
     return OptimumSubspaceResult(basis=u @ w, eps_opt=eps,
                                  eps_lower=max(float(lam[top]), t, 0.0))
 
@@ -382,14 +372,14 @@ class IdealInstance:
 
     @functools.cached_property
     def similarity(self) -> np.ndarray:
-        """The ideal similarities rho.T @ rho (n x n) of ``topic_model``."""
+        """S = rho.T @ rho (n x n) of ``topic_model``.  construct_ideal_instance
+        stores the S and the SVD its search read; any other instance
+        (dataclasses.replace makes a new one) computes each on first use."""
         return self.topic_model.relevance.T @ self.topic_model.relevance
 
     @functools.cached_property
     def svd(self) -> linalg.SvdResult:
-        """linalg.svd(matrix): construct_ideal_instance stores the one its
-        search ran on; any other instance (dataclasses.replace makes a new
-        one) computes its own on first use."""
+        """linalg.svd(matrix), stored or computed as ``similarity`` is."""
         return linalg.svd(self.matrix)
 
 
@@ -424,9 +414,10 @@ def construct_ideal_instance(
     cols = cols / norms
     res = linalg.svd(cols)
     # S = rho.T rho of a checked TopicModel (unit columns) passes as_similarity
-    optimum = _optimum_of_svd(rho.T @ rho, cols, res, tm.n_topics)
+    smat = rho.T @ rho
+    optimum = _optimum_of_svd(smat, cols, res, tm.n_topics)
     inst = IdealInstance(matrix=cols, topic_model=tm, optimum=optimum, noise=noise, seed=seed)
-    vars(inst)["svd"] = res  # the slot cached_property fills
+    vars(inst).update(svd=res, similarity=smat)  # the slots cached_property fills
     return inst
 
 

@@ -104,17 +104,6 @@ def test_intra_topic_pairs():
     assert set(zip(*np.nonzero(mask))) == {(0, 1), (1, 2)}
 
 
-def test_synth_spec_validation():
-    with pytest.raises(ParameterError):
-        corpus.SynthSpec(distribution=())
-    with pytest.raises(ParameterError):
-        corpus.SynthSpec(distribution=(5, 0))
-    with pytest.raises(ParameterError):
-        corpus.SynthSpec(distribution=(5,), noise_rate=1.5)
-    with pytest.raises(ParameterError):
-        corpus.SynthSpec(distribution=(5,), doc_length=0)
-
-
 def test_synth_spec_bad_values_are_parameter_errors_naming_the_field():
     for kwargs, field in [
         ({"distribution": ("a",)}, "distribution"),
@@ -163,6 +152,8 @@ def test_corpus_dir_round_trip(tmp_path):
     spec = corpus.SynthSpec(distribution=(3, 2), noise_rate=0.2, rng_seed=4)
     docs, _ = corpus.synthesize_collection(spec)
     corpus.write_corpus_dir(tmp_path / "c", docs, manifest={"rng_seed": 4})
+    tsv = tmp_path / "c" / "topics.tsv"
+    tsv.write_text("\n" + tsv.read_text() + " \n")  # blank lines are skipped
     loaded = corpus.load_corpus_dir(tmp_path / "c")
     assert [d.id for d in loaded] == [d.id for d in docs]
     assert [d.topics for d in loaded] == [d.topics for d in docs]

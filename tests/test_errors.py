@@ -33,21 +33,7 @@ _BASIS = np.eye(3)[:, :2]
 _LABELS = np.array([0, 1, 1])
 
 _CALLS = {
-    "irr_fractional_ell": lambda: subspace.irr(_Z, ell=2.5),
-    "irr_bool_ell": lambda: subspace.irr(_Z, ell=True),
-    "cluster_fractional_k": lambda: evalmetrics.cluster(_Z, 2.5, "single_link"),
     "kmeans_fractional_k": lambda: evalmetrics.cluster(_Z, 2.5, "kmeans_single_link"),
-    "cluster_bool_k": lambda: evalmetrics.cluster(_Z, True, "single_link"),
-    "optimum_fractional_h_max": lambda: theory.optimum_subspace(np.eye(6), _Z, 1.5),
-    "instance_fractional_m": lambda: theory.construct_ideal_instance(_TM, 2.5, 0.1, 0),
-    "instance_negative_seed": lambda: theory.construct_ideal_instance(_TM, 8, 0.1, -1),
-    "instance_bool_seed": lambda: theory.construct_ideal_instance(_TM, 8, 0.1, True),
-    "suite_fractional_count": lambda: theory.standard_instance_suite(2.5),
-    "synth_bool_doc_length": lambda: corpus.SynthSpec(distribution=(3, 3), doc_length=True),
-    "synth_bool_noise_rate": lambda: corpus.SynthSpec(distribution=(3, 3), noise_rate=True),
-    "suite_bool_seed": lambda: theory.standard_instance_suite(1, seed=True),
-    "suite_string_seed": lambda: theory.standard_instance_suite(1, seed="x"),
-    "suite_fractional_seed": lambda: theory.standard_instance_suite(1, seed=2.5),
     # a distribution that is not a nonempty sequence, and inputs too small to use
     "SynthSpec.distribution.empty": lambda: corpus.SynthSpec(distribution=()),
     "SynthSpec.distribution.int": lambda: corpus.SynthSpec(distribution=5),
@@ -240,6 +226,9 @@ _MATRICES = {
     "svd.z.complex_array": lambda: linalg.svd(np.eye(2, dtype=complex)),
     "svd.z.huge_int": lambda: linalg.svd([[10**400, 0], [0, 1]]),
     "svd.z.object": lambda: linalg.svd([[object()]]),
+    "svd.z.one_d": lambda: linalg.svd(np.array([1.0, 2.0])),
+    "svd.z.nan": lambda: linalg.svd(np.array([[math.nan, 1.0], [0.0, 1.0]])),
+    "svd.z.empty": lambda: linalg.svd(np.empty((0, 3))),
     "lsi.z.ragged": lambda: subspace.lsi([[1.0], [1.0, 2.0]], ell=1),
     "irr.z.complex": lambda: subspace.irr(_Z * 1j, ell=1),
     "project.basis.complex": lambda: linalg.project(_BASIS.astype(complex), np.ones((3, 2))),
@@ -281,6 +270,9 @@ _FAULTS = {
     "TopicModel.topic_ids.count": (
         DimensionError, "topic id count does not match",
         lambda: corpus.TopicModel(np.eye(2), ("a",))),
+    "cluster.algorithm.unknown": (
+        ParameterError, "unknown algorithm 'ward'",
+        lambda: evalmetrics.cluster(_Z, 2, "ward")),
     "contingency_table.topic_index.length": (
         DimensionError, "differ in length",
         lambda: evalmetrics.contingency_table(_LABELS, _LABELS[:2], 2, 2)),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from irrspace import linalg, subspace
-from irrspace.errors import DimensionError, InvalidBasisError, InvalidInputError
+from irrspace.errors import DimensionError, InvalidBasisError
 
 
 def jacobi_eigh(a, sweeps=60, tol=1e-14):
@@ -87,15 +87,6 @@ def test_svd_rank_counts_nonnegligible_values():
     z[0, 0] = 2.0
     z[1, 1] = 1e-16
     assert linalg.svd(z).rank == 1
-
-
-def test_svd_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        linalg.svd(np.array([1.0, 2.0]))
-    with pytest.raises(InvalidInputError):
-        linalg.svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
-    with pytest.raises(InvalidInputError):
-        linalg.svd(np.empty((0, 3)))
 
 
 def test_truncation_beats_every_subset_of_singular_vectors():

@@ -85,9 +85,19 @@ CLASSIC = [
     ("oscillators", "oscil"),
 ]
 
+# Not a published example: Step 5a's (m=1 and not *o) E -> drops the e of
+# "ace", because the stem "ac" has m = 1 and is too short to end
+# consonant-vowel-consonant (*o).
+SHORT_STEM = ("ace", "ac")
+
 
 @pytest.mark.parametrize("word,expected", CLASSIC)
 def test_classic_vocabulary(word, expected):
+    assert porter_stem(word) == expected
+
+
+def test_step5a_drops_e_after_a_stem_too_short_for_cvc():
+    word, expected = SHORT_STEM
     assert porter_stem(word) == expected
 
 

@@ -184,7 +184,7 @@ def test_low_rank_kernel_matches_dense_deviation_norm(name, smat, h):
     rng = np.random.default_rng(6)
     m_stack = rng.standard_normal((50, h, smat.shape[0]))
     got = theory._eps_of_coords(theory._similarity_factor(smat), m_stack)
-    dense = [theory._sym_spectral_norm(smat - m.T @ m) for m in m_stack]
+    dense = [theory.deviation_error(smat, m) for m in m_stack]
     tol = 1e-12 * max(1.0, np.linalg.norm(smat, 2))
     assert np.max(np.abs(got - dense)) <= tol, name
 
@@ -312,7 +312,7 @@ def test_probe_bound_never_exceeds_deviation_norm(seed, n, h, s_scale, c_scale):
     c = c_scale * rng.standard_normal((r, n))
     w = np.linalg.qr(rng.standard_normal((r, h)))[0]
     m0 = w.T @ c
-    s_tilde = theory._similarity_matrix(factor)
+    s_tilde = factor[2]
     lb = theory._probe_bounds(s_tilde, c, w, m0, np.triu_indices(r, 1))
     m_stack = _every_candidate(c, w)
     assert lb.shape == (len(m_stack),)
@@ -604,14 +604,6 @@ def test_ideal_instance_noise_perturbs_but_normalizes():
     assert 0.0 < inst.optimum.eps_opt < 1.0
 
 
-def test_ideal_instance_validation():
-    tm = _single_topic((2, 2))
-    with pytest.raises(ParameterError):
-        theory.construct_ideal_instance(tm, m=1, noise=0.0, seed=0)
-    with pytest.raises(ParameterError):
-        theory.construct_ideal_instance(tm, m=10, noise=-0.5, seed=0)
-
-
 @pytest.mark.parametrize("noise", [math.nan, math.inf])
 def test_ideal_instance_rejects_non_finite_noise(noise):
     with pytest.raises(ParameterError, match="finite"):
@@ -732,6 +724,20 @@ def test_verify_factors_each_ideal_instance_once(monkeypatch, tmp_path):
     assert cli.main(["verify", "--seed", "42", "--trials", "8",
                      "--out", str(tmp_path / "v.jsonl")]) == 0
     assert len(calls) == 8
+
+
+def test_instance_keeps_the_similarity_its_search_read(monkeypatch):
+    # rho.T rho is formed once per constructed instance
+    seen = []
+    search = theory._optimum_of_svd
+
+    def recorded(smat, *rest):
+        seen.append(smat)
+        return search(smat, *rest)
+
+    monkeypatch.setattr(theory, "_optimum_of_svd", recorded)
+    inst = theory.construct_ideal_instance(_single_topic((4, 3)), m=30, noise=0.2, seed=1)
+    assert len(seen) == 1 and inst.similarity is seen[0]
 
 
 def test_truncation_angle_reads_each_instance_own_svd():
