@@ -33,7 +33,21 @@ _BASIS = np.eye(3)[:, :2]
 _LABELS = np.array([0, 1, 1])
 
 _CALLS = {
+    "irr_fractional_ell": lambda: subspace.irr(_Z, ell=2.5),
+    "irr_bool_ell": lambda: subspace.irr(_Z, ell=True),
+    "cluster_fractional_k": lambda: evalmetrics.cluster(_Z, 2.5, "single_link"),
     "kmeans_fractional_k": lambda: evalmetrics.cluster(_Z, 2.5, "kmeans_single_link"),
+    "cluster_bool_k": lambda: evalmetrics.cluster(_Z, True, "single_link"),
+    "optimum_fractional_h_max": lambda: theory.optimum_subspace(np.eye(6), _Z, 1.5),
+    "instance_fractional_m": lambda: theory.construct_ideal_instance(_TM, 2.5, 0.1, 0),
+    "instance_negative_seed": lambda: theory.construct_ideal_instance(_TM, 8, 0.1, -1),
+    "instance_bool_seed": lambda: theory.construct_ideal_instance(_TM, 8, 0.1, True),
+    "suite_fractional_count": lambda: theory.standard_instance_suite(2.5),
+    "synth_bool_doc_length": lambda: corpus.SynthSpec(distribution=(3, 3), doc_length=True),
+    "synth_bool_noise_rate": lambda: corpus.SynthSpec(distribution=(3, 3), noise_rate=True),
+    "suite_bool_seed": lambda: theory.standard_instance_suite(1, seed=True),
+    "suite_string_seed": lambda: theory.standard_instance_suite(1, seed="x"),
+    "suite_fractional_seed": lambda: theory.standard_instance_suite(1, seed=2.5),
     # a distribution that is not a nonempty sequence, and inputs too small to use
     "SynthSpec.distribution.empty": lambda: corpus.SynthSpec(distribution=()),
     "SynthSpec.distribution.int": lambda: corpus.SynthSpec(distribution=5),

@@ -373,6 +373,16 @@ def test_cluster_is_deterministic():
         assert np.array_equal(l1, l2)
 
 
+def test_cluster_validates_arguments():
+    z = _two_blob_matrix()
+    with pytest.raises(ParameterError):
+        evalmetrics.cluster(z, 0, "single_link")
+    with pytest.raises(ParameterError):
+        evalmetrics.cluster(z, 13, "single_link")
+    with pytest.raises(ParameterError):
+        evalmetrics.cluster(z, 2, "ward")
+
+
 @pytest.mark.parametrize("algorithm", evalmetrics.ALGORITHMS)
 def test_one_cluster_is_all_zeros_even_for_one_document(algorithm):
     assert np.array_equal(evalmetrics.cluster(np.ones((3, 1)), 1, algorithm), [0])
