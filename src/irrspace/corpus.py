@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg, matrixio
 from .errors import DataError, DimensionError, EmptyVocabularyError, ParameterError
-from .errors import as_integer, as_python, as_real
+from .errors import as_integer, as_real
 from .stemming import porter_stem
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -165,8 +165,7 @@ class SynthSpec:
         minima = {"vocab_per_topic": 1, "shared_vocab": 1, "doc_length": 1, "rng_seed": 0}
         for name, low in minima.items():
             object.__setattr__(self, name, as_integer(name, getattr(self, name), low))
-        object.__setattr__(self, "noise_rate", as_python(self.noise_rate))
-        as_real("noise_rate", self.noise_rate, 0, 1)
+        object.__setattr__(self, "noise_rate", as_real("noise_rate", self.noise_rate, 0, 1))
 
 
 def synthesize_collection(spec: SynthSpec) -> tuple[list[Document], TopicModel]:
@@ -196,7 +195,12 @@ def synthesize_collection(spec: SynthSpec) -> tuple[list[Document], TopicModel]:
 
 def write_corpus_dir(path, docs: list[Document], manifest: dict) -> None:
     """Write one .txt per document plus topics.tsv and manifest.json into the
-    new directory ``path``: an existing one raises FileExistsError."""
+    new directory ``path``: an existing one raises FileExistsError, and a
+    manifest that JSON cannot encode a ParameterError before anything is written."""
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"manifest cannot be written as JSON: {exc}") from exc
     p = Path(path)
     p.mkdir(parents=True)
     for d in docs:
@@ -207,9 +211,7 @@ def write_corpus_dir(path, docs: list[Document], manifest: dict) -> None:
         for t in sorted(d.topics)
     ]
     (p / "topics.tsv").write_text("".join(lines), encoding="utf-8")
-    (p / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (p / "manifest.json").write_text(text, encoding="utf-8")
 
 
 def load_corpus_dir(path) -> list[Document]:

@@ -4,14 +4,13 @@ Everything derives from ValueError so callers that do not care about the
 distinction can catch the usual thing; the CLI maps IrrspaceError to its
 data-error exit code.  Counts and seeds are checked by ``as_integer``, real
 parameters by ``as_real`` and arrays by ``linalg.as_matrix``, and nowhere else.
-A parameter type stores a numpy scalar through ``as_python``.
+A parameter is stored as the value its rule returns: an integer as int, any
+other real as float, so that every parameter saves as JSON.
 """
 
 import math
 import numbers
 import operator
-
-import numpy as np
 
 
 class IrrspaceError(ValueError):
@@ -67,18 +66,15 @@ def as_integer(name: str, value, low: int | None = None, high: int | None = None
     return _checked(name, "an integer", value, number, low, high)
 
 
-def as_real(name: str, value, low=None, high=None, *, open_low: bool = False) -> float:
+def as_real(name: str, value, low=None, high=None, *, open_low: bool = False) -> int | float:
     """A finite ``numbers.Real``, not a bool, in [low, high] (in (low, high]
-    with ``open_low``), as float."""
+    with ``open_low``): a Python or numpy integer as int, any other as float."""
     try:
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        number = float(value) if real and math.isfinite(value) else None
+        number = None
+        if real and math.isfinite(value):
+            number = int(value) if isinstance(value, numbers.Integral) else float(value)
     except OverflowError:  # an int past the float range
         number = None
     return _checked(name, "a finite number", value, number, low, high, open_low)
 
-
-def as_python(value):
-    """A numpy scalar as its Python equivalent (``value.item()``), so that it
-    saves as JSON; any other value as given."""
-    return value.item() if isinstance(value, np.generic) else value

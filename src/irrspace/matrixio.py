@@ -115,9 +115,9 @@ _SIDECAR_KEYS = ("method", "q", "ell", "residual_ratios", "exhausted")
 
 
 def save_basis(path, basis: SubspaceBasis) -> None:
+    meta = json.dumps({key: getattr(basis, key) for key in _SIDECAR_KEYS}, indent=2)
     write_matrix_binary(path, basis.basis)
-    meta = {key: getattr(basis, key) for key in _SIDECAR_KEYS}
-    _sidecar(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    _sidecar(path).write_text(meta + "\n", encoding="utf-8")
 
 
 def load_basis(path) -> SubspaceBasis:

@@ -29,23 +29,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ParameterError, as_integer, as_python, as_real
+from .errors import ParameterError, as_integer, as_real
 
 METHODS = ("vsm", "lsi", "irr")
 ALPHA = 3.5  # auto_scale's slope
 
 
 def _stopping_rule(ell, theta) -> tuple:
-    """``(ell, theta)`` with a numpy scalar as its Python value; exactly one
-    must be set, ell an integer >= 1 or theta a finite number > 0."""
-    ell, theta = as_python(ell), as_python(theta)
+    """``(ell, theta)`` as their rules return them; exactly one must be set,
+    ell an integer >= 1 or theta a finite number > 0."""
     if (ell is None) == (theta is None):
         raise ParameterError("set exactly one of ell and theta")
     if theta is None:
-        as_integer("ell", ell, 1)
-    else:
-        as_real("theta", theta, 0, open_low=True)
-    return ell, theta
+        return as_integer("ell", ell, 1), None
+    return None, as_real("theta", theta, 0, open_low=True)
 
 
 @dataclass
@@ -69,16 +66,15 @@ class SubspaceBasis:
             raise ParameterError("method must be 'lsi' or 'irr'")
         self.basis = linalg.as_matrix(self.basis, "basis")
         linalg.require_orthonormal(self.basis)
-        self.q = as_python(self.q)
         if self.q is not None:
-            as_real("q", self.q, 0)
-        self.exhausted = as_python(self.exhausted)
-        if not isinstance(self.exhausted, bool):
+            self.q = as_real("q", self.q, 0)
+        if not isinstance(self.exhausted, (bool, np.bool_)):
             raise ParameterError(f"exhausted must be a bool, got {self.exhausted!r}")
+        self.exhausted = bool(self.exhausted)
         ratios = self.residual_ratios
         if not isinstance(ratios, (list, tuple)):
             raise ParameterError(f"residual_ratios must be a list or tuple, got {ratios!r}")
-        ratios = tuple(as_real("residual_ratios", r, 0) for r in ratios)
+        ratios = tuple(float(as_real("residual_ratios", r, 0)) for r in ratios)
         if ratios:
             if len(ratios) != self.ell + 1:
                 raise ParameterError("need ell + 1 residual ratios")
@@ -177,9 +173,8 @@ def irr(z, ell: int | None = None, theta: float | None = None,
     applied to its columns.
     """
     ell, theta = _stopping_rule(ell, theta)
-    q = as_python(q)
     if q is not None:
-        as_real("q", q, 0)
+        q = as_real("q", q, 0)
     a = linalg.as_matrix(z)
     m, n = a.shape
     initial_fro = linalg.frobenius_norm(a)

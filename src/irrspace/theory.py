@@ -96,7 +96,7 @@ import numpy as np
 
 from . import linalg
 from .corpus import TopicModel
-from .errors import DimensionError, ParameterError, as_integer, as_python, as_real
+from .errors import DimensionError, ParameterError, as_integer, as_real
 
 # the fixed refinement schedule of the module docstring
 _ANGLE_GRID = (0.3, 0.1, 0.03, 0.01)
@@ -394,8 +394,7 @@ def construct_ideal_instance(
     whose deviation is zero.
     """
     m = as_integer("m", m, tm.n_topics)
-    noise = as_python(noise)  # stored as given, so saved as JSON
-    as_real("noise", noise, 0)
+    noise = as_real("noise", noise, 0)
     seed = as_integer("seed", seed, 0)
     rho = tm.relevance
     rng = np.random.default_rng(seed)
@@ -426,8 +425,9 @@ class TheoremRecord:
     """Outcome of one verification check on one instance.
 
     ``instance`` names the input checked (``verify`` sets it); a record
-    without one serializes without the key.  A quantity that is not finite
-    (a bound whose precondition failed) serializes as null.
+    without one serializes without the key.  A quantity serializes as a
+    float, or as null when it is not finite (a bound whose precondition
+    failed); the two flags serialize as bools.
     """
 
     check: str
@@ -441,7 +441,8 @@ class TheoremRecord:
         if self.instance is None:
             del fields["instance"]
         for k, v in fields["quantities"].items():
-            fields["quantities"][k] = v if math.isfinite(v) else None
+            fields["quantities"][k] = float(v) if math.isfinite(v) else None
+        fields["condition_met"], fields["holds"] = bool(self.condition_met), bool(self.holds)
         return json.dumps(fields, sort_keys=True, allow_nan=False)
 
 
@@ -654,7 +655,6 @@ def standard_instance_suite(
     """
     count = as_integer("count", count, 1)
     seed = as_integer("seed", seed, 0)
-    noise = as_python(noise)  # a float16 would size m (_m_for_noise) at float16 precision
-    if noise is not None:
-        as_real("noise", noise, 0)
+    if noise is not None:  # a float16 would size m (_m_for_noise) at float16 precision
+        noise = as_real("noise", noise, 0)
     return _suite(count, seed, noise)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_corpus_dir_round_trip(tmp_path):
     assert [d.topics for d in loaded] == [d.topics for d in docs]
     assert [d.text.strip() for d in loaded] == [d.text for d in docs]
     assert (tmp_path / "c" / "manifest.json").exists()
+
+
+def _circular() -> dict:
+    manifest = {}
+    manifest["self"] = manifest
+    return manifest
+
+
+@pytest.mark.parametrize("manifest", [{"noise_rate": Fraction(1, 2)}, _circular()],
+                         ids=["fraction", "circular"])
+def test_manifest_json_cannot_encode_writes_nothing(tmp_path, manifest):
+    # the manifest's text is formed before the directory is made
+    docs, _ = corpus.synthesize_collection(corpus.SynthSpec((2, 2)))
+    with pytest.raises(ParameterError, match="^manifest cannot be written as JSON: "):
+        corpus.write_corpus_dir(tmp_path / "c", docs, manifest)
+    assert not (tmp_path / "c").exists()
 
 
 def test_load_corpus_dir_errors(tmp_path):

@@ -17,10 +17,13 @@ import re
 import warnings
 from collections.abc import Iterator
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irrspace
 from irrspace import cli, corpus, evalmetrics, linalg, matrixio, subspace, theory
@@ -233,6 +236,21 @@ _NUMPY_VALUES = {
     },
 }
 
+
+class _Float(float):
+    """A real that is neither a Python float nor a numpy scalar."""
+
+
+# every real parameter's valid and out-of-range values as other kinds of real,
+# each of which acts as its float value
+_OTHER_REALS = {"fraction": Fraction, "float_subclass": _Float}
+_REAL_VALUES = {
+    f"{param}.{kind}.{case}": (call, make(value))
+    for param, call in _REAL_CALLS.items()
+    for case, value in {"valid": _VALID_REALS[param], **_OUT_OF_RANGE[param]}.items()
+    for kind, make in _OTHER_REALS.items()
+}
+
 _MATRICES = {
     "svd.z.string": lambda: linalg.svd([["a", "b"], ["c", "d"]]),
     "svd.z.ragged": lambda: linalg.svd([[1.0, 2.0], [3.0]]),
@@ -352,20 +370,26 @@ def test_shape_and_data_faults_raise_their_documented_error(error, message, call
         call()
 
 
+def _outcome(call, value):
+    """The pickled result of ``call(value)``, or the type of its IrrspaceError;
+    pickle tells the types apart too, so a numpy scalar stored for an int shows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(value)
+            return pickle.dumps(list(out) if isinstance(out, Iterator) else out)
+        except IrrspaceError as exc:
+            return type(exc)
+
+
 @pytest.mark.parametrize(("call", "value"), _NUMPY_VALUES.values(), ids=_NUMPY_VALUES.keys())
 def test_numpy_values_act_as_their_python_values(call, value):
-    def result(v):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = call(v)
-            return list(out) if isinstance(out, Iterator) else out
+    assert _outcome(call, value) == _outcome(call, value.item())
 
-    try:
-        got = result(value)
-    except IrrspaceError:
-        return
-    # pickle tells the types apart too, so a numpy scalar stored for an int shows
-    assert pickle.dumps(got) == pickle.dumps(result(value.item()))
+
+@pytest.mark.parametrize(("call", "value"), _REAL_VALUES.values(), ids=_REAL_VALUES.keys())
+def test_other_reals_act_as_their_float_values(call, value):
+    assert _outcome(call, value) == _outcome(call, float(value))
 
 
 def test_suite_seed_is_reported_as_given():
@@ -394,10 +418,11 @@ def test_each_rule_has_one_message(call, message):
 
 
 def test_valid_values_are_stored_as_given():
-    # the rules check noise_rate and noise, and do not rebind them, so a
-    # synth manifest and a verify record print what the caller gave
+    # as_real returns an integer as int (and any other real as float), so a
+    # synth manifest and a verify record print an int noise as the caller gave it
     assert type(corpus.SynthSpec((3, 3), noise_rate=0).noise_rate) is int
     assert type(theory.construct_ideal_instance(_TM, 8, 0, 0).noise) is int
+    assert type(subspace.SubspaceBasis(_BASIS, "irr", q=np.uint8(1)).q) is int
     basis = subspace.SubspaceBasis(_BASIS, "lsi", q=0.0, residual_ratios=(1, 0.5, 0))
     assert [type(r) for r in basis.residual_ratios] == [float] * 3
     assert subspace.SubspaceBasis(_BASIS, "lsi", exhausted=np.True_).exhausted is True
@@ -415,6 +440,32 @@ def test_numpy_scalars_are_stored_as_python_values(tmp_path):
     assert json.loads(json.dumps(asdict(spec)))["noise_rate"] == 0.25
 
 
+def _fraction_manifest(path):
+    spec = corpus.SynthSpec((2, 2), noise_rate=Fraction(1, 2))
+    corpus.write_corpus_dir(path, corpus.synthesize_collection(spec)[0], asdict(spec))
+    return json.loads((path / "manifest.json").read_text(encoding="utf-8"))["noise_rate"]
+
+
+def _fraction_basis(path):
+    matrixio.save_basis(path, subspace.SubspaceBasis(_BASIS, "irr", q=Fraction(1, 2)))
+    return matrixio.load_basis(path).q
+
+
+# each once raised TypeError or numpy's casting error: a Fraction was stored as given
+_FRACTIONS = {
+    "write_corpus_dir.manifest": (_fraction_manifest, 0.5),
+    "save_basis.q": (_fraction_basis, 0.5),
+    "construct_ideal_instance.noise": (
+        lambda path: theory.construct_ideal_instance(_TM, 8, Fraction(1, 5), 0).noise, 0.2),
+}
+
+
+@pytest.mark.parametrize(("call", "stored"), _FRACTIONS.values(), ids=_FRACTIONS.keys())
+def test_fraction_parameters_are_stored_as_floats(call, stored, tmp_path):
+    got = call(tmp_path / "out")
+    assert type(got) is float and got == stored
+
+
 def test_ideal_instance_stores_numpy_scalars_as_python_values():
     # verify names its records by the instance's noise and seed
     inst = theory.construct_ideal_instance(_TM, 8, np.float32(0.1), np.uint16(3))
@@ -423,6 +474,66 @@ def test_ideal_instance_stores_numpy_scalars_as_python_values():
     record.instance = {"noise": inst.noise, "seed": inst.seed}
     assert json.loads(record.to_json())["instance"] == {"noise": float(np.float32(0.1)),
                                                         "seed": 3}
+
+
+# reals of every kind the tables feed, within the float range
+_REAL_SCALARS = st.one_of(
+    st.integers(-2**63, 2**63 - 1),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats(width=16).map(np.float16),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.fractions(-10**6, 10**6, max_denominator=10**6),
+)
+_SCALARS = st.one_of(_REAL_SCALARS, st.none(), st.booleans(), st.booleans().map(np.bool_),
+                     st.text(max_size=3), st.binary(max_size=3))
+_FLAGS = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+
+
+def _or_any_scalar(likely):
+    """``likely`` half the time, any scalar otherwise (one_of would flatten
+    the branches of _SCALARS and draw ``likely`` rarely)."""
+    return st.booleans().flatmap(lambda pick: likely if pick else _SCALARS)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    k=_or_any_scalar(st.one_of(st.integers(1, 6), st.integers(1, 6).map(np.int64))),
+    algorithm=_or_any_scalar(st.sampled_from(evalmetrics.ALGORITHMS).flatmap(
+        lambda name: st.sampled_from([name, np.str_(name), name.encode()]))),
+    entries=st.lists(_or_any_scalar(st.integers(0, 5)), min_size=4, max_size=4),
+    quantities=st.dictionaries(st.text(max_size=3), _REAL_SCALARS, max_size=4),
+    flags=st.tuples(_FLAGS, _FLAGS),
+)
+def test_scalar_arguments_end_in_an_error_or_json(k, algorithm, entries, quantities, flags):
+    # cluster's k and algorithm, contingency_score's table entries and
+    # TheoremRecord's quantities and flags: an IrrspaceError or Python scalars
+    # that to_json writes
+    quantities = dict(quantities)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            labels = evalmetrics.cluster(_Z, k, algorithm)
+        except IrrspaceError:
+            pass
+        else:
+            assert labels.shape == (_Z.shape[1],)
+            assert all(type(c) is int and 0 <= c < k for c in labels.tolist())
+            quantities["clusters"] = len(set(labels.tolist()))
+        try:
+            score = evalmetrics.contingency_score([entries[:2], entries[2:]])
+        except IrrspaceError:
+            pass
+        else:
+            assert type(score) is float and 0.0 <= score <= 1.0
+            quantities["score"] = score
+        record = theory.TheoremRecord("fuzz", quantities, *flags)
+        parsed = json.loads(record.to_json())
+    assert parsed["quantities"] == {
+        key: float(v) if math.isfinite(v) else None for key, v in quantities.items()}
+    assert [parsed["condition_met"], parsed["holds"]] == [bool(f) for f in flags]
+    assert all(type(parsed[f]) is bool for f in ("condition_met", "holds"))
 
 
 def test_every_numeric_parameter_has_a_bad_input_case():

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -817,14 +818,21 @@ def test_cosine_bound_holds_where_sim_is_below_eps():
         assert np.max(wrong_low - cos) > theory._COSINE_SLACK
 
 
-def test_theorem_record_serializes_to_json():
+@pytest.mark.parametrize(
+    ("x", "flag"),
+    [(1.5, True), (np.float32(1.5), True), (Fraction(3, 2), True), (1.5, np.True_),
+     (1.5, np.False_)],
+    ids=["float", "float32", "fraction", "numpy_true", "numpy_false"],
+)
+def test_theorem_record_serializes_to_json(x, flag):
     rec = theory.TheoremRecord(
-        check="demo", quantities={"x": 1.5, "y": math.inf}, condition_met=True, holds=True
+        check="demo", quantities={"x": x, "y": math.inf}, condition_met=flag, holds=flag
     )
     parsed = json.loads(rec.to_json())
     assert parsed["check"] == "demo"
     assert parsed["quantities"]["x"] == 1.5
     assert parsed["quantities"]["y"] is None  # JSON has no Infinity
+    assert parsed["condition_met"] is parsed["holds"] is bool(flag)
     assert "instance" not in parsed  # only verify's records name an instance
     rec.instance = {"index": 3}
     assert json.loads(rec.to_json())["instance"] == {"index": 3}
