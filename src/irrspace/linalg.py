@@ -44,11 +44,17 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def as_matrix(z, name: str = "matrix") -> np.ndarray:
-    """Return ``z`` as a nonempty C-ordered 2-D float64 array with finite entries."""
+    """Return ``z`` as a nonempty C-ordered 2-D float64 array with finite
+    entries.  Text is not a number: a str or bytes entry is refused, even
+    one that float() would parse."""
     try:
-        if np.iscomplexobj(z):  # np.asarray would drop the imaginary part
+        raw = np.asarray(z)
+        if raw.dtype.kind == "c":  # a float64 cast would drop the imaginary part
             raise TypeError("complex entries")
-        a = np.asarray(z, dtype=np.float64, order="C")
+        if raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+                isinstance(x, (str, bytes)) for x in raw.flat):
+            raise TypeError("text entries")
+        a = np.asarray(raw, dtype=np.float64, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{name} must hold real numbers: {exc}") from exc
     if a.ndim != 2:
@@ -152,15 +158,21 @@ def svd(z) -> SvdResult:
     return SvdResult(u=u * signs, s=s, v=vt.T * signs)
 
 
-def project(basis, z) -> np.ndarray:
-    """Orthogonal projection of the columns of ``z`` onto span(basis)."""
-    b = as_matrix(basis, "basis")
-    a = as_matrix(z)
+def check_basis(b: np.ndarray, a: np.ndarray) -> None:
+    """Raise unless the checked basis ``b`` can project the columns of the
+    checked matrix ``a``: as many rows, and orthonormal columns."""
     if b.shape[0] != a.shape[0]:
         raise DimensionError(
             f"basis has {b.shape[0]} rows but matrix has {a.shape[0]}"
         )
     require_orthonormal(b)
+
+
+def project(basis, z) -> np.ndarray:
+    """Orthogonal projection of the columns of ``z`` onto span(basis)."""
+    b = as_matrix(basis, "basis")
+    a = as_matrix(z)
+    check_basis(b, a)
     return b @ (b.T @ a)
 
 

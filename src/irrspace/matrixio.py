@@ -115,7 +115,14 @@ _SIDECAR_KEYS = ("method", "q", "ell", "residual_ratios", "exhausted")
 
 
 def save_basis(path, basis: SubspaceBasis) -> None:
-    meta = json.dumps({key: getattr(basis, key) for key in _SIDECAR_KEYS}, indent=2)
+    """Write ``basis`` to ``path`` and its sidecar; a field JSON cannot encode
+    (one reassigned after construction) is a ParameterError before any file
+    is written."""
+    try:
+        meta = json.dumps({key: getattr(basis, key) for key in _SIDECAR_KEYS}, indent=2,
+                          allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"basis sidecar cannot be written as JSON: {exc}") from exc
     write_matrix_binary(path, basis.basis)
     _sidecar(path).write_text(meta + "\n", encoding="utf-8")
 

@@ -10,27 +10,40 @@ S = rho.T @ rho:
 * deviation of a subspace X: E(X) = S - P_X(A).T P_X(A); its spectral norm
   measures how badly inner products in X misstate the ideal similarities.
 
+Every deviation and every bound checked here depends on A only through inner
+products, so none changes under an orthogonal change of term coordinates:
+with A = Q R (Q of orthonormal columns, R n x n when m >= n; T. F. Chan's
+R-SVD, ACM TOMS 1982), an m x n matrix is handled as R.
+
 optimum_subspace searches for the deviation-minimizing subspace: for each
 size h up to a cap it starts from the span of A's top h left singular vectors,
 LSI's rank-h truncation, which the truncation-angle theorem places near the
 optimum, and refines it by plane rotations: each round tries
 every coordinate plane at angles +-(0.3, 0.1, 0.03, 0.01) and keeps the best
-rotation if it lowers the norm by more than 1e-8, for at most 80 rounds.  A
-rotation in plane (i, j) changes only rows i and j of the frame w, so with
-C = U.T A and M = w.T C, a candidate's coordinates are
-M + (w'_i - w_i).T C_i + (w'_j - w_j).T C_j.  The
+rotation if it lowers the norm by more than 1e-8, for at most 80 rounds.  It
+runs on R: U is the top rank(A) left singular vectors of R, so Q U spans A's.
+A rotation in plane (i, j) changes only rows i and j of the frame w, so with
+C = U.T R and M = w.T C, a candidate's coordinates are
+M + (w'_i - w_i).T C_i + (w'_j - w_j).T C_j.  The basis found is Q U w.  The
 verifiers check the dominance/singular-value interval, the tangent bound on
 the angle between the truncation subspace and the optimum, the
 singular-value perturbation inequality, and the projected-cosine envelope,
 each as ``x <= bound + slack`` at a fixed slack: 1e-8 for the dominance
 interval, 1e-6 for the truncation angle, 1e-10 for the singular-value
-perturbation and 1e-9 for the cosine envelope.  An ideal instance is
-factored once: the truncation check reads sigma_{h+1}(A) and the rank-h
-truncation subspace off the SVD of A the optimum search ran on.  It reads
-eps_tilde = sigma_1(Dbar)^2 as the largest eigenvalue of the n x n Gram
-Dbar.T Dbar; forming the Gram moves it by about m * eps * ||Dbar||_F^2
-<= m * n * eps * eps_tilde (Weyl), an error relative to eps_tilde itself,
-since squaring loses digits only on eigenvalues far below the largest.
+perturbation and 1e-9 for the cosine envelope.
+
+An ideal instance is factored once, and its search and its three checks run
+on R and on the coordinates Y of the optimum's basis B = Q Y
+(IdealInstance.coordinates); the m x h basis itself is formed only when
+read.  The checks read B.T A = Y.T R =: C, the projected Gram C.T C, and
+S - A.T A = S - R.T R; the truncation check reads sigma_{h+1}(A) and the
+rank-h truncation subspace U_R[:, :h] off the SVD of R the search ran on,
+and the angles between it and Y.  It reads eps_tilde = sigma_1(Dbar)^2,
+Dbar = A - B C = Q (R - Y C), as the largest eigenvalue of the n x n Gram of
+R - Y C; forming that Gram moves it by about n * eps * ||Dbar||_F^2
+<= n^2 * eps * eps_tilde (Weyl), an error relative to eps_tilde itself,
+since squaring loses digits only on eigenvalues far below the largest.  (The
+equal R.T R - C.T C would cancel to an error relative to ||A||_2^2.)
 
 The search scores each candidate through a low-rank identity rather than the
 n x n deviation: S is factored once as S ~= F.T J_S F (F = sqrt|lambda| V.T
@@ -157,13 +170,31 @@ def deviation_error(s, a, basis=None) -> float:
 
 @dataclass
 class OptimumSubspaceResult:
+    """The searched subspace: an orthonormal m x h ``basis``, its deviation
+    norm ``eps_opt`` and the lower bound ``eps_lower`` (module docstring).
+
+    The result construct_ideal_instance finds defers its basis: it keeps A and
+    the basis's coordinates Y in A = Q R (IdealInstance.coordinates), forms
+    Q Y on the first read of ``basis``, and reads ``h`` off Y.
+    """
+
     basis: np.ndarray
     eps_opt: float
     eps_lower: float
 
     @property
     def h(self) -> int:
-        return self.basis.shape[1]
+        deferred = vars(self).get("_deferred")
+        return (self.basis if deferred is None else deferred[1]).shape[1]
+
+    def __getattr__(self, name: str):  # reached only for a basis not yet formed
+        deferred = vars(self).get("_deferred")
+        if name != "basis" or deferred is None:
+            raise AttributeError(name)
+        a, y = deferred
+        self.basis = np.linalg.qr(a)[0] @ y  # the Q of optimum_subspace, bit for bit
+        del self._deferred
+        return self.basis
 
 
 def _similarity_factor(smat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -324,29 +355,33 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     ties still go to the smallest h.  ``eps_lower`` (module docstring) bounds
     the deviation of every subspace of at most h_max dimensions from below.
     S and A are checked by linalg.as_similarity, as for deviation_matrix.
+    The search runs on the factor R of A = Q R; the basis is Q Y.
     """
     smat, a = linalg.as_similarity(s, a)
     h_max = as_integer("h_max", h_max, 1)
-    return _optimum_of_svd(smat, a, linalg.svd(a), h_max)
+    q, r = np.linalg.qr(a)
+    y, eps_opt, eps_lower = _optimum_of_svd(smat, r, linalg.svd(r), h_max)
+    return OptimumSubspaceResult(basis=q @ y, eps_opt=eps_opt, eps_lower=eps_lower)
 
 
 def _optimum_of_svd(
-    smat: np.ndarray, a: np.ndarray, res: linalg.SvdResult, h_max: int
-) -> OptimumSubspaceResult:
-    """optimum_subspace on checked inputs, given res = linalg.svd(a)."""
-    r = res.rank
-    if r == 0:
+    smat: np.ndarray, r: np.ndarray, res: linalg.SvdResult, h_max: int
+) -> tuple[np.ndarray, float, float]:
+    """(Y, eps_opt, eps_lower) of optimum_subspace on checked inputs, given
+    the factor r = R of A = Q R and res = linalg.svd(R); Q Y is the basis."""
+    rank = res.rank
+    if rank == 0:
         raise ParameterError(linalg.ZERO_MATRIX)
-    u = res.u[:, :r]
-    c = u.T @ a
+    u = res.u[:, :rank]
+    c = u.T @ r
     factor = _similarity_factor(smat)
-    # lam[h] = lambda_{h+1}(S~), for h = 1..r; n + 1 eigenvalues, so that
-    # lambda_{h+1} exists at h = r = n
-    pad = np.zeros(a.shape[1] + 1 - len(factor[0]))
+    # lam[h] = lambda_{h+1}(S~), for h = 1..rank; n + 1 eigenvalues, so that
+    # lambda_{h+1} exists at h = rank = n
+    pad = np.zeros(r.shape[1] + 1 - len(factor[0]))
     lam = np.sort(np.concatenate([factor[0], pad]))[::-1]
-    top = min(h_max, r)
+    top = min(h_max, rank)
     margin = _prune_margin(factor, c)
-    best: tuple[float, np.ndarray] = (math.inf, np.zeros((r, 0)))
+    best: tuple[float, np.ndarray] = (math.inf, np.zeros((rank, 0)))
     for h in range(top, 0, -1):
         if lam[h] > best[0] + margin:
             continue  # no h-dimensional subspace can reach the best so far
@@ -355,9 +390,8 @@ def _optimum_of_svd(
         if eps_h <= best[0]:
             best = (eps_h, w_h)
     eps, w = best
-    t = float(np.linalg.eigvalsh(factor[2] - a.T @ a)[-1])
-    return OptimumSubspaceResult(basis=u @ w, eps_opt=eps,
-                                 eps_lower=max(float(lam[top]), t, 0.0))
+    t = float(np.linalg.eigvalsh(factor[2] - r.T @ r)[-1])
+    return u @ w, eps, max(float(lam[top]), t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -373,14 +407,32 @@ class IdealInstance:
     @functools.cached_property
     def similarity(self) -> np.ndarray:
         """S = rho.T @ rho (n x n) of ``topic_model``.  construct_ideal_instance
-        stores the S and the SVD its search read; any other instance
-        (dataclasses.replace makes a new one) computes each on first use."""
+        stores the S, the coordinates and the SVD its search read; any other
+        instance (dataclasses.replace makes a new one) computes each on first
+        use."""
         return self.topic_model.relevance.T @ self.topic_model.relevance
 
     @functools.cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, Y) with matrix = Q R and optimum.basis = Q Y for one Q of
+        orthonormal columns, so every check reads the n x n Grams of the
+        matrix and its projection off R and Y.  construct_ideal_instance
+        stores the R (n x n when m >= n) and Y of its search; any other
+        instance takes them from the QR of [matrix, basis], which stays exact
+        when the basis leaves range(matrix), after checking the basis as
+        linalg.project does (linalg.check_basis)."""
+        a = linalg.as_matrix(self.matrix)
+        b = linalg.as_matrix(self.optimum.basis, "basis")
+        linalg.check_basis(b, a)
+        r = np.linalg.qr(np.concatenate([a, b], axis=1), mode="r")
+        return r[:, : a.shape[1]], r[:, a.shape[1]:]
+
+    @functools.cached_property
     def svd(self) -> linalg.SvdResult:
-        """linalg.svd(matrix), stored or computed as ``similarity`` is."""
-        return linalg.svd(self.matrix)
+        """linalg.svd(R) of ``coordinates``: the singular values of the matrix
+        and its left singular vectors in Q's coordinates, stored or computed
+        as ``similarity`` is."""
+        return linalg.svd(self.coordinates[0])
 
 
 def construct_ideal_instance(
@@ -391,7 +443,8 @@ def construct_ideal_instance(
     Column d is sum_t rho(t, d) u_t plus a random direction of norm ``noise``,
     renormalized.  The optimum is located by search at every noise level; at
     noise 0 the search's candidate of rank(A) dimensions is the topic span,
-    whose deviation is zero.
+    whose deviation is zero.  The matrix is factored once, A = Q R; the search
+    runs on R, and the optimum's m x h basis is formed on first read.
     """
     m = as_integer("m", m, tm.n_topics)
     noise = as_real("noise", noise, 0)
@@ -405,18 +458,23 @@ def construct_ideal_instance(
     cols = qmat @ rho
     nv = rng.standard_normal((m, tm.n_docs))
     nv *= noise / np.linalg.norm(nv, axis=0)
-    cols = cols + nv
+    cols += nv
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(cols, axis=0)
     if not np.all((norms >= 1e-12) & (norms < np.inf)):
         raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
-    cols = cols / norms
-    res = linalg.svd(cols)
+    cols /= norms
+    r = np.linalg.qr(cols, mode="r")
+    res = linalg.svd(r)
     # S = rho.T rho of a checked TopicModel (unit columns) passes as_similarity
     smat = rho.T @ rho
-    optimum = _optimum_of_svd(smat, cols, res, tm.n_topics)
+    y, eps_opt, eps_lower = _optimum_of_svd(smat, r, res, tm.n_topics)
+    # a result whose basis is deferred (OptimumSubspaceResult)
+    optimum = OptimumSubspaceResult.__new__(OptimumSubspaceResult)
+    vars(optimum).update(eps_opt=eps_opt, eps_lower=eps_lower, _deferred=(cols, y))
     inst = IdealInstance(matrix=cols, topic_model=tm, optimum=optimum, noise=noise, seed=seed)
-    vars(inst).update(svd=res, similarity=smat)  # the slots cached_property fills
+    # the slots cached_property fills
+    vars(inst).update(similarity=smat, coordinates=(r, y), svd=res)
     return inst
 
 
@@ -427,7 +485,8 @@ class TheoremRecord:
     ``instance`` names the input checked (``verify`` sets it); a record
     without one serializes without the key.  A quantity serializes as a
     float, or as null when it is not finite (a bound whose precondition
-    failed); the two flags serialize as bools.
+    failed); one past the float range is a ParameterError.  The two flags
+    serialize as bools.
     """
 
     check: str
@@ -441,7 +500,11 @@ class TheoremRecord:
         if self.instance is None:
             del fields["instance"]
         for k, v in fields["quantities"].items():
-            fields["quantities"][k] = float(v) if math.isfinite(v) else None
+            try:
+                finite = math.isfinite(v)
+            except OverflowError as exc:
+                raise ParameterError(f"quantity {k} is past the float range: {exc}") from exc
+            fields["quantities"][k] = float(v) if finite else None
         fields["condition_met"], fields["holds"] = bool(self.condition_met), bool(self.holds)
         return json.dumps(fields, sort_keys=True, allow_nan=False)
 
@@ -455,12 +518,12 @@ def _padded_singular_values(a: np.ndarray, count: int) -> np.ndarray:
 
 def verify_dominance_interval(instance: IdealInstance) -> TheoremRecord:
     """Squared singular values of the optimally projected matrix stay within
-    eps_opt + mingling of the squared topic dominances."""
-    a = instance.matrix
-    basis = instance.optimum.basis
+    eps_opt + mingling of the squared topic dominances; they are those of
+    B.T A = Y.T R (IdealInstance.coordinates)."""
+    r, y = instance.coordinates
     stats = topic_stats(instance.topic_model)
     k = instance.topic_model.n_topics
-    sig = _padded_singular_values(basis.T @ a, k)[:k]
+    sig = _padded_singular_values(y.T @ r, k)[:k]
     delta = np.sort(stats.dominances)[::-1]
     deviation = float(np.max(np.abs(sig**2 - delta**2)))
     bound = instance.optimum.eps_opt + stats.mingling
@@ -486,21 +549,18 @@ def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
     tan theta <= (dhat_max / dhat_min) (sqrt(eps_tilde) / dhat_min)
                  / (1 - eps_tilde / dhat_min^2).
     Also checks the two intermediate claims: sigma_{h+1}(A) <= sqrt(eps_tilde)
-    and |eps_tilde - eps_0| <= eps_opt.  sigma_{h+1}(A) and the rank-h
-    truncation subspace come from ``instance.svd``, the SVD the optimum
-    search ran on; eps_tilde is the largest eigenvalue of the n x n Gram
-    Dbar.T Dbar, whose roundoff is small relative to eps_tilde itself
-    (module docstring).
+    and |eps_tilde - eps_0| <= eps_opt.  All are read in the coordinates
+    A = Q R, B = Q Y of ``instance.coordinates``, and sigma_{h+1}(A) and the
+    truncation subspace off ``instance.svd``, the SVD of R the optimum search
+    ran on (module docstring).
     """
-    a = instance.matrix
-    basis = instance.optimum.basis
+    r, y = instance.coordinates
     h = instance.optimum.h
-    smat = instance.similarity
-    coords = basis.T @ a
+    coords = y.T @ r
     dhat = _padded_singular_values(coords, h)
-    dbar = a - basis @ coords
+    dbar = r - y @ coords
     eps_tilde = max(float(np.linalg.eigvalsh(dbar.T @ dbar)[-1]), 0.0)
-    eps0 = deviation_error(smat, a)
+    eps0 = deviation_error(instance.similarity, r)
     eps_opt = instance.optimum.eps_opt
     sqrt_et = math.sqrt(eps_tilde)
     dhat_max, dhat_min = float(dhat[0]), float(dhat[h - 1])
@@ -508,7 +568,7 @@ def verify_truncation_angle(instance: IdealInstance) -> TheoremRecord:
 
     res = instance.svd
     sigma_next = float(res.s[h]) if h < len(res.s) else 0.0
-    tan_measured = linalg.canonical_angles(res.u[:, :h], basis).tan_norm
+    tan_measured = linalg.canonical_angles(res.u[:, :h], y).tan_norm
     if condition:
         x = sqrt_et / dhat_min
         tan_bound = (dhat_max / dhat_min) * x / (1.0 - x * x)
@@ -569,18 +629,21 @@ def verify_cosine_bound(instance: IdealInstance) -> TheoremRecord:
     x_i.x_j >= sim - eps gives cos >= (sim - eps)/(1 + eps) when sim >= eps
     but only cos >= (sim - eps)/(1 - eps) when sim < eps, where the
     numerator is negative and the smallest norm product is the worst case.
+    The projected columns x_i = B C_i, C = Y.T R (IdealInstance.coordinates),
+    so their Gram is C.T C and ||x_i|| = ||C_i||.
     """
-    a = instance.matrix
+    r, y = instance.coordinates
     smat = instance.similarity
-    x = linalg.project(instance.optimum.basis, a)
-    gram = x.T @ x
+    c = y.T @ r
+    gram = c.T @ c
     e = smat - gram
     eps = float(np.max(np.abs(e)))
-    norms = np.linalg.norm(x, axis=0)
-    applicable = eps < 1.0 and bool(np.all(norms > 0.0)) and a.shape[1] > 1
+    norms = np.linalg.norm(c, axis=0)
+    n = r.shape[1]
+    applicable = eps < 1.0 and bool(np.all(norms > 0.0)) and n > 1
     if applicable:
         cos = gram / np.outer(norms, norms)
-        iu = np.triu_indices(a.shape[1], k=1)
+        iu = np.triu_indices(n, k=1)
         sim = smat[iu]
         low = (sim - eps) / np.where(sim >= eps, 1.0 + eps, 1.0 - eps)
         high = (sim + eps) / (1.0 - eps)

@@ -253,6 +253,11 @@ _REAL_VALUES = {
 
 _MATRICES = {
     "svd.z.string": lambda: linalg.svd([["a", "b"], ["c", "d"]]),
+    # text is not a number, even where float() would parse it
+    "svd.z.text": lambda: linalg.svd([["1", "2"], ["3", "4"]]),
+    "svd.z.bytes": lambda: linalg.svd([[b"1", b"2"], [b"3", b"4"]]),
+    "svd.z.text_in_a_numeric_row": lambda: linalg.svd([["1", 2.0], [3.0, 4.0]]),
+    "svd.z.text_in_an_object_array": lambda: linalg.svd(np.array([[1.0, "2"]], dtype=object)),
     "svd.z.ragged": lambda: linalg.svd([[1.0, 2.0], [3.0]]),
     "svd.z.complex_list": lambda: linalg.svd([[1j, 0.0], [0.0, 1.0]]),
     "svd.z.complex_array": lambda: linalg.svd(np.eye(2, dtype=complex)),
@@ -271,6 +276,8 @@ _MATRICES = {
     "rank_pairs.z.string": lambda: evalmetrics.rank_pairs([["x", "y"]]),
     "contingency_score.table.nan": lambda: evalmetrics.contingency_score([[math.nan, 1]]),
     "contingency_score.table.string": lambda: evalmetrics.contingency_score([["x", 1]]),
+    "contingency_score.table.numeric_text": lambda: evalmetrics.contingency_score(
+        [["1", 1], [1, 1]]),
     "TermDocumentMatrix.matrix.nan": lambda: corpus.TermDocumentMatrix(
         np.array([[math.nan]]), ("t",), ("d",)),
     "TermDocumentMatrix.matrix.one_d": lambda: corpus.TermDocumentMatrix(

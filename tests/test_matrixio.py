@@ -5,12 +5,13 @@ import json
 import math
 import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from irrspace import matrixio, subspace
-from irrspace.errors import DataError
+from irrspace.errors import DataError, ParameterError
 
 
 def test_binary_round_trip_is_exact(tmp_path):
@@ -91,6 +92,20 @@ def test_basis_round_trip(tmp_path):
     assert back.method == "irr"
     assert back.q == basis.q
     assert back.residual_ratios == basis.residual_ratios
+
+
+@pytest.mark.parametrize(("field", "value"), [("q", Fraction(1, 2)), ("q", math.nan),
+                                             ("exhausted", np.True_)],
+                         ids=["fraction_q", "nan_q", "numpy_bool_exhausted"])
+def test_save_basis_of_a_reassigned_field_writes_nothing(tmp_path, field, value):
+    # the dataclass is not frozen, so a field reassigned after construction
+    # skips its checks; the sidecar's text is formed before any file is written
+    basis = subspace.irr(np.random.default_rng(2).standard_normal((10, 6)), ell=3)
+    setattr(basis, field, value)
+    path = tmp_path / "basis.ssm1"
+    with pytest.raises(ParameterError, match="^basis sidecar cannot be written as JSON: "):
+        matrixio.save_basis(path, basis)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _rank_two(rng):

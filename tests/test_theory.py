@@ -5,8 +5,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,20 +363,27 @@ def test_least_matches_scoring_every_candidate(cases, margin, bound):
     assert set(must.tolist()) <= set(done.tolist())
 
 
+def _search_coordinates(a):
+    """(Q, U, C) of the search on A = Q R: U the top rank(A) left singular
+    vectors of R and C = U.T R.  A is read through linalg.as_matrix, in C
+    order, as the search reads it."""
+    q, r = np.linalg.qr(linalg.as_matrix(a))
+    res = linalg.svd(r)
+    u = res.u[:, : res.rank]
+    return q, u, u.T @ r
+
+
 def _search_every_size(s, a, h_max):
     """The search without size skipping: every h in ascending order, a
-    strictly lower norm replacing the best, so ties go to the smallest h.
-    A is read through linalg.as_matrix, in C order, as the search reads it."""
-    a = linalg.as_matrix(a)
-    res = linalg.svd(a)
-    u, c = res.u[:, : res.rank], res.u[:, : res.rank].T @ a
+    strictly lower norm replacing the best, so ties go to the smallest h."""
+    q, u, c = _search_coordinates(a)
     factor = theory._similarity_factor(s)
     best = None
-    for h in range(1, min(h_max, res.rank) + 1):
+    for h in range(1, min(h_max, u.shape[1]) + 1):
         eps, w = theory._best_subset(factor, c, h)
         eps, w = theory._refine(factor, c, w, eps)
         if best is None or eps < best[0]:
-            best = (eps, h, u @ w)
+            best = (eps, h, q @ (u @ w))
     return best, theory._prune_margin(factor, c)
 
 
@@ -423,8 +434,7 @@ def test_eps_lower_bounds_every_subspace(case, seed):
 
 
 def _margin(s, a):
-    res = linalg.svd(a)
-    return theory._prune_margin(theory._similarity_factor(s), res.u[:, : res.rank].T @ a)
+    return theory._prune_margin(theory._similarity_factor(s), _search_coordinates(a)[2])
 
 
 def _sigma_term_bound(s, a, h_max):
@@ -519,12 +529,17 @@ def test_best_subset_scores_the_top_h_frame():
 def test_suite_search_is_bracketed_by_its_lower_bound_and_the_truncation(noise):
     # every noise regime verify runs: the result is no worse than LSI's
     # truncation at any size searched, and no better than the certified bound
+    # truncation's deviation is read in the coordinates A = Q R, where U_h is
+    # the top h left singular vectors of R
     for inst in theory.standard_instance_suite(4, seed=0, noise=noise):
         s, a, got = inst.similarity, inst.matrix, inst.optimum
+        r = inst.coordinates[0]
         margin = _margin(s, a)
         assert got.eps_lower <= got.eps_opt + margin
         for h in range(1, min(inst.topic_model.n_topics, inst.svd.rank) + 1):
-            assert got.eps_opt <= theory.deviation_error(s, a, inst.svd.u[:, :h]) + margin
+            assert got.eps_opt <= theory.deviation_error(s, r, inst.svd.u[:, :h]) + margin
+            truncation = linalg.svd(a).u[:, :h]
+            assert got.eps_opt <= theory.deviation_error(s, a, truncation) + margin
 
 
 def test_w2_suites_search_nine_of_thirty_sizes(monkeypatch):
@@ -712,39 +727,86 @@ def test_truncation_angle_next_singular_value_claim_is_tight():
 
 
 def test_verify_factors_each_ideal_instance_once(monkeypatch, tmp_path):
-    # the truncation check reads the SVD the optimum search ran on: one
-    # linalg.svd per instance, none from the check itself
-    calls = []
-    svd = linalg.svd
+    # verify takes one QR of each instance's m x n matrix (after the
+    # generator's QR of its m x k topic draw, which is unchanged) and one
+    # linalg.svd, of the n x n factor R; the checks themselves take neither
+    qrs, svds = [], []
+    qr, svd = np.linalg.qr, linalg.svd
 
-    def counted(z):
-        calls.append(np.shape(z))
+    def counted_qr(a, *args, **kwargs):
+        if np.ndim(a) == 2:  # _eps_of_coords' batched QRs are 3-D
+            qrs.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def counted_svd(z):
+        svds.append(np.shape(z))
         return svd(z)
 
-    monkeypatch.setattr(linalg, "svd", counted)
-    assert cli.main(["verify", "--seed", "42", "--trials", "8",
-                     "--out", str(tmp_path / "v.jsonl")]) == 0
-    assert len(calls) == 8
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(linalg, "svd", counted_svd)
+    out = tmp_path / "v.jsonl"
+    assert cli.main(["verify", "--seed", "42", "--trials", "8", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    records = [json.loads(line) for line in out.read_text().splitlines()[8:-1:3]]
+    shapes = [(r["instance"]["terms"], r["instance"]["topics"], r["instance"]["docs"])
+              for r in records]
+    assert len(shapes) == 8 and min(m for m, _, _ in shapes) > 2000
+    assert qrs == [shape for m, k, n in shapes for shape in ((m, k), (m, n))]
+    assert svds == [(n, n) for _, _, n in shapes]
+
+
+def test_verify_imports_no_scipy(tmp_path):
+    # scipy is imported only by what needs it, so the verify path never
+    # pays for it
+    argv = ["verify", "--seed", "42", "--trials", "2", "--out", str(tmp_path / "v.jsonl")]
+    code = ("import sys\n"
+            "from irrspace import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "sys.exit(code or 'scipy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_instance_keeps_the_similarity_its_search_read(monkeypatch):
-    # rho.T rho is formed once per constructed instance
+    # rho.T rho and the QR factor R are formed once per constructed instance,
+    # and the instance keeps them with the basis coordinates Y the search found
     seen = []
     search = theory._optimum_of_svd
 
-    def recorded(smat, *rest):
-        seen.append(smat)
-        return search(smat, *rest)
+    def recorded(smat, r, res, h_max):
+        seen.append((smat, r, res, search(smat, r, res, h_max)))
+        return seen[-1][-1]
 
     monkeypatch.setattr(theory, "_optimum_of_svd", recorded)
     inst = theory.construct_ideal_instance(_single_topic((4, 3)), m=30, noise=0.2, seed=1)
-    assert len(seen) == 1 and inst.similarity is seen[0]
+    assert len(seen) == 1
+    smat, r, res, (y, eps_opt, eps_lower) = seen[0]
+    assert inst.similarity is smat and inst.svd is res
+    assert inst.coordinates[0] is r and inst.coordinates[1] is y
+    assert r.shape == (7, 7)
+    assert (inst.optimum.eps_opt, inst.optimum.eps_lower) == (eps_opt, eps_lower)
+
+
+def test_constructed_basis_is_formed_only_when_read():
+    # verify reads h and the checks off the coordinates; the m x h basis is
+    # Q Y, formed on the first read, bit for bit optimum_subspace's basis
+    inst = theory.construct_ideal_instance(_single_topic((4, 3)), m=30, noise=0.2, seed=1)
+    for verify in (theory.verify_dominance_interval, theory.verify_truncation_angle,
+                   theory.verify_cosine_bound):
+        verify(inst)
+    assert inst.optimum.h == inst.coordinates[1].shape[1]
+    assert "basis" not in vars(inst.optimum)
+    basis = inst.optimum.basis
+    assert basis.shape == (30, inst.optimum.h) and inst.optimum.basis is basis
+    want = theory.optimum_subspace(inst.similarity, inst.matrix, 2)
+    assert basis.tobytes() == want.basis.tobytes()
 
 
 def test_truncation_angle_reads_each_instance_own_svd():
     # an instance built by hand, or by dataclasses.replace from a constructed
-    # one, computes the SVD of its own matrix, never the one stored on the
-    # instance it was copied from
+    # one, factors its own matrix and basis, never reusing the R and Y stored
+    # on the instance it was copied from
     hand = _hand_instance(np.diag([1.0, 0.5]), np.eye(2), np.eye(2)[:, :1], 1.0)
     assert hand.svd.s.tolist() == [1.0, 0.5]
     tm = _single_topic((4, 3))
@@ -756,7 +818,68 @@ def test_truncation_angle_reads_each_instance_own_svd():
     got = theory.verify_truncation_angle(moved).to_json()
     assert got == theory.verify_truncation_angle(fresh).to_json()
     assert got != theory.verify_truncation_angle(inst).to_json()
-    assert np.array_equal(moved.svd.u, linalg.svd(other).u)
+    r, y = moved.coordinates
+    b = inst.optimum.basis
+    assert np.allclose(r.T @ r, other.T @ other, rtol=0.0, atol=1e-14)
+    assert np.allclose(y.T @ r, b.T @ other, rtol=0.0, atol=1e-14)
+    assert np.allclose(moved.svd.s[:7], linalg.svd(other).s, rtol=0.0, atol=1e-14)
+
+
+def _term_space_records(inst):
+    """The three instance checks' quantities computed in term space, from
+    the m x n matrix A and the m x h basis B: the oracle for the coordinates."""
+    a, b, s = inst.matrix, inst.optimum.basis, inst.similarity
+    k, h, n = inst.topic_model.n_topics, b.shape[1], a.shape[1]
+    stats = theory.topic_stats(inst.topic_model)
+    coords = b.T @ a
+    sv = np.concatenate([np.linalg.svd(coords, compute_uv=False), np.zeros(max(k, h))])
+    dominance = float(np.max(np.abs(sv[:k] ** 2 - np.sort(stats.dominances)[::-1] ** 2)))
+    dbar = a - b @ coords
+    eps_tilde = float(np.linalg.svd(dbar, compute_uv=False)[0]) ** 2
+    full = linalg.svd(a)
+    x = math.sqrt(eps_tilde) / sv[h - 1]
+    projected = b @ coords
+    gram, norms = projected.T @ projected, np.linalg.norm(projected, axis=0)
+    eps = float(np.max(np.abs(s - gram)))
+    iu = np.triu_indices(n, k=1)
+    cos, sim = (gram / np.outer(norms, norms))[iu], s[iu]
+    low = (sim - eps) / np.where(sim >= eps, 1.0 + eps, 1.0 - eps)
+    return {
+        "dominance_interval": {"max_deviation": dominance,
+                               "bound": inst.optimum.eps_opt + stats.mingling},
+        "truncation_angle": {
+            "dhat_max": sv[0], "dhat_min": sv[h - 1], "eps_tilde": eps_tilde,
+            "eps_0": theory.deviation_error(s, a),
+            "sigma_h_plus_1": full.s[h] if h < len(full.s) else 0.0,
+            "tan_measured": linalg.canonical_angles(full.u[:, :h], b).tan_norm,
+            "tan_bound": (sv[0] / sv[h - 1]) * x / (1.0 - x * x) if x < 1.0 else math.inf},
+        "cosine_bound": {"eps": eps, "lower_violation": float(np.max(low - cos)),
+                         "upper_violation": float(np.max(cos - (sim + eps) / (1.0 - eps)))},
+    }
+
+
+@pytest.mark.parametrize("spread, condition", [(0.05, True), (1.0, False)])
+def test_hand_built_basis_outside_the_range_matches_term_space(spread, condition):
+    # B is drawn around A's top-2 left singular vectors with a part outside
+    # range(A) (m = 40 > n + h): the QR of [A B] keeps that part, and every
+    # quantity agrees with the term-space formulas to 1e-12, whether or not
+    # the truncation bound's condition is met
+    inst = theory.construct_ideal_instance(_single_topic((4, 3)), m=40, noise=0.3, seed=5)
+    rng = np.random.default_rng(7)
+    near = linalg.svd(inst.matrix).u[:, :2] + spread * rng.standard_normal((40, 2))
+    b, q = np.linalg.qr(near)[0], np.linalg.qr(inst.matrix)[0]
+    assert np.linalg.norm(b - q @ (q.T @ b), 2) > 0.1  # the part outside range(A)
+    eps_opt = theory.deviation_error(inst.similarity, inst.matrix, b)
+    hand = dataclasses.replace(inst, optimum=theory.OptimumSubspaceResult(
+        basis=b, eps_opt=eps_opt, eps_lower=0.0))
+    want = _term_space_records(hand)
+    for verify in (theory.verify_dominance_interval, theory.verify_truncation_angle,
+                   theory.verify_cosine_bound):
+        rec = verify(hand)
+        if rec.check == "truncation_angle":
+            assert rec.condition_met == condition
+        for name, value in want[rec.check].items():
+            assert rec.quantities[name] == pytest.approx(value, rel=0.0, abs=1e-12), name
 
 
 def test_h_and_similarity_follow_a_replaced_input():
@@ -774,14 +897,20 @@ def test_h_and_similarity_follow_a_replaced_input():
 
 @pytest.mark.parametrize("count, seed, noise", [(24, 42, None), (12, 0, None), (12, 0, 0.0)])
 def test_eps_tilde_from_the_gram_matches_the_svd(count, seed, noise):
-    # eps_tilde = lambda_max(Dbar.T Dbar) against sigma_1(Dbar)^2: measured
-    # within 2.3e-15 relative, and 3.6e-15 at noise 0, where it is roundoff
+    # eps_tilde = lambda_max(Dbar.T Dbar), Dbar = R - Y C in the instance's
+    # coordinates, against sigma_1(Dbar)^2 of the same Dbar: measured within
+    # 1.3e-15 relative, also at noise 0, where it is roundoff.  Against
+    # Dbar = A - B B.T A formed in term space it agrees within 1.4e-16
+    # absolute (a different roundoff at noise 0, where both are ~1e-30)
     for inst in theory.standard_instance_suite(count, seed=seed, noise=noise):
-        basis, a = inst.optimum.basis, inst.matrix
-        dbar = a - basis @ (basis.T @ a)
+        r, y = inst.coordinates
+        dbar = r - y @ (y.T @ r)
         want = float(np.linalg.svd(dbar, compute_uv=False)[0]) ** 2
         got = theory.verify_truncation_angle(inst).quantities["eps_tilde"]
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        basis, a = inst.optimum.basis, inst.matrix
+        term_space = float(np.linalg.svd(a - basis @ (basis.T @ a), compute_uv=False)[0]) ** 2
+        assert got == pytest.approx(term_space, rel=0.0, abs=1e-14)
 
 
 def test_cosine_bound_exact_instance():
@@ -836,6 +965,14 @@ def test_theorem_record_serializes_to_json(x, flag):
     assert "instance" not in parsed  # only verify's records name an instance
     rec.instance = {"index": 3}
     assert json.loads(rec.to_json())["instance"] == {"index": 3}
+
+
+@pytest.mark.parametrize("x", [10**400, Fraction(10**400)], ids=["int", "fraction"])
+def test_theorem_record_of_a_quantity_past_the_float_range_is_refused(x):
+    rec = theory.TheoremRecord(check="demo", quantities={"y": 1.0, "huge": x},
+                               condition_met=True, holds=True)
+    with pytest.raises(ParameterError, match="quantity huge is past the float range"):
+        rec.to_json()
 
 
 def test_standard_instance_suite_deterministic_and_varied():
