@@ -1,4 +1,4 @@
-"""Dense real matrix kernels: unit columns, SVD, projection, canonical angles.
+"""Dense real matrix kernels: unit columns, QR, SVD, projection, canonical angles.
 
 All functions accept anything ``np.asarray`` can turn into a 2-D float64 array
 and validate it first with ``as_matrix``, the package's one array rule, whose
@@ -8,6 +8,12 @@ SVD sign rule: each left singular vector's largest-magnitude entry is positive.
 ``build_matrix``, ``cosine_matrix`` and spherical k-means, so cosines and the
 clusterings built on them are scale-invariant: a column scaled by any power
 of two that keeps its nonzero entries normal numbers keeps them bit for bit.
+``tall_qr``, for a caller that holds a checked matrix, factors a tall one by
+row blocks (TSQR).  Its R is numpy's R up to roundoff and row signs, since R
+is unique only up to row signs: a result that reads A only through inner
+products, as every ``theory`` check does, moves by roundoff alone.  Its Q and
+R come from one factorization, so A = Q R holds to roundoff; a Q from one QR
+never pairs with an R from another.
 """
 
 from __future__ import annotations
@@ -31,6 +37,14 @@ ZERO_MATRIX = "input matrix is zero; no directions to extract"
 
 # Orthonormality is validated to this tolerance wherever a basis is consumed.
 ORTHO_TOL = 1e-8
+
+# tall_qr's row blocks: 2048 rows of a 16-column matrix are 256 KiB, so each
+# block's layout copy and Householder sweeps stay in cache where numpy's QR of
+# the whole matrix streams it from memory once per column (times were flat
+# from 500 to 4250 rows at 34000 x 16).  A matrix is blocked only when it
+# holds at least two blocks and a block has at least 4 n rows, so that the
+# stacked n x n factors are at most a quarter of the rows they replace.
+_QR_BLOCK_ROWS = 2048
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -156,6 +170,30 @@ def svd(z) -> SvdResult:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     signs = column_signs(u)
     return SvdResult(u=u * signs, s=s, v=vt.T * signs)
+
+
+def tall_qr(a: np.ndarray, mode: str = "reduced"):
+    """``np.linalg.qr(a, mode)`` for mode "reduced" or "r", taken in two
+    levels when ``a`` is tall (TSQR; Demmel, Grigori, Hoemmen & Langou, SIAM
+    J. Sci. Comput. 34(1), 2012): one batched QR of the full row blocks, read
+    as a view of a C-ordered ``a``, then one QR of their stacked R factors and
+    the leftover rows.  Below the block rule (_QR_BLOCK_ROWS) it is numpy's
+    single call, bit for bit.  Either way, mode "r" returns the bytes of the
+    R that mode "reduced" returns."""
+    m, n = a.shape
+    blocks = m // _QR_BLOCK_ROWS
+    if blocks < 2 or _QR_BLOCK_ROWS < 4 * n:
+        return np.linalg.qr(a, mode=mode)
+    split = blocks * _QR_BLOCK_ROWS
+    head = a[:split].reshape(blocks, _QR_BLOCK_ROWS, n)
+    if mode == "r":
+        heads = np.linalg.qr(head, mode="r")
+        return np.linalg.qr(np.concatenate([heads.reshape(-1, n), a[split:]]), mode="r")
+    q_heads, heads = np.linalg.qr(head)
+    q_stack, r = np.linalg.qr(np.concatenate([heads.reshape(-1, n), a[split:]]))
+    # row block i of Q is Q_i times rows i n .. (i + 1) n of the stack's Q
+    q_head = q_heads @ q_stack[: blocks * n].reshape(blocks, n, n)
+    return np.concatenate([q_head.reshape(split, n), q_stack[blocks * n:]]), r
 
 
 def check_basis(b: np.ndarray, a: np.ndarray) -> None:

@@ -13,7 +13,11 @@ S = rho.T @ rho:
 Every deviation and every bound checked here depends on A only through inner
 products, so none changes under an orthogonal change of term coordinates:
 with A = Q R (Q of orthonormal columns, R n x n when m >= n; T. F. Chan's
-R-SVD, ACM TOMS 1982), an m x n matrix is handled as R.
+R-SVD, ACM TOMS 1982), an m x n matrix is handled as R.  Every such QR is
+linalg.tall_qr, which factors a tall A by row blocks: R is unique only up to
+row signs, and a check that reads A through inner products alone moves by
+roundoff when another factorization picks other signs.  Q and R always come
+from the same call, so a basis Q Y pairs with the R its Y was found on.
 
 optimum_subspace searches for the deviation-minimizing subspace: for each
 size h up to a cap it starts from the span of A's top h left singular vectors,
@@ -192,7 +196,7 @@ class OptimumSubspaceResult:
         if name != "basis" or deferred is None:
             raise AttributeError(name)
         a, y = deferred
-        self.basis = np.linalg.qr(a)[0] @ y  # the Q of optimum_subspace, bit for bit
+        self.basis = linalg.tall_qr(a)[0] @ y  # the Q of optimum_subspace, bit for bit
         del self._deferred
         return self.basis
 
@@ -359,7 +363,7 @@ def optimum_subspace(s, a, h_max: int) -> OptimumSubspaceResult:
     """
     smat, a = linalg.as_similarity(s, a)
     h_max = as_integer("h_max", h_max, 1)
-    q, r = np.linalg.qr(a)
+    q, r = linalg.tall_qr(a)
     y, eps_opt, eps_lower = _optimum_of_svd(smat, r, linalg.svd(r), h_max)
     return OptimumSubspaceResult(basis=q @ y, eps_opt=eps_opt, eps_lower=eps_lower)
 
@@ -424,7 +428,7 @@ class IdealInstance:
         a = linalg.as_matrix(self.matrix)
         b = linalg.as_matrix(self.optimum.basis, "basis")
         linalg.check_basis(b, a)
-        r = np.linalg.qr(np.concatenate([a, b], axis=1), mode="r")
+        r = linalg.tall_qr(np.concatenate([a, b], axis=1), mode="r")
         return r[:, : a.shape[1]], r[:, a.shape[1]:]
 
     @functools.cached_property
@@ -451,6 +455,7 @@ def construct_ideal_instance(
     seed = as_integer("seed", seed, 0)
     rho = tm.relevance
     rng = np.random.default_rng(seed)
+    # numpy's own QR: this Q is part of the drawn matrix, not a factorization of it
     qmat, rmat = np.linalg.qr(rng.standard_normal((m, tm.n_topics)))
     signs = np.sign(np.diag(rmat))
     signs[signs == 0.0] = 1.0
@@ -464,7 +469,7 @@ def construct_ideal_instance(
     if not np.all((norms >= 1e-12) & (norms < np.inf)):
         raise ParameterError(f"noise {noise} cancelled or overflowed a document column")
     cols /= norms
-    r = np.linalg.qr(cols, mode="r")
+    r = linalg.tall_qr(cols, mode="r")
     res = linalg.svd(r)
     # S = rho.T rho of a checked TopicModel (unit columns) passes as_similarity
     smat = rho.T @ rho

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrspace import linalg, subspace
 from irrspace.errors import DimensionError, InvalidBasisError
@@ -183,3 +185,74 @@ def test_singular_value_shift_bounded_by_perturbation_norm():
     s2 = linalg.svd(z + e).s
     assert np.max(np.abs(s1 - s2)) <= np.linalg.norm(e, 2) + 1e-10
     assert np.linalg.norm(e, 2) <= np.linalg.norm(e) + 1e-10
+
+
+# c in the roundoff bounds c * n * eps of the tall_qr tests
+_QR_ROUNDOFF = 10
+
+
+def _assert_tall_qr(a):
+    """tall_qr(a) against numpy's QR of the same matrix, at the block rule in force."""
+    m, n = a.shape
+    q, r = linalg.tall_qr(a)
+    assert q.shape == (m, min(m, n)) and r.shape == (min(m, n), n)
+    assert linalg.tall_qr(a, mode="r").tobytes() == r.tobytes()
+    q0, r0 = np.linalg.qr(a)
+    if m // linalg._QR_BLOCK_ROWS < 2 or linalg._QR_BLOCK_ROWS < 4 * n:
+        assert q.tobytes() == q0.tobytes() and r.tobytes() == r0.tobytes()
+    tol = _QR_ROUNDOFF * n * np.finfo(float).eps
+    norm = float(np.linalg.norm(a))
+    assert float(np.linalg.norm(q @ r - a)) <= tol * norm
+    assert float(np.max(np.abs(q.T @ q - np.eye(q.shape[1])))) <= tol
+    # R is unique up to row signs for a matrix of full column rank
+    signs = np.sign(np.diag(r)) * np.sign(np.diag(r0))
+    assert float(np.max(np.abs(signs[:, None] * r - r0))) <= tol * norm
+
+
+@st.composite
+def _tall_shapes(draw):
+    """(block rows B, m, n): n from 1 to past the block-row limit B / 4, 0..4
+    whole blocks and a tail of 0, 1, B - 1 or any rows (m < n when there is
+    no whole block and the tail is short)."""
+    rows = draw(st.sampled_from([8, 16, 32]))
+    n = draw(st.one_of(st.sampled_from([1, rows // 4, rows // 4 + 1]), st.integers(1, rows)))
+    blocks = draw(st.integers(0, 4))
+    tail = draw(st.one_of(st.sampled_from([0, 1, rows - 1]), st.integers(0, rows - 1)))
+    return rows, max(blocks * rows + tail, 1), n
+
+
+@settings(deadline=None, max_examples=150)
+@given(shape=_tall_shapes(), seed=st.integers(0, 2**32 - 1), scale=st.integers(-60, 60))
+def test_tall_qr_is_a_qr_of_its_matrix(shape, seed, scale):
+    rows, m, n = shape
+    a = np.ldexp(np.random.default_rng(seed).standard_normal((m, n)), scale)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_QR_BLOCK_ROWS", rows)
+        _assert_tall_qr(a)
+
+
+_B = linalg._QR_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("m, n", [
+    (2 * _B, 16), (2 * _B + 1, 16), (3 * _B - 1, 16), (4 * _B + 7, 1),
+    (2 * _B + 7, _B // 4), (2 * _B + 7, _B // 4 + 1), (_B, 16), (2 * _B - 1, 16), (5, 9),
+], ids=["tail0", "tail1", "tail_B-1", "n1", "n_at_limit", "n_past_limit", "one_block",
+        "one_block_and_tail", "m_below_n"])
+def test_tall_qr_at_the_block_rows_in_use(m, n):
+    _assert_tall_qr(np.random.default_rng(m * 1000 + n).standard_normal((m, n)))
+
+
+def test_tall_qr_blocks_only_two_blocks_of_at_least_4n_rows(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    rng = np.random.default_rng(0)
+    for m, n in [(2 * _B - 1, 16), (2 * _B + 3, _B // 4 + 1), (2 * _B + 3, 16)]:
+        linalg.tall_qr(rng.standard_normal((m, n)), mode="r")
+    assert calls == [(2 * _B - 1, 16), (2 * _B + 3, _B // 4 + 1), (2, _B, 16), (2 * 16 + 3, 16)]

@@ -727,20 +727,28 @@ def test_truncation_angle_next_singular_value_claim_is_tight():
 
 
 def test_verify_factors_each_ideal_instance_once(monkeypatch, tmp_path):
-    # verify takes one QR of each instance's m x n matrix (after the
-    # generator's QR of its m x k topic draw, which is unchanged) and one
-    # linalg.svd, of the n x n factor R; the checks themselves take neither
+    # verify takes, per instance, the generator's QR of its m x k topic draw
+    # (unchanged), then one linalg.tall_qr of the m x n matrix: the batched
+    # (b, B, n) QR of its b full row blocks and the QR of the (b n + tail, n)
+    # stack, or below two blocks the single (m, n) QR; then one linalg.svd,
+    # of the n x n factor R.  The checks themselves take neither.
     qrs, svds = [], []
     qr, svd = np.linalg.qr, linalg.svd
 
     def counted_qr(a, *args, **kwargs):
-        if np.ndim(a) == 2:  # _eps_of_coords' batched QRs are 3-D
+        if sys._getframe(1).f_code.co_name != "_eps_of_coords":  # the search's own QRs
             qrs.append(np.shape(a))
         return qr(a, *args, **kwargs)
 
     def counted_svd(z):
         svds.append(np.shape(z))
         return svd(z)
+
+    def factor_calls(m, n):
+        b, rows = divmod(m, linalg._QR_BLOCK_ROWS)
+        if b < 2:
+            return [(m, n)]
+        return [(b, linalg._QR_BLOCK_ROWS, n), (b * n + rows, n)]
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(linalg, "svd", counted_svd)
@@ -750,8 +758,10 @@ def test_verify_factors_each_ideal_instance_once(monkeypatch, tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()[8:-1:3]]
     shapes = [(r["instance"]["terms"], r["instance"]["topics"], r["instance"]["docs"])
               for r in records]
-    assert len(shapes) == 8 and min(m for m, _, _ in shapes) > 2000
-    assert qrs == [shape for m, k, n in shapes for shape in ((m, k), (m, n))]
+    assert len(shapes) == 8
+    # both paths run: the 34000- and 8600-term instances are blocked, 2200 is not
+    assert {len(factor_calls(m, n)) for m, _, n in shapes} == {1, 2}
+    assert qrs == [shape for m, k, n in shapes for shape in [(m, k), *factor_calls(m, n)]]
     assert svds == [(n, n) for _, _, n in shapes]
 
 
@@ -801,6 +811,46 @@ def test_constructed_basis_is_formed_only_when_read():
     assert basis.shape == (30, inst.optimum.h) and inst.optimum.basis is basis
     want = theory.optimum_subspace(inst.similarity, inst.matrix, 2)
     assert basis.tobytes() == want.basis.tobytes()
+
+
+def test_constructed_basis_of_a_blocked_factor_pairs_q_with_its_r():
+    # at several row blocks and a tail, R comes from the blocked factorization,
+    # whose row signs can differ from one QR of the whole matrix; the deferred
+    # basis must use the Q of that same factorization, or B.T A = Y.T R fails
+    m = 3 * linalg._QR_BLOCK_ROWS + 5
+    inst = theory.construct_ideal_instance(_single_topic((4, 3)), m=m, noise=0.2, seed=1)
+    r, y = inst.coordinates
+    basis = inst.optimum.basis
+    want = theory.optimum_subspace(inst.similarity, inst.matrix, 2)
+    assert basis.shape == (m, inst.optimum.h)
+    assert basis.tobytes() == want.basis.tobytes()
+    # B = Q Y with Q = A R^-1, and so B.T A = Y.T R, to roundoff
+    tol = 10 * r.shape[1] * np.finfo(float).eps
+    got = inst.matrix @ np.linalg.solve(r, y)
+    assert float(np.max(np.abs(basis - got))) <= tol * np.linalg.cond(r)
+    assert float(np.max(np.abs(basis.T @ inst.matrix - y.T @ r))) <= tol * np.linalg.norm(r)
+    assert float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])))) <= tol
+
+
+def test_blocked_factorization_moves_verify_only_by_roundoff(monkeypatch, tmp_path):
+    # R is unique up to row signs and every check reads A through inner
+    # products, so factoring by row blocks instead of numpy's single QR moves
+    # the verify records by roundoff alone, on the rule of test_blas_threads
+    from test_blas_threads import _assert_close, _leaves
+
+    def verify(name):
+        out = tmp_path / name
+        assert cli.main(["verify", "--seed", "42", "--trials", "24", "--out", str(out)]) == 0
+        return out.read_text()
+
+    blocked = verify("blocked.jsonl")
+    monkeypatch.setattr(linalg, "tall_qr", lambda a, mode="reduced": np.linalg.qr(a, mode=mode))
+    single = verify("single.jsonl")
+    assert blocked != single  # the 34000- and 8600-term instances took the other path
+    records = [[json.loads(line) for line in text.splitlines()] for text in (blocked, single)]
+    # an sv_perturbation record and three checks per instance, then the summary
+    assert len(records[0]) == len(records[1]) == 24 * 4 + 1
+    _assert_close(_leaves(records[0]), _leaves(records[1]))
 
 
 def test_truncation_angle_reads_each_instance_own_svd():
